@@ -290,10 +290,12 @@ pub trait Requests<P: Pending> {
 
 /// Closed loop: keeps `in_flight` requests outstanding for `span`, sending
 /// the next one whenever the oldest completes, then waits for the rest.
+/// `on_done` sees each accepted request as it completes, inside the phase.
 pub fn closed_loop<P: Pending, Q: Requests<P>>(
     q: &mut Q,
     in_flight: usize,
     span: Duration,
+    mut on_done: impl FnMut(&RequestTimes),
 ) -> PhaseStats {
     let mut stats = PhaseStats::default();
     let mut outstanding: VecDeque<(P, RequestTimes)> = VecDeque::with_capacity(in_flight);
@@ -328,6 +330,7 @@ pub fn closed_loop<P: Pending, Q: Requests<P>>(
         let out = p.wait();
         times.done = Instant::now();
         stats.settle(q.check(times.doc, out), q.size(times.doc), times.done);
+        on_done(&times);
         stats.requests.push(times);
     }
     stats.start = Some(start);

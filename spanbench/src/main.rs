@@ -1,9 +1,9 @@
-//! The repository's benchmark: four workloads over the public entry points
+//! The repository's benchmark: three workloads over the public entry points
 //! of the `regex`, `automata`, `core`, `runtime` and `workloads` crates.
 //!
 //! ```text
 //! cargo run --release --manifest-path spanbench/Cargo.toml -- \
-//!     --workload <sparse-stream|tenant-stream|dense-batch|slp-count> \
+//!     --workload <sparse-stream|tenant-stream|slp-count> \
 //!     --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
@@ -15,12 +15,12 @@
 //! ones; `--trace 1` makes a separate traced run that reports the
 //! per-layer metrics and writes its spans to `spanbench/out/`.
 //!
-//! `dense-batch` runs on request but is left out of `BENCHMARK.json`: on a
-//! shared 2-vCPU virtual machine its throughput and latency moved by 20–45%
-//! (quartile spread over ten seeds) from one set of runs to the next, more
-//! than the benchmark's bounds allow.
+//! A fourth workload, `dense-batch` (a `SpannerServer` with the eager IPv4
+//! spanner over log documents), is left out: on a shared 2-vCPU virtual
+//! machine its throughput and latency moved by 20–45% (quartile spread over
+//! ten seeds) from one set of runs to the next, more than the benchmark's
+//! bounds allow.
 
-mod dense;
 mod load;
 mod replay;
 mod rig;
@@ -35,7 +35,7 @@ use std::process::ExitCode;
 
 use rig::{Ctx, Outcome};
 
-const WORKLOADS: [&str; 4] = ["sparse-stream", "tenant-stream", "dense-batch", "slp-count"];
+const WORKLOADS: [&str; 3] = ["sparse-stream", "tenant-stream", "slp-count"];
 
 fn usage() -> String {
     format!(
@@ -156,7 +156,6 @@ fn main() -> ExitCode {
     let result = match workload.as_str() {
         "sparse-stream" => sparse::run(&ctx),
         "tenant-stream" => tenant::run(&ctx),
-        "dense-batch" => dense::run(&ctx),
         "slp-count" => slp::run(&ctx),
         _ => unreachable!("workload names are validated while parsing"),
     };
@@ -190,8 +189,8 @@ mod tests {
     #[test]
     fn parses_the_driver_command_line() {
         let (w, ctx) =
-            parse_args(&args("--workload dense-batch --seed 7 --seconds 3 --trace 1")).unwrap();
-        assert_eq!(w, "dense-batch");
+            parse_args(&args("--workload slp-count --seed 7 --seconds 3 --trace 1")).unwrap();
+        assert_eq!(w, "slp-count");
         assert_eq!((ctx.seed, ctx.seconds, ctx.traced), (7, 3.0, true));
         assert!(parse_args(&args("--workload nope --seed 1")).is_err());
         assert!(parse_args(&args("--seed 1")).is_err());

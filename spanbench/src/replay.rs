@@ -125,12 +125,12 @@ pub fn replay_core(
     let mut counters: Vec<CountCache<u64>> = engines.iter().map(|_| CountCache::new()).collect();
     let (mut pre, mut delay, mut count, mut froz) = (vec![], vec![], vec![], vec![]);
     let mut outputs = 0u64;
-    let mut req = 0u64;
-    let spans = |trace: &mut Option<Trace>, req, marks: [Instant; 5]| {
+    let spans = |trace: &mut Option<Trace>, marks: [Instant; 5]| {
         let Some(t) = trace.as_mut() else { return };
         if !t.room_for(4) {
             return;
         }
+        let req = t.request();
         let names = [
             "core.enumerate.preprocess",
             "core.enumerate.iterate",
@@ -146,7 +146,6 @@ pub fn replay_core(
         outputs = 0;
         for (k, e) in engines.iter().enumerate() {
             for doc in docs {
-                req += 1;
                 let t0 = Instant::now();
                 let view = e.served.evaluate_with(&mut evaluators[k], doc);
                 black_box(view.num_nodes());
@@ -162,7 +161,7 @@ pub fn replay_core(
                     );
                 }
                 let t4 = Instant::now();
-                spans(trace, req, [t0, t1, t2, t3, t4]);
+                spans(trace, [t0, t1, t2, t3, t4]);
                 t_pre += ns(t1 - t0);
                 t_delay += ns(t2 - t1);
                 t_count += ns(t3 - t2);
@@ -230,7 +229,9 @@ pub fn replay_slp(engines: &[Engine], slps: &[Slp], warm: &[Slp], passes: usize)
 
 /// Demultiplexing cost per output mapping: `MultiSpanner::evaluate` minus
 /// the same per-shard passes evaluated and iterated without demux, per
-/// mapping, median over passes.
+/// mapping, median over passes. Where shard evaluation costs far more than
+/// demultiplexing its few mappings (the lazy tenant shards, about 150
+/// times more), the difference is within timing noise and may be negative.
 pub fn replay_demux(multi: &MultiSpanner, docs: &[Document], passes: usize) -> f64 {
     let mut per_mapping = Vec::with_capacity(passes);
     for _ in 0..passes {

@@ -218,18 +218,24 @@ impl<T> Pool<T> {
     }
 }
 
-/// Timing marks the streaming map closure records while `on` is set.
+/// Timing marks the streaming map closure records while `on` is set, keyed
+/// by stream sequence number.
 #[derive(Debug, Default)]
 pub struct MapMarks {
     pub on: AtomicBool,
-    rows: Mutex<Vec<(usize, Instant, Instant)>>,
+    rows: Mutex<HashMap<usize, (Instant, Instant)>>,
 }
 
 impl MapMarks {
-    /// Drains the recorded marks, keyed by stream sequence number.
+    /// Drains every recorded mark.
     pub fn take(&self) -> HashMap<usize, (Instant, Instant)> {
-        let rows = std::mem::take(&mut *self.rows.lock().expect("map marks lock"));
-        rows.into_iter().map(|(seq, start, end)| (seq, (start, end))).collect()
+        std::mem::take(&mut *self.rows.lock().expect("map marks lock"))
+    }
+
+    /// Removes the mark of one request. A ticket completes after its map
+    /// closure returns, so a completed request's mark is already there.
+    pub fn remove(&self, seq: Option<usize>) -> Option<(Instant, Instant)> {
+        self.rows.lock().expect("map marks lock").remove(&seq?)
     }
 }
 
@@ -244,7 +250,7 @@ pub fn start_stream(
         let start = marks.on.load(Ordering::Relaxed).then(Instant::now);
         let n = dag.iter().count() as u64;
         if let Some(start) = start {
-            marks.rows.lock().expect("map marks lock").push((seq, start, Instant::now()));
+            marks.rows.lock().expect("map marks lock").insert(seq, (start, Instant::now()));
         }
         n
     })
@@ -342,9 +348,36 @@ pub fn alternate(
     (plain, traced)
 }
 
-/// Records the spans of `requests` (request → submit, queue, map) and
-/// collects their streaming figures. `maps` holds the map-closure marks by
-/// sequence number.
+/// Records the spans of one streaming request (request → submit, queue,
+/// map) and adds its streaming figures to `fig`. `map` is the request's
+/// map-closure mark, when one was taken.
+pub fn stream_span(
+    trace: &mut Option<Trace>,
+    fig: &mut StreamFigures,
+    phase: &'static str,
+    r: &RequestTimes,
+    map: Option<(Instant, Instant)>,
+) {
+    fig.submit_us.push((r.submit_end - r.submit_start).as_secs_f64() * 1e6);
+    if let Some((start, end)) = map {
+        fig.queue_ms.push(ms(start.saturating_duration_since(r.submit_end)));
+        fig.map_ms.push(ms(end - start));
+    }
+    let Some(t) = trace.as_mut() else { return };
+    if !t.room_for(4) {
+        return;
+    }
+    let req = t.request();
+    let root = t.record(phase, req, None, r.due, r.done);
+    t.record("runtime.streaming.submit", req, Some(root), r.submit_start, r.submit_end);
+    if let Some((start, end)) = map {
+        t.record("runtime.streaming.queue", req, Some(root), r.submit_end, start);
+        t.record("runtime.streaming.map", req, Some(root), start, end);
+    }
+}
+
+/// [`stream_span`] for every request of a finished phase; `maps` holds the
+/// map-closure marks by sequence number.
 pub fn stream_spans(
     trace: &mut Option<Trace>,
     phase: &'static str,
@@ -352,25 +385,9 @@ pub fn stream_spans(
     maps: &HashMap<usize, (Instant, Instant)>,
 ) -> StreamFigures {
     let mut fig = StreamFigures::default();
-    for (i, r) in requests.iter().enumerate() {
-        let req = r.seq.unwrap_or(i) as u64;
+    for r in requests {
         let map = r.seq.and_then(|s| maps.get(&s)).copied();
-        fig.submit_us.push((r.submit_end - r.submit_start).as_secs_f64() * 1e6);
-        if let Some((start, end)) = map {
-            fig.queue_ms.push(ms(start.saturating_duration_since(r.submit_end)));
-            fig.map_ms.push(ms(end - start));
-        }
-        if let Some(t) = trace.as_mut() {
-            if !t.room_for(4) {
-                continue;
-            }
-            let root = t.record(phase, req, None, r.due, r.done);
-            t.record("runtime.streaming.submit", req, Some(root), r.submit_start, r.submit_end);
-            if let Some((start, end)) = map {
-                t.record("runtime.streaming.queue", req, Some(root), r.submit_end, start);
-                t.record("runtime.streaming.map", req, Some(root), start, end);
-            }
-        }
+        stream_span(trace, &mut fig, phase, r, map);
     }
     fig
 }
@@ -410,7 +427,7 @@ pub fn streaming_probe(
     marks.on.store(true, Ordering::Relaxed);
     let mut q =
         StreamRequests { server: &server, docs, oracle, cycle: Cycle::new(seed, docs.len()) };
-    let phase = load::closed_loop(&mut q, IN_FLIGHT, span);
+    let phase = load::closed_loop(&mut q, IN_FLIGHT, span, |_| {});
     let fig = stream_spans(trace, "probe.request", &phase.requests, &marks.take());
     Ok((phase, fig, server.drain()))
 }
@@ -470,18 +487,16 @@ pub fn check_counts(results: &[Result<u64, SpannerError>], want: &[u64]) -> Verd
     verdict
 }
 
-/// Records one span per batch call of a traced batch phase, with the call
-/// itself as a child of the request.
-pub fn batch_spans(trace: &mut Option<Trace>, kinds: &[&'static str], phase: &PhaseStats) {
+/// Records the spans of one batch call made from `start` to `end`: the
+/// request, with the call into `layer` as its child.
+pub fn batch_span(trace: &mut Option<Trace>, layer: &'static str, start: Instant, end: Instant) {
     let Some(t) = trace.as_mut() else { return };
-    for r in &phase.requests {
-        if !t.room_for(2) {
-            continue;
-        }
-        let req = r.doc as u64;
-        let root = t.record("batch.request", req, None, r.due, r.done);
-        t.record(kinds[r.doc % kinds.len()], req, Some(root), r.submit_start, r.submit_end);
+    if !t.room_for(2) {
+        return;
     }
+    let req = t.request();
+    let root = t.record("batch.request", req, None, start, end);
+    t.record(layer, req, Some(root), start, end);
 }
 
 /// Emits the core-layer metrics of a replay.
@@ -515,7 +530,10 @@ pub fn governance_layers(
     out.metric("core.limits.deltas_shed", shed as f64, "count");
 }
 
-/// `bench.trace_overhead_pct`: how much slower the traced phase ran.
+/// `bench.trace_overhead_pct`: how much slower the traced slices ran, whose
+/// requests record their spans as they complete. Where recording costs
+/// little next to a request, the figure is within run-to-run noise and may
+/// be negative.
 pub fn trace_overhead_pct(untraced_mbps: f64, traced_mbps: f64) -> f64 {
     (untraced_mbps - traced_mbps) / untraced_mbps * 100.0
 }
@@ -552,7 +570,7 @@ mod tests {
             oracle: &oracle,
             cycle: Cycle::new(1, 2),
         };
-        let phase = load::closed_loop(&mut q, 4, Duration::from_millis(20));
+        let phase = load::closed_loop(&mut q, 4, Duration::from_millis(20), |_| {});
         server.drain();
         assert!(phase.wrong > 0 && phase.wrong < phase.attempted, "{phase:?}");
         let mut out = Outcome::default();

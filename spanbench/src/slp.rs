@@ -109,9 +109,14 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     let mut trace = Some(Trace::new(Instant::now()));
     let mut gaps = Vec::new();
     let (plain, traced) = alternate(ctx.share(0.5), |is_traced, span| {
-        let (phase, slice_gaps) = batch_phase(span, |k| call(&spanner, &mut pool, k));
+        let (phase, slice_gaps) = batch_phase(span, |k| {
+            let done = call(&spanner, &mut pool, k);
+            if is_traced {
+                batch_span(&mut trace, "runtime.batch.count_slp", done.2, done.3);
+            }
+            done
+        });
         if is_traced {
-            batch_spans(&mut trace, &["runtime.batch.count_slp"], &phase);
             gaps.extend(slice_gaps);
         }
         phase

@@ -83,10 +83,10 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     };
     let mut rng = StdRng::seed_from_u64(ctx.derive(3));
 
-    let warmup = load::closed_loop(&mut q, IN_FLIGHT, ctx.share(WARMUP));
+    let warmup = load::closed_loop(&mut q, IN_FLIGHT, ctx.share(WARMUP), |_| {});
     out.count(&warmup);
     if !ctx.traced {
-        let closed = load::closed_loop(&mut q, IN_FLIGHT, ctx.share(0.5));
+        let closed = load::closed_loop(&mut q, IN_FLIGHT, ctx.share(0.5), |_| {});
         // Memory is read after the closed loop: its 64 requests in flight
         // bound the working set, while the open loop's queue depth follows
         // stalls of the machine.
@@ -106,13 +106,16 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     }
 
     let mut trace = Some(Trace::new(Instant::now()));
+    // The streaming figures come from the open loop below.
+    let mut closed_fig = StreamFigures::default();
     let (plain, closed) = alternate(ctx.share(0.4), |traced, span| {
         marks.on.store(traced, Ordering::Relaxed);
-        let phase = load::closed_loop(&mut q, IN_FLIGHT, span);
-        if traced {
-            stream_spans(&mut trace, "stream.request", &phase.requests, &marks.take());
-        }
-        phase
+        load::closed_loop(&mut q, IN_FLIGHT, span, |r| {
+            if traced {
+                let map = marks.remove(r.seq);
+                stream_span(&mut trace, &mut closed_fig, "stream.request", r, map);
+            }
+        })
     });
     marks.on.store(true, Ordering::Relaxed);
     let schedule = poisson_schedule(&mut rng, OPEN_RATE, ctx.share(0.25));

@@ -134,19 +134,32 @@ impl Requests<MultiTicket> for TenantRequests<'_> {
     }
 
     fn check(&self, doc: usize, out: Vec<Result<Vec<Mapping>, SpannerError>>) -> Verdict {
-        let mut verdict = Verdict::Ok;
-        for (got, want) in out.iter().zip(&self.c.expected[doc]) {
-            match got {
-                Err(e) => {
-                    eprintln!("document {doc} failed: {e}");
-                    return Verdict::Failed;
-                }
-                Ok(got) if got != want => verdict = Verdict::Wrong,
-                Ok(_) => {}
-            }
-        }
-        verdict
+        check_tenants(doc, &out, &self.c.expected[doc])
     }
+}
+
+/// Checks one document's per-tenant results against every tenant's own
+/// spanner; a reply that leaves tenants out is wrong.
+fn check_tenants(
+    doc: usize,
+    got: &[Result<Vec<Mapping>, SpannerError>],
+    want: &[Vec<Mapping>],
+) -> Verdict {
+    if got.len() != want.len() {
+        return Verdict::Wrong;
+    }
+    let mut verdict = Verdict::Ok;
+    for (got, want) in got.iter().zip(want) {
+        match got {
+            Err(e) => {
+                eprintln!("document {doc} failed: {e}");
+                return Verdict::Failed;
+            }
+            Ok(got) if got != want => verdict = Verdict::Wrong,
+            Ok(_) => {}
+        }
+    }
+    verdict
 }
 
 /// Quotas far above the offered load (a stall of the servers must not turn
@@ -216,10 +229,10 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
         TenantRequests { server: &server, c: &c, cycle: Cycle::new(ctx.derive(3), c.docs.len()) };
     let mut rng = StdRng::seed_from_u64(ctx.derive(4));
 
-    let warmup = load::closed_loop(&mut q, IN_FLIGHT, ctx.share(WARMUP));
+    let warmup = load::closed_loop(&mut q, IN_FLIGHT, ctx.share(WARMUP), |_| {});
     out.count(&warmup);
     if !ctx.traced {
-        let closed = load::closed_loop(&mut q, IN_FLIGHT, ctx.share(0.5));
+        let closed = load::closed_loop(&mut q, IN_FLIGHT, ctx.share(0.5), |_| {});
         // Memory is read after the closed loop: its 64 requests in flight
         // bound the working set, while the open loop's queue depth follows
         // stalls of the machine.
@@ -242,12 +255,11 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     let no_marks = Default::default();
     let mut fig = StreamFigures::default();
     let (plain, closed) = alternate(ctx.share(0.3), |traced, span| {
-        let phase = load::closed_loop(&mut q, IN_FLIGHT, span);
-        if traced {
-            let f = stream_spans(&mut trace, "stream.request", &phase.requests, &no_marks);
-            fig.submit_us.extend(f.submit_us);
-        }
-        phase
+        load::closed_loop(&mut q, IN_FLIGHT, span, |r| {
+            if traced {
+                stream_span(&mut trace, &mut fig, "stream.request", r, None);
+            }
+        })
     });
     let schedule = poisson_schedule(&mut rng, OPEN_RATE, ctx.share(0.2));
     let order: Vec<usize> = Cycle::new(ctx.derive(5), c.docs.len()).take(schedule.len()).collect();
@@ -326,4 +338,18 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     );
     out.trace = trace;
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_reply_missing_tenants_is_wrong() {
+        let want = vec![Vec::new(), Vec::new()];
+        let full: Vec<Result<Vec<Mapping>, SpannerError>> = vec![Ok(Vec::new()), Ok(Vec::new())];
+        assert_eq!(check_tenants(0, &full, &want), Verdict::Ok);
+        assert_eq!(check_tenants(0, &full[..1], &want), Verdict::Wrong);
+        assert_eq!(check_tenants(0, &[], &want), Verdict::Wrong);
+    }
 }

@@ -38,11 +38,13 @@ pub struct Trace {
     spans: Vec<Span>,
     /// Requests whose spans did not fit under [`MAX_SPANS`].
     dropped: u64,
+    /// Request ids handed out so far.
+    requests: u64,
 }
 
 impl Trace {
     pub fn new(origin: Instant) -> Trace {
-        Trace { origin, spans: Vec::new(), dropped: 0 }
+        Trace { origin, spans: Vec::new(), dropped: 0, requests: 0 }
     }
 
     /// Whether a request's `spans` spans still fit; counts the request as
@@ -57,6 +59,12 @@ impl Trace {
 
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// A fresh request id, for the spans of one request to share.
+    pub fn request(&mut self) -> u64 {
+        self.requests += 1;
+        self.requests
     }
 
     fn ns(&self, t: Instant) -> u64 {
