@@ -189,6 +189,9 @@ pub struct RequestTimes {
     pub done: Instant,
 }
 
+/// Width of the time bins of [`PhaseStats::binned_mb_per_s`].
+pub const THROUGHPUT_BIN: Duration = Duration::from_millis(100);
+
 /// Outcome of one load phase.
 #[derive(Debug, Default)]
 pub struct PhaseStats {
@@ -198,12 +201,15 @@ pub struct PhaseStats {
     /// Document bytes of the requests that completed correctly.
     pub bytes: u64,
     pub elapsed: Duration,
-    /// When the phase started.
+    /// When the phase started; set before its first request.
     pub start: Option<Instant>,
-    /// Per-request timings (only requests that were accepted).
+    /// Per-request timings of accepted requests, kept by the open loop and
+    /// batch phases (the closed loop hands them to its caller instead).
     pub requests: Vec<RequestTimes>,
-    /// When each correct request completed, and its bytes.
-    pub completions: Vec<(Instant, usize)>,
+    /// Bytes completed correctly in each [`THROUGHPUT_BIN`] since `start`.
+    /// Running sums, so that the benchmark's own record does not grow with
+    /// the request count and show up in `peak_rss_mb`.
+    pub bins: Vec<u64>,
 }
 
 impl PhaseStats {
@@ -211,7 +217,14 @@ impl PhaseStats {
         match verdict {
             Verdict::Ok => {
                 self.bytes += bytes as u64;
-                self.completions.push((done, bytes));
+                if let Some(start) = self.start {
+                    let since = done.saturating_duration_since(start);
+                    let k = (since.as_nanos() / THROUGHPUT_BIN.as_nanos()) as usize;
+                    if self.bins.len() <= k {
+                        self.bins.resize(k + 1, 0);
+                    }
+                    self.bins[k] += bytes as u64;
+                }
             }
             Verdict::Failed => self.failed += 1,
             Verdict::Wrong => self.wrong += 1,
@@ -238,28 +251,21 @@ impl PhaseStats {
     }
 
     /// Throughput robust to bursts of interference on a shared machine: the
-    /// phase is cut into `bin`-long slices, the bytes completed in each
-    /// slice are counted, and the mean of the middle half of the slices
-    /// (the interquartile mean) gives the rate. The partial slice at the end
-    /// is left out.
-    pub fn binned_mb_per_s(&self, bin: Duration) -> f64 {
-        let Some(start) = self.start else { return self.mb_per_s() };
-        let bins = (self.elapsed.as_secs_f64() / bin.as_secs_f64()) as usize;
-        if bins < 3 {
+    /// bytes completed in each [`THROUGHPUT_BIN`] of the phase are counted,
+    /// and the mean of the middle half of the bins (the interquartile mean)
+    /// gives the rate. The partial bin at the end is left out.
+    pub fn binned_mb_per_s(&self) -> f64 {
+        let full = (self.elapsed.as_secs_f64() / THROUGHPUT_BIN.as_secs_f64()) as usize;
+        if full < 3 || self.bins.is_empty() {
             return self.mb_per_s();
         }
-        let mut per_bin = vec![0.0; bins];
-        for &(done, bytes) in &self.completions {
-            let k =
-                (done.saturating_duration_since(start).as_secs_f64() / bin.as_secs_f64()) as usize;
-            if k < bins {
-                per_bin[k] += bytes as f64;
-            }
-        }
-        crate::stats::interquartile_mean(&mut per_bin) / 1e6 / bin.as_secs_f64()
+        let mut per_bin: Vec<f64> =
+            (0..full).map(|k| self.bins.get(k).copied().unwrap_or(0) as f64).collect();
+        crate::stats::interquartile_mean(&mut per_bin) / 1e6 / THROUGHPUT_BIN.as_secs_f64()
     }
 
-    /// Adds another phase's counts, time and requests to this one.
+    /// Adds another phase's counts, time and requests to this one. The
+    /// phases' bins do not line up, so a merged phase reports its mean rate.
     pub fn absorb(&mut self, other: PhaseStats) {
         self.attempted += other.attempted;
         self.failed += other.failed;
@@ -268,7 +274,7 @@ impl PhaseStats {
         self.elapsed += other.elapsed;
         self.start = self.start.or(other.start);
         self.requests.extend(other.requests);
-        self.completions.extend(other.completions);
+        self.bins.clear();
     }
 }
 
@@ -290,16 +296,17 @@ pub trait Requests<P: Pending> {
 
 /// Closed loop: keeps `in_flight` requests outstanding for `span`, sending
 /// the next one whenever the oldest completes, then waits for the rest.
-/// `on_done` sees each accepted request as it completes, inside the phase.
+/// `on_done` sees each accepted request as it completes, inside the phase;
+/// the phase keeps no per-request record.
 pub fn closed_loop<P: Pending, Q: Requests<P>>(
     q: &mut Q,
     in_flight: usize,
     span: Duration,
     mut on_done: impl FnMut(&RequestTimes),
 ) -> PhaseStats {
-    let mut stats = PhaseStats::default();
-    let mut outstanding: VecDeque<(P, RequestTimes)> = VecDeque::with_capacity(in_flight);
     let start = Instant::now();
+    let mut stats = PhaseStats { start: Some(start), ..PhaseStats::default() };
+    let mut outstanding: VecDeque<(P, RequestTimes)> = VecDeque::with_capacity(in_flight);
     let stop = start + span;
     loop {
         let now = Instant::now();
@@ -331,9 +338,7 @@ pub fn closed_loop<P: Pending, Q: Requests<P>>(
         times.done = Instant::now();
         stats.settle(q.check(times.doc, out), q.size(times.doc), times.done);
         on_done(&times);
-        stats.requests.push(times);
     }
-    stats.start = Some(start);
     stats.elapsed = start.elapsed();
     stats
 }
@@ -353,8 +358,8 @@ where
     // A completion is observed within this long of the collector's last
     // look; the oldest request is waited on directly, so it is exact.
     const POLL: Duration = Duration::from_micros(100);
-    let mut stats = PhaseStats::default();
     let start = Instant::now();
+    let mut stats = PhaseStats { start: Some(start), ..PhaseStats::default() };
     let (tx, rx) = mpsc::channel::<(P, RequestTimes)>();
     let refused = std::thread::scope(|scope| {
         let sender = scope.spawn(move || {
@@ -430,7 +435,6 @@ where
     });
     stats.attempted = stats.requests.len() as u64 + refused;
     stats.failed += refused;
-    stats.start = Some(start);
     stats.elapsed = start.elapsed();
     stats
 }
@@ -471,7 +475,7 @@ mod tests {
             p.settle(Verdict::Ok, if k == 3 { 9_000_000 } else { 1_000_000 }, at(100 * k + 50));
         }
         p.settle(Verdict::Ok, 5_000_000, at(1020));
-        assert!((p.binned_mb_per_s(Duration::from_millis(100)) - 10.0).abs() < 1e-9);
+        assert!((p.binned_mb_per_s() - 10.0).abs() < 1e-9);
         assert!(p.mb_per_s() > 20.0);
     }
 

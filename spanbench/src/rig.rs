@@ -19,9 +19,6 @@ use crate::replay::{CompileTimes, CoreFigures, SlpFigures};
 use crate::stats::{self, median, percentile};
 use crate::trace::Trace;
 
-/// Time bin of the closed-loop throughput median (see
-/// [`PhaseStats::binned_mb_per_s`]).
-pub const THROUGHPUT_BIN: Duration = Duration::from_millis(100);
 /// Worker threads of every workload's server.
 pub const WORKERS: usize = 2;
 /// Requests kept outstanding by the closed-loop streaming client.
@@ -427,8 +424,10 @@ pub fn streaming_probe(
     marks.on.store(true, Ordering::Relaxed);
     let mut q =
         StreamRequests { server: &server, docs, oracle, cycle: Cycle::new(seed, docs.len()) };
-    let phase = load::closed_loop(&mut q, IN_FLIGHT, span, |_| {});
-    let fig = stream_spans(trace, "probe.request", &phase.requests, &marks.take());
+    let mut fig = StreamFigures::default();
+    let phase = load::closed_loop(&mut q, IN_FLIGHT, span, |r| {
+        stream_span(trace, &mut fig, "probe.request", r, marks.remove(r.seq));
+    });
     Ok((phase, fig, server.drain()))
 }
 
@@ -441,9 +440,9 @@ pub fn batch_phase(
     span: Duration,
     mut call: impl FnMut(usize) -> (Verdict, usize, Instant, Instant),
 ) -> (PhaseStats, Vec<f64>) {
-    let mut stats = PhaseStats::default();
-    let mut gaps_ms = Vec::new();
     let start = Instant::now();
+    let mut stats = PhaseStats { start: Some(start), ..PhaseStats::default() };
+    let mut gaps_ms = Vec::new();
     let mut prev_end = start;
     let mut k = 0;
     while prev_end < start + span {
@@ -463,7 +462,6 @@ pub fn batch_phase(
         prev_end = checked;
         k += 1;
     }
-    stats.start = Some(start);
     stats.elapsed = start.elapsed();
     (stats, gaps_ms)
 }

@@ -94,12 +94,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
         let (phase, mut gaps) =
             batch_phase(ctx.share(1.0 - WARMUP), |k| call(&spanner, &mut pool, k));
         out.count(&phase);
-        out.end_to_end(
-            &mut setups.total_s,
-            phase.binned_mb_per_s(THROUGHPUT_BIN),
-            &phase,
-            peak_rss_mb(),
-        );
+        out.end_to_end(&mut setups.total_s, phase.binned_mb_per_s(), &phase, peak_rss_mb());
         out.info("batch_docs", BATCH_DOCS);
         out.info("mb_per_s_mean", phase.mb_per_s());
         out.info("client_gap_ms_p99", percentile(&mut gaps, 0.99));

@@ -243,7 +243,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
         let open = load::open_loop(&q, &order, &schedule);
         out.count(&closed);
         out.count(&open);
-        out.end_to_end(&mut setups.total_s, closed.binned_mb_per_s(THROUGHPUT_BIN), &open, rss);
+        out.end_to_end(&mut setups.total_s, closed.binned_mb_per_s(), &open, rss);
         out.info("open_loop_rate_docs_per_s", OPEN_RATE);
         out.info("mb_per_s_mean", closed.mb_per_s());
         out.info("open_loop_lateness_ms_p99", percentile(&mut open.lateness_ms(), 0.99));
