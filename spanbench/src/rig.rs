@@ -89,14 +89,16 @@ impl Outcome {
         (self.failed + self.wrong) as f64 / self.attempted.max(1) as f64
     }
 
-    /// The end-to-end metrics shared by every workload: set-up time,
-    /// closed-loop throughput, the median latency of `latency`, the phase
-    /// that defines it, and `peak_rss_mb` as read by the caller. Latency
-    /// percentiles are taken per time window (each window keeping at least
-    /// 10 samples beyond p99) and the median window is reported. The p99
-    /// goes to the provenance line only: on a shared 2-vCPU machine it moved
-    /// by 40–60% between sets of runs, with stalls of the load generator's
-    /// own wake-ups, so it cannot gate a change.
+    /// The end-to-end metrics shared by every workload: set-up time, the
+    /// median latency of `latency`, the phase that defines it, and
+    /// `peak_rss_mb` as read by the caller. Latency percentiles are taken per
+    /// time window (each window keeping at least 10 samples beyond p99) and
+    /// the median window is reported. Closed-loop throughput and the p99 go
+    /// to the provenance line only: on a shared 2-vCPU machine the quartile
+    /// spread of `mb_per_s` over ten seeds reached 0.21–0.32 in most sets
+    /// (0.3 over five runs of one seed on tenant-stream), and the p99 moved
+    /// by 40–60% between sets with stalls of the load generator's own
+    /// wake-ups, so neither can gate a change within a 25% bound.
     pub fn end_to_end(
         &mut self,
         setup_s: &mut [f64],
@@ -109,9 +111,9 @@ impl Outcome {
         let n = samples.len();
         let w = stats::window_count(&samples, span, 0.99);
         self.metric("setup_s", median(setup_s), "s");
-        self.metric("mb_per_s", mb_per_s, "MB/s");
         self.metric("latency_p50_ms", stats::windowed_percentile(&samples, span, w, 0.5), "ms");
         self.metric("peak_rss_mb", peak_rss_mb, "MB");
+        self.info("mb_per_s", mb_per_s);
         self.info("latency_p99_ms", stats::windowed_percentile(&samples, span, w, 0.99));
         self.info("latency_samples", n);
         self.info("latency_windows", w);
