@@ -11,37 +11,15 @@
 //! paper requires — `add` (prepend), `lazycopy` (copy of the `(start, end)`
 //! pair) and `append` (splice another list after the end element).
 //!
-//! Both phases are driven by a **sparse active-state set** ([`SparseSet`]):
-//! only states whose list is non-empty are visited, so the cost per document
-//! position is proportional to the number of *live* states (plus the work of
-//! their transitions), not to the total number of automaton states. This is
-//! the same organisation production regex engines use for NFA simulation and
-//! is what makes the `O(|A| × |d|)` preprocessing bound tight in practice.
-//!
-//! On top of the sparse loop sit two **run-skipping fast paths**. The default
-//! is **skip-mask scanning** ([`EngineMode::SkipScan`]): every automaton
-//! state carries a bitset of the alphabet classes on which a `(Capturing;
-//! Reading)` step is provably a no-op for it ([`DetSeva::skip_mask`]), the
-//! active set's bitsets are intersected into one [`ClassMask`] (recomputed
-//! only when the active set changes), and the loop jumps from one
-//! *interesting* byte to the next with a chunked, memchr-style scanner
-//! ([`find_next_interesting`]) — skippable stretches cost a vectorisable LUT
-//! scan no matter how many class runs they span. The older **class-run**
-//! path ([`EngineMode::ClassRuns`]) bulk-classifies the document
-//! ([`crate::byteclass::AlphabetPartition::classify_into`]), walks maximal
-//! same-class runs and consumes any run on whose class every live state is
-//! [`DetSeva::run_skippable`] in `O(live states)`; it remains as the
-//! fallback and differential baseline. Long stretches of "noise" between
-//! matches (the common case in Example 2.1-style extraction) then cost
-//! almost nothing; the byte-at-a-time loop remains available as
-//! [`EngineMode::PerByte`] and for traced runs.
-//!
-//! The evaluation state (node/cell arenas, list vectors, active sets) lives in
-//! a reusable [`Evaluator`], so a long-running service evaluating one compiled
-//! spanner over millions of documents performs **no allocation after
-//! warm-up** — each [`Evaluator::eval`] call recycles the previous document's
-//! capacity. [`EnumerationDag::build`] remains as the one-shot convenience
-//! wrapper producing an owned DAG.
+//! The loop itself — sparse active sets, the skip-scan, class-run and
+//! per-byte inner loops of [`crate::EngineMode`], lazy-cache maintenance and
+//! limits — is the shared [`Driver`]; this module supplies its list-DAG
+//! accumulator, [`DagStore`]. The evaluation state lives in a reusable
+//! [`Evaluator`], so a long-running service evaluating one compiled spanner
+//! over millions of documents performs **no allocation after warm-up** —
+//! each [`Evaluator::eval`] call recycles the previous document's capacity.
+//! [`EnumerationDag::build`] remains as the one-shot convenience wrapper
+//! producing an owned DAG.
 //!
 //! `Enumerate` then traverses the DAG depth-first from the lists of the final
 //! states; every time it reaches `⊥` the markers collected along the path form
@@ -49,16 +27,15 @@
 //! bounded by a function of the number of variables only — it does not depend
 //! on the document.
 
-use crate::byteclass::ClassRuns;
-use crate::det::{DetSeva, SkipScanner, Stepper};
+use crate::det::DetSeva;
 use crate::document::Document;
+use crate::driver::{Accumulator, Driver, Target};
 use crate::error::SpannerError;
-use crate::lazy::{FrozenCache, FrozenDelta, FrozenStepper, LazyCache, LazyDetSeva, LazyStepper};
-use crate::limits::{EvalLimits, LimitChecker};
+use crate::lazy::{FrozenCache, LazyDetSeva};
+use crate::limits::EvalLimits;
 use crate::mapping::Mapping;
 use crate::markerset::MarkerSet;
 use crate::span::Span;
-use crate::sparse::SparseSet;
 use crate::variable::{VarRegistry, MAX_VARIABLES};
 
 /// Index of a node in the DAG arena. Node 0 is the sink `⊥`.
@@ -84,7 +61,7 @@ fn next_arena_id(len: usize, what: &str) -> u32 {
 /// A singly linked list of DAG nodes, represented as the `(start, end)` pair of
 /// pointers described in the paper. Cheap to copy (`lazycopy` is a bitwise copy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ListRef {
+pub struct ListRef {
     head: CellId,
     tail: CellId,
     /// Empty lists are encoded by `len == 0`; `head`/`tail` are then
@@ -120,15 +97,94 @@ struct Node {
 }
 
 /// The arena-backed DAG produced by Algorithm 1: nodes, list cells and the
-/// root lists of the final states. Shared by the owned [`EnumerationDag`] and
-/// the borrowed [`DagView`] an [`Evaluator`] hands out.
+/// root lists of the final states. It is the list-DAG [`Accumulator`] of the
+/// [`Driver`], and is shared by the owned [`EnumerationDag`] and the
+/// borrowed [`DagView`] an [`Evaluator`] hands out.
 #[derive(Debug, Clone, Default)]
-struct DagStore {
+pub struct DagStore {
     nodes: Vec<Node>,
     cells: Vec<Cell>,
     /// Lists of the final states after the last `Capturing` phase
     /// (the entry points of Algorithm 2), in increasing state order.
     roots: Vec<ListRef>,
+    /// Scratch for sorting `(final state, list)` pairs into `roots`.
+    root_scratch: Vec<(usize, ListRef)>,
+}
+
+impl Accumulator for DagStore {
+    type Value = ListRef;
+    type Output = ();
+
+    #[inline]
+    fn empty() -> ListRef {
+        ListRef::EMPTY
+    }
+
+    fn begin(&mut self) -> ListRef {
+        self.nodes.clear();
+        self.cells.clear();
+        self.roots.clear();
+        // Node 0 is the sink ⊥; its markers/list are never read. The initial
+        // state's list is [⊥].
+        self.nodes.push(Node { markers: MarkerSet::new(), pos: 0, list: ListRef::EMPTY });
+        self.cells.push(Cell { node: BOTTOM, next: None });
+        ListRef { head: 0, tail: 0, len_hint: 1 }
+    }
+
+    /// Creates the node `(markers, pos)` pointing at `src` and adds it to
+    /// `dst` (`list_p.add(node)`: prepend a fresh cell).
+    #[inline(always)]
+    fn capture(
+        &mut self,
+        dst: &mut ListRef,
+        fresh: bool,
+        src: &ListRef,
+        markers: MarkerSet,
+        pos: usize,
+    ) -> Result<(), SpannerError> {
+        let node = next_arena_id(self.nodes.len(), "DAG node");
+        self.nodes.push(Node { markers, pos: pos as u32, list: *src });
+        let cell = next_arena_id(self.cells.len(), "list cell");
+        if fresh {
+            self.cells.push(Cell { node, next: None });
+            *dst = ListRef { head: cell, tail: cell, len_hint: 1 };
+        } else {
+            self.cells.push(Cell { node, next: Some(dst.head) });
+            *dst = ListRef { head: cell, tail: dst.tail, len_hint: dst.len_hint.saturating_add(1) };
+        }
+        Ok(())
+    }
+
+    /// `list_p.append(list_old_q)`.
+    #[inline(always)]
+    fn read(&mut self, dst: &mut ListRef, fresh: bool, src: &ListRef) -> Result<(), SpannerError> {
+        if fresh {
+            *dst = *src;
+        } else {
+            let tail = dst.tail as usize;
+            debug_assert!(self.cells[tail].next.is_none(), "append target must end in null");
+            self.cells[tail].next = Some(src.head);
+            *dst = ListRef {
+                head: dst.head,
+                tail: src.tail,
+                len_hint: dst.len_hint.saturating_add(src.len_hint),
+            };
+        }
+        Ok(())
+    }
+
+    /// Roots: the lists of the final states, in state order so enumeration
+    /// order is independent of active-set insertion order.
+    fn finish<'v>(
+        &mut self,
+        finals: impl Iterator<Item = (usize, &'v ListRef)>,
+    ) -> Result<(), SpannerError> {
+        self.root_scratch.clear();
+        self.root_scratch.extend(finals.map(|(q, l)| (q, *l)));
+        self.root_scratch.sort_unstable_by_key(|&(q, _)| q);
+        self.roots.extend(self.root_scratch.iter().map(|&(_, l)| l));
+        Ok(())
+    }
 }
 
 impl DagStore {
@@ -141,34 +197,40 @@ impl DagStore {
         }
     }
 
-    fn count_paths(&self) -> u128 {
+    /// The number of root-to-`⊥` paths, failing with
+    /// [`SpannerError::CountOverflow`] past `u128::MAX`.
+    fn count_paths(&self) -> Result<u128, SpannerError> {
         // Memoized number of paths from each node to ⊥.
         let mut memo: Vec<Option<u128>> = vec![None; self.nodes.len()];
         memo[BOTTOM as usize] = Some(1);
         let mut total = 0u128;
         for root in &self.roots {
-            total += self.count_list(*root, &mut memo);
+            total = checked_sum(total, self.count_list(*root, &mut memo)?)?;
         }
-        total
+        Ok(total)
     }
 
-    fn count_list(&self, list: ListRef, memo: &mut Vec<Option<u128>>) -> u128 {
+    fn count_list(
+        &self,
+        list: ListRef,
+        memo: &mut Vec<Option<u128>>,
+    ) -> Result<u128, SpannerError> {
         let mut sum = 0u128;
         for cell in self.list_cells(list) {
             let node = self.cells[cell as usize].node;
-            sum += self.count_node(node, memo);
+            sum = checked_sum(sum, self.count_node(node, memo)?)?;
         }
-        sum
+        Ok(sum)
     }
 
-    fn count_node(&self, node: NodeId, memo: &mut Vec<Option<u128>>) -> u128 {
+    fn count_node(&self, node: NodeId, memo: &mut Vec<Option<u128>>) -> Result<u128, SpannerError> {
         if let Some(v) = memo[node as usize] {
-            return v;
+            return Ok(v);
         }
         let list = self.nodes[node as usize].list;
-        let v = self.count_list(list, memo);
+        let v = self.count_list(list, memo)?;
         memo[node as usize] = Some(v);
-        v
+        Ok(v)
     }
 
     /// Iterates over the cell ids of a list, honouring the `(start, end)` bounds
@@ -182,49 +244,12 @@ impl DagStore {
     }
 }
 
-/// Which inner loop an [`Evaluator`] (or a `CountCache`) drives Algorithm 1 /
-/// Algorithm 3 with.
-///
-/// All modes produce **identical outputs**: the same mappings, the same
-/// counts, the same root lists (and, for a fixed automaton state space, the
-/// same enumeration order — see `tests/skip_scan.rs` for the one caveat
-/// around mid-document eviction of lazily determinized automata). The
-/// run-skipping modes may allocate *fewer* DAG nodes/cells, because the
-/// per-byte walk also materializes capture attempts that the very next
-/// `Reading` phase provably kills (they are unreachable from every root);
-/// the skipping loops elide those positions wholesale. Diagnostic arena
-/// sizes (`num_nodes`, `num_cells`) are therefore comparable only within
-/// one mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// Skip-mask scanning — the default. The active set's skippable classes
-    /// are maintained as one intersected [`crate::ClassMask`] (one AND per
-    /// surviving state, recomputed only when the active set changes), the
-    /// mask is expanded into a byte-level [`crate::InterestMask`], and the
-    /// loop jumps straight to the next *interesting* byte with the chunked
-    /// [`crate::find_next_interesting`] scanner — no `ClassRuns`
-    /// materialization, no per-run predicate test, no per-byte work on
-    /// skippable stretches.
-    /// Skip decisions are byte-for-byte the class-run engine's (the mask
-    /// under-approximates with exactly the memoized skip entries), so
-    /// outputs are identical; only the scanning cost model changes from
-    /// "per run" to "per interesting byte".
-    #[default]
-    SkipScan,
-    /// Iterate the document as run-length-encoded alphabet-class runs
-    /// (vectorised bulk classification + `O(live states)` consumption of
-    /// runs on which every live state is [`DetSeva::run_skippable`]).
-    /// Retained as the first fallback and as the differential baseline for
-    /// [`EngineMode::SkipScan`].
-    ClassRuns,
-    /// The classic byte-at-a-time sparse loop. Used automatically for traced
-    /// runs (a [`StageTrace`] needs per-position granularity) and kept
-    /// selectable so differential tests can pin the engines against each
-    /// other byte for byte.
-    PerByte,
+fn checked_sum(a: u128, b: u128) -> Result<u128, SpannerError> {
+    a.checked_add(b).ok_or(SpannerError::CountOverflow)
 }
 
-/// The reusable evaluation engine behind Algorithm 1.
+/// The reusable evaluation engine behind Algorithm 1: the [`Driver`] over
+/// the list-DAG accumulator.
 ///
 /// An `Evaluator` owns every piece of mutable state the `Evaluate` loop needs:
 /// the DAG node/cell arenas, the per-state list vectors, and the sparse
@@ -258,104 +283,19 @@ pub enum EngineMode {
 ///     let _n = dag.iter().count(); // constant-delay enumeration
 /// }
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Evaluator {
-    store: DagStore,
-    /// `list_q` for every state (dense, indexed by state id).
-    lists: Vec<ListRef>,
-    /// Phase-start snapshots of `lists` for the active states.
-    old: Vec<ListRef>,
-    /// States with a non-empty list in the current phase.
-    active: SparseSet,
-    /// The active set under construction during a `Reading` phase.
-    next_active: SparseSet,
-    /// Scratch for collecting `(final state, list)` pairs before sorting.
-    root_scratch: Vec<(u32, ListRef)>,
-    /// Reusable per-document byte → alphabet-class buffer (the vectorised
-    /// classification pass of the class-run engine). Retained across `eval`
-    /// calls like the arenas, so steady-state allocation stays zero.
-    class_buf: Vec<u8>,
-    /// The cached mask state of the scanning engine (see
-    /// [`EngineMode::SkipScan`] and `SkipScanner`): the active set's
-    /// intersected skippable-class mask, the live snapshot it was built for,
-    /// and the derived byte-interest table. Retained like the arenas.
-    scanner: SkipScanner,
-    /// Scratch for the clear-and-restart eviction protocol of a lazy
-    /// automaton: the live state ids handed to [`Stepper::maintain`]…
-    maint_ids: Vec<u32>,
-    /// …and the live states' lists, saved across the id remap.
-    maint_lists: Vec<ListRef>,
-    /// The lazy determinization cache of the automaton last evaluated with
-    /// [`Evaluator::eval_lazy`], tagged with the automaton's identity so a
-    /// different lazy automaton gets a fresh cache. Kept inside the evaluator
-    /// because the cache is exactly the same kind of per-worker mutable,
-    /// warm-capacity state as the DAG arenas.
-    lazy: Option<(u64, LazyCache)>,
-    /// The per-worker overflow delta of the [`FrozenCache`] last evaluated
-    /// with [`Evaluator::eval_frozen`], tagged with the *snapshot's* identity
-    /// (delta state ids are relative to one specific freeze).
-    frozen: Option<(u64, FrozenDelta)>,
-    /// Which inner loop drives Algorithm 1.
-    mode: EngineMode,
-    /// Per-document resource limits applied by every run (default: none).
-    limits: EvalLimits,
-    /// The per-run limit enforcement state, restarted by every run.
-    checker: LimitChecker,
-    /// One-off lazy-cache/delta byte-budget override for the next runs
-    /// (graceful-degradation retries, fault injection); `None` uses the
-    /// automaton's configured budget.
-    budget_override: Option<usize>,
+pub type Evaluator = Driver<DagStore>;
+
+/// Unwraps the result of an infallible entry point: with no [`EvalLimits`]
+/// configured (the default) nothing can trip; with limits configured, a
+/// tripped limit panics here — callers that set limits must use the `try_*`
+/// entry points.
+pub(crate) fn infallible<T>(result: Result<T, SpannerError>) -> T {
+    result.unwrap_or_else(|e| {
+        panic!("evaluation limit tripped on an infallible entry point (use try_eval*): {e}")
+    })
 }
 
 impl Evaluator {
-    /// A fresh evaluator with empty arenas, using the default
-    /// [`EngineMode::SkipScan`] loop. Arenas grow on first use and are
-    /// retained across [`Evaluator::eval`] calls.
-    pub fn new() -> Evaluator {
-        Evaluator::default()
-    }
-
-    /// A fresh evaluator driving Algorithm 1 with the given engine.
-    pub fn with_mode(mode: EngineMode) -> Evaluator {
-        Evaluator { mode, ..Evaluator::default() }
-    }
-
-    /// The engine mode this evaluator runs.
-    pub fn mode(&self) -> EngineMode {
-        self.mode
-    }
-
-    /// Switches the engine mode for subsequent [`Evaluator::eval`] calls.
-    pub fn set_mode(&mut self, mode: EngineMode) {
-        self.mode = mode;
-    }
-
-    /// The per-document resource limits applied by every run.
-    pub fn limits(&self) -> EvalLimits {
-        self.limits
-    }
-
-    /// Sets per-document resource limits for subsequent runs. With limits
-    /// configured, use the fallible entry points ([`Evaluator::try_eval`],
-    /// [`Evaluator::try_eval_lazy`], [`Evaluator::try_eval_frozen`]); the
-    /// infallible ones panic if a limit trips.
-    pub fn set_limits(&mut self, limits: EvalLimits) {
-        self.limits = limits;
-    }
-
-    /// Overrides the lazy-cache/frozen-delta byte budget for subsequent runs
-    /// (`None` restores the automaton's configured budget). This is the
-    /// degradation-ladder hook: a document that thrashed the cache can be
-    /// retried once under an enlarged budget without recompiling anything.
-    pub fn set_cache_budget_override(&mut self, budget: Option<usize>) {
-        self.budget_override = budget;
-    }
-
-    /// The active lazy-cache/frozen-delta byte-budget override, if any.
-    pub fn cache_budget_override(&self) -> Option<usize> {
-        self.budget_override
-    }
-
     /// Runs Algorithm 1 (`Evaluate`) over the document and returns a view of
     /// the resulting DAG, reusing all previously allocated arena capacity.
     ///
@@ -363,43 +303,32 @@ impl Evaluator {
     /// `O(live states × |d|)` in the common case where only a few automaton
     /// states carry runs at any position.
     pub fn eval<'a>(&'a mut self, aut: &'a DetSeva, doc: &Document) -> DagView<'a> {
-        let mut stepper: &DetSeva = aut;
-        self.run(&mut stepper, doc, None);
-        DagView { store: &self.store, registry: aut.registry(), doc_len: doc.len() }
+        infallible(self.try_eval(aut, doc))
     }
 
-    /// [`Evaluator::eval`] under the configured [`EvalLimits`]: a tripped
-    /// step budget or deadline surfaces as an `Err` instead of a panic, and
-    /// the evaluator stays reusable (the next run resets all state).
+    /// [`Evaluator::eval`] under the configured limits: a tripped step
+    /// budget or deadline surfaces as an `Err` instead of a panic, and the
+    /// evaluator stays reusable (the next run resets all state).
     pub fn try_eval<'a>(
         &'a mut self,
         aut: &'a DetSeva,
         doc: &Document,
     ) -> Result<DagView<'a>, SpannerError> {
-        let mut stepper: &DetSeva = aut;
-        self.try_run(&mut stepper, doc, None)?;
-        Ok(DagView { store: &self.store, registry: aut.registry(), doc_len: doc.len() })
+        self.try_view(Target::Eager(aut), aut.registry(), doc)
     }
 
     /// Whether the eager automaton accepts `doc`, under the configured
-    /// [`EvalLimits`] — the fallible counterpart of [`DetSeva::accepts`],
-    /// placed on the evaluator so limits live in one place for all engines.
+    /// limits — the fallible counterpart of [`DetSeva::accepts`], placed on
+    /// the evaluator so limits live in one place for all engines.
     pub fn try_accepts(&mut self, aut: &DetSeva, doc: &Document) -> Result<bool, SpannerError> {
-        let mut stepper: &DetSeva = aut;
-        crate::det::try_accepts_generic(&mut stepper, doc, &self.limits)
+        self.accepts(Target::Eager(aut), doc, self.limits())
     }
 
     /// Like [`Evaluator::eval`] but moves the finished DAG out as an owned
     /// [`EnumerationDag`], surrendering the arena capacity (the evaluator's
     /// arenas start empty again). Use when the DAG must outlive the evaluator.
     pub fn eval_owned(&mut self, aut: &DetSeva, doc: &Document) -> EnumerationDag {
-        let mut stepper: &DetSeva = aut;
-        self.run(&mut stepper, doc, None);
-        EnumerationDag {
-            store: std::mem::take(&mut self.store),
-            registry: aut.registry().clone(),
-            doc_len: doc.len(),
-        }
+        self.owned(Target::Eager(aut), aut.registry(), doc)
     }
 
     /// Runs Algorithm 1 over a **lazily determinized** automaton: subset
@@ -409,15 +338,13 @@ impl Evaluator {
     /// is evaluated). Behaviour is otherwise identical to [`Evaluator::eval`]:
     /// same engine modes, same zero-steady-state-allocation contract once
     /// both the arenas and the cache are warm.
+    ///
+    /// [`LazyCache`]: crate::LazyCache
     pub fn eval_lazy<'a>(&'a mut self, aut: &'a LazyDetSeva, doc: &Document) -> DagView<'a> {
-        let mut cache = self.prepare_lazy_cache(aut);
-        let mut stepper = LazyStepper::new(aut, &mut cache);
-        self.run(&mut stepper, doc, None);
-        self.lazy = Some((aut.id(), cache));
-        DagView { store: &self.store, registry: aut.registry(), doc_len: doc.len() }
+        infallible(self.try_eval_lazy(aut, doc))
     }
 
-    /// [`Evaluator::eval_lazy`] under the configured [`EvalLimits`] (see
+    /// [`Evaluator::eval_lazy`] under the configured limits (see
     /// [`Evaluator::try_eval`]). The embedded cache survives a tripped limit
     /// — already-interned subset states stay warm for the retry.
     pub fn try_eval_lazy<'a>(
@@ -425,97 +352,52 @@ impl Evaluator {
         aut: &'a LazyDetSeva,
         doc: &Document,
     ) -> Result<DagView<'a>, SpannerError> {
-        let mut cache = self.prepare_lazy_cache(aut);
-        let mut stepper = LazyStepper::new(aut, &mut cache);
-        let run = self.try_run(&mut stepper, doc, None);
-        self.lazy = Some((aut.id(), cache));
-        run?;
-        Ok(DagView { store: &self.store, registry: aut.registry(), doc_len: doc.len() })
+        self.try_view(Target::Lazy(aut), aut.registry(), doc)
     }
 
     /// Like [`Evaluator::eval_lazy`] but moving the finished DAG out as an
     /// owned [`EnumerationDag`] (see [`Evaluator::eval_owned`]).
     pub fn eval_lazy_owned(&mut self, aut: &LazyDetSeva, doc: &Document) -> EnumerationDag {
-        let mut cache = self.prepare_lazy_cache(aut);
-        let mut stepper = LazyStepper::new(aut, &mut cache);
-        self.run(&mut stepper, doc, None);
-        self.lazy = Some((aut.id(), cache));
-        EnumerationDag {
-            store: std::mem::take(&mut self.store),
-            registry: aut.registry().clone(),
-            doc_len: doc.len(),
-        }
+        self.owned(Target::Lazy(aut), aut.registry(), doc)
     }
 
     /// Whether the lazily determinized automaton accepts `doc`, using (and
-    /// warming) the evaluator's embedded [`LazyCache`] — the hot-path match
-    /// check: unlike a one-shot `accepts` with a fresh cache, repeated calls
-    /// reuse all previously discovered subset states and transition rows.
+    /// warming) the evaluator's embedded cache — the hot-path match check:
+    /// unlike a one-shot `accepts` with a fresh cache, repeated calls reuse
+    /// all previously discovered subset states and transition rows.
     pub fn accepts_lazy(&mut self, aut: &LazyDetSeva, doc: &Document) -> bool {
-        let mut cache = self.prepare_lazy_cache(aut);
-        let accepted = aut.accepts(&mut cache, doc);
-        self.lazy = Some((aut.id(), cache));
-        accepted
+        infallible(self.accepts(Target::Lazy(aut), doc, EvalLimits::none()))
     }
 
-    /// [`Evaluator::accepts_lazy`] under the configured [`EvalLimits`]: the
-    /// match check honours step budgets and deadlines like a full run.
+    /// [`Evaluator::accepts_lazy`] under the configured limits: the match
+    /// check honours step budgets and deadlines like a full run.
     pub fn try_accepts_lazy(
         &mut self,
         aut: &LazyDetSeva,
         doc: &Document,
     ) -> Result<bool, SpannerError> {
-        let mut cache = self.prepare_lazy_cache(aut);
-        let accepted = {
-            let mut stepper = LazyStepper::new(aut, &mut cache);
-            crate::det::try_accepts_generic(&mut stepper, doc, &self.limits)
-        };
-        self.lazy = Some((aut.id(), cache));
-        accepted
-    }
-
-    /// The embedded lazy determinization cache, if a lazy automaton has been
-    /// evaluated (diagnostics: subset-state count, eviction count, capacity
-    /// signature for allocation-retention assertions).
-    pub fn lazy_cache(&self) -> Option<&LazyCache> {
-        self.lazy.as_ref().map(|(_, c)| c)
-    }
-
-    /// Installs `cache` as the embedded lazy cache for `aut`, replacing
-    /// whatever was there. Subsequent [`Evaluator::eval_lazy`] calls extend
-    /// it in place — the warm-up hook of the generational re-freeze path,
-    /// which thaws a frozen snapshot (delta evidence merged), replays sample
-    /// documents through it here, and freezes the result as the next
-    /// generation. A cache bound to a different automaton is reset by the
-    /// rebind, exactly as [`LazyCache::bind`] documents.
-    pub fn install_lazy_cache(&mut self, aut: &LazyDetSeva, mut cache: LazyCache) {
-        cache.bind(aut);
-        self.lazy = Some((aut.id(), cache));
+        self.accepts(Target::Lazy(aut), doc, self.limits())
     }
 
     /// Runs Algorithm 1 against a **shared frozen snapshot** of a lazy
-    /// determinization cache (see [`LazyCache::freeze`]): every subset state
-    /// and row the snapshot holds is a flat shared-table read, and anything
-    /// discovered beyond it lives in this evaluator's private, per-document
-    /// [`FrozenDelta`] — the parallel-serving counterpart of
-    /// [`Evaluator::eval_lazy`]. Because the delta resets (capacity retained)
-    /// at the start of every call, the result — mappings, counts **and
-    /// enumeration order** — is a pure function of `(frozen, doc)`, identical
-    /// across workers and thread counts.
+    /// determinization cache (see [`crate::LazyCache::freeze`]): every subset
+    /// state and row the snapshot holds is a flat shared-table read, and
+    /// anything discovered beyond it lives in this evaluator's private,
+    /// per-document [`crate::FrozenDelta`] — the parallel-serving counterpart
+    /// of [`Evaluator::eval_lazy`]. Because the delta resets (capacity
+    /// retained) at the start of every call, the result — mappings, counts
+    /// **and enumeration order** — is a pure function of `(frozen, doc)`,
+    /// identical across workers and thread counts.
     pub fn eval_frozen<'a>(
         &'a mut self,
         aut: &'a LazyDetSeva,
         frozen: &FrozenCache,
         doc: &Document,
     ) -> DagView<'a> {
-        let mut delta = self.prepare_frozen_delta(aut, frozen);
-        let mut stepper = FrozenStepper::new(aut, frozen, &mut delta);
-        self.run(&mut stepper, doc, None);
-        self.frozen = Some((frozen.id(), delta));
-        DagView { store: &self.store, registry: aut.registry(), doc_len: doc.len() }
+        infallible(self.try_eval_frozen(aut, frozen, doc))
     }
 
-    /// [`Evaluator::eval_frozen`] under the configured [`EvalLimits`] (see
+    /// [`Evaluator::eval_frozen`] under the configured limits (see
     /// [`Evaluator::try_eval`]). The per-worker delta survives a tripped
     /// limit; the next frozen run resets it per the determinism contract.
     pub fn try_eval_frozen<'a>(
@@ -524,12 +406,7 @@ impl Evaluator {
         frozen: &FrozenCache,
         doc: &Document,
     ) -> Result<DagView<'a>, SpannerError> {
-        let mut delta = self.prepare_frozen_delta(aut, frozen);
-        let mut stepper = FrozenStepper::new(aut, frozen, &mut delta);
-        let run = self.try_run(&mut stepper, doc, None);
-        self.frozen = Some((frozen.id(), delta));
-        run?;
-        Ok(DagView { store: &self.store, registry: aut.registry(), doc_len: doc.len() })
+        self.try_view(Target::Frozen(aut, frozen), aut.registry(), doc)
     }
 
     /// Whether the automaton accepts `doc`, stepping through the shared
@@ -541,483 +418,54 @@ impl Evaluator {
         frozen: &FrozenCache,
         doc: &Document,
     ) -> bool {
-        let mut delta = self.prepare_frozen_delta(aut, frozen);
-        let accepted = {
-            let mut stepper = FrozenStepper::new(aut, frozen, &mut delta);
-            crate::det::accepts_generic(&mut stepper, doc)
-        };
-        self.frozen = Some((frozen.id(), delta));
-        accepted
+        infallible(self.accepts(Target::Frozen(aut, frozen), doc, EvalLimits::none()))
     }
 
-    /// [`Evaluator::accepts_frozen`] under the configured [`EvalLimits`].
+    /// [`Evaluator::accepts_frozen`] under the configured limits.
     pub fn try_accepts_frozen(
         &mut self,
         aut: &LazyDetSeva,
         frozen: &FrozenCache,
         doc: &Document,
     ) -> Result<bool, SpannerError> {
-        let mut delta = self.prepare_frozen_delta(aut, frozen);
-        let accepted = {
-            let mut stepper = FrozenStepper::new(aut, frozen, &mut delta);
-            crate::det::try_accepts_generic(&mut stepper, doc, &self.limits)
-        };
-        self.frozen = Some((frozen.id(), delta));
-        accepted
-    }
-
-    /// The embedded frozen-overflow delta, if a frozen snapshot has been
-    /// evaluated (diagnostics: overflow-state count, eviction count, capacity
-    /// signature).
-    pub fn frozen_delta(&self) -> Option<&FrozenDelta> {
-        self.frozen.as_ref().map(|(_, d)| d)
-    }
-
-    /// Bytes currently held by this evaluator's **governed** memory: the
-    /// embedded lazy determinization cache plus the frozen-overflow delta —
-    /// the caches a global [`crate::MemoryGovernor`] ledgers and can shed.
-    /// (The enumeration node store is per-document working memory, not
-    /// governed.)
-    pub fn governed_bytes(&self) -> usize {
-        let lazy = self.lazy.as_ref().map_or(0, |(_, c)| c.memory_bytes());
-        let frozen = self.frozen.as_ref().map_or(0, |(_, d)| d.memory_bytes());
-        lazy + frozen
-    }
-
-    /// Sheds this evaluator's governed memory for the global governor
-    /// (severity 1 of the shedding ladder): drops the embedded lazy cache
-    /// outright and [`FrozenDelta::shed`]s the frozen-overflow delta.
-    /// Returns the bytes freed. The evaluator stays fully usable — the next
-    /// lazy run rebuilds its cache from scratch, the next frozen run
-    /// re-interns overflow states on demand, and results are unchanged
-    /// (byte-identical) because both caches are pure memoization.
-    pub fn shed_cold_memory(&mut self) -> usize {
-        let mut freed = 0;
-        if let Some((_, cache)) = self.lazy.take() {
-            freed += cache.memory_bytes();
-        }
-        if let Some((_, delta)) = self.frozen.as_mut() {
-            freed += delta.shed();
-        }
-        freed
-    }
-
-    /// Takes the embedded cache out for an evaluation of `aut`, replacing it
-    /// with a fresh one if it belonged to a different lazy automaton.
-    fn take_lazy_cache(&mut self, aut: &LazyDetSeva) -> LazyCache {
-        match self.lazy.take() {
-            Some((id, cache)) if id == aut.id() => cache,
-            _ => aut.create_cache(),
-        }
-    }
-
-    /// Takes the embedded delta out for an evaluation against `frozen`,
-    /// replacing it with a fresh one if it belonged to a different snapshot.
-    fn take_frozen_delta(&mut self, frozen: &FrozenCache) -> FrozenDelta {
-        match self.frozen.take() {
-            Some((id, delta)) if id == frozen.id() => delta,
-            _ => FrozenDelta::new(),
-        }
-    }
-
-    /// Takes the embedded cache out, bound to `aut` with the effective byte
-    /// budget (the automaton's configured budget, or the evaluator's one-off
-    /// override). Binding first makes the budget deterministic per run: a
-    /// previous run's override never leaks into an un-overridden run.
-    fn prepare_lazy_cache(&mut self, aut: &LazyDetSeva) -> LazyCache {
-        let mut cache = self.take_lazy_cache(aut);
-        cache.bind(aut);
-        cache.set_budget(self.budget_override.unwrap_or(aut.config().memory_budget));
-        cache
-    }
-
-    /// Takes the embedded delta out, bound to `frozen` with the effective
-    /// byte budget (see [`Evaluator::prepare_lazy_cache`]).
-    fn prepare_frozen_delta(&mut self, aut: &LazyDetSeva, frozen: &FrozenCache) -> FrozenDelta {
-        let mut delta = self.take_frozen_delta(frozen);
-        delta.bind(frozen, aut);
-        delta.set_budget(self.budget_override.unwrap_or(aut.config().memory_budget));
-        delta
+        self.accepts(Target::Frozen(aut, frozen), doc, self.limits())
     }
 
     /// Current capacity of the node arena (diagnostics: a warmed-up evaluator
     /// keeps its capacity across documents instead of reallocating).
     pub fn node_capacity(&self) -> usize {
-        self.store.nodes.capacity()
+        self.run.acc.nodes.capacity()
     }
 
     /// Current capacity of the cell arena.
     pub fn cell_capacity(&self) -> usize {
-        self.store.cells.capacity()
+        self.run.acc.cells.capacity()
     }
 
-    /// Current capacity of the byte-class buffer (diagnostics: like the
-    /// arenas, it is retained across documents in steady state).
-    pub fn class_buf_capacity(&self) -> usize {
-        self.class_buf.capacity()
-    }
-
-    /// Infallible shim over [`Evaluator::try_run`] for the legacy entry
-    /// points: with no [`EvalLimits`] configured (the default) nothing can
-    /// trip; with limits configured, a tripped limit panics here — callers
-    /// that set limits must use the `try_*` entry points.
-    fn run<S: Stepper>(
-        &mut self,
-        aut: &mut S,
+    /// Runs Algorithm 1 through `target` and returns a view of the DAG.
+    pub(crate) fn try_view<'a>(
+        &'a mut self,
+        target: Target<'_>,
+        registry: &'a VarRegistry,
         doc: &Document,
-        trace: Option<&mut Vec<StageTrace>>,
-    ) {
-        if let Err(e) = self.try_run(aut, doc, trace) {
-            panic!("evaluation limit tripped on an infallible entry point (use try_eval*): {e}");
-        }
+    ) -> Result<DagView<'a>, SpannerError> {
+        self.drive(target, doc)?;
+        Ok(DagView { store: &self.run.acc, registry, doc_len: doc.len() })
     }
 
-    /// The core of Algorithm 1, shared by every public entry point and
-    /// generic over the eager/lazy [`Stepper`] seam.
-    ///
-    /// Traced runs always use the per-byte loop: a [`StageTrace`] records the
-    /// list state after *every* `Capturing`/`Reading` phase, which requires
-    /// per-position granularity the run-skipping loop deliberately elides.
-    ///
-    /// Fails only when a configured [`EvalLimits`] trips; on failure the
-    /// partially built DAG is abandoned (the next run resets all state, so
-    /// the evaluator remains reusable).
-    fn try_run<S: Stepper>(
+    /// Runs Algorithm 1 through `target` and moves the DAG out of the arenas.
+    pub(crate) fn owned(
         &mut self,
-        aut: &mut S,
+        target: Target<'_>,
+        registry: &VarRegistry,
         doc: &Document,
-        trace: Option<&mut Vec<StageTrace>>,
-    ) -> Result<(), SpannerError> {
-        self.checker = LimitChecker::start(&self.limits);
-        let n_states = aut.state_bound();
-        // Reset retained storage without releasing capacity. A lazy stepper
-        // may discover states past `n_states` mid-document; `ensure_state`
-        // grows the per-state storage on demand.
-        self.store.nodes.clear();
-        self.store.cells.clear();
-        self.store.roots.clear();
-        self.lists.clear();
-        self.lists.resize(n_states, ListRef::EMPTY);
-        self.old.clear();
-        self.old.resize(n_states, ListRef::EMPTY);
-        self.active.reset(n_states);
-        self.next_active.reset(n_states);
-
-        // Node 0 is the sink ⊥; its markers/list are never read.
-        self.store.nodes.push(Node { markers: MarkerSet::new(), pos: 0, list: ListRef::EMPTY });
-        // list_q for every state q: initially empty except list_{q0} = [⊥].
-        self.store.cells.push(Cell { node: BOTTOM, next: None });
-        let init = aut.start_state();
-        self.ensure_state(init);
-        self.lists[init] = ListRef { head: 0, tail: 0, len_hint: 1 };
-        self.active.insert(init);
-
-        if self.mode == EngineMode::PerByte || trace.is_some() {
-            self.run_per_byte(aut, doc, trace)?;
-        } else if self.mode == EngineMode::ClassRuns {
-            self.run_class_runs(aut, doc)?;
-        } else {
-            self.run_skip_scan(aut, doc)?;
+    ) -> EnumerationDag {
+        infallible(self.drive(target, doc));
+        EnumerationDag {
+            store: std::mem::take(&mut self.run.acc),
+            registry: registry.clone(),
+            doc_len: doc.len(),
         }
-
-        // Roots: the (non-empty) lists of the final states, in state order so
-        // enumeration order is independent of active-set insertion order.
-        self.root_scratch.clear();
-        for idx in 0..self.active.len() {
-            let q = self.active.get(idx);
-            if aut.is_final(q) {
-                self.root_scratch.push((q as u32, self.lists[q]));
-            }
-        }
-        self.root_scratch.sort_unstable_by_key(|&(q, _)| q);
-        self.store.roots.extend(self.root_scratch.iter().map(|&(_, l)| l));
-        Ok(())
-    }
-
-    /// The classic byte-at-a-time sparse loop (kept verbatim as the reference
-    /// engine and as the per-position backend of traced runs).
-    ///
-    /// Loop invariant: `active` holds exactly the states whose list is
-    /// non-empty, and `lists[q]` is EMPTY for every inactive q.
-    fn run_per_byte<S: Stepper>(
-        &mut self,
-        aut: &mut S,
-        doc: &Document,
-        mut trace: Option<&mut Vec<StageTrace>>,
-    ) -> Result<(), SpannerError> {
-        let bytes = doc.bytes();
-        for i in 0..=bytes.len() {
-            self.checker.tick()?;
-            self.maintenance_point(aut)?;
-            self.capture_phase(aut, i);
-            if let Some(t) = trace.as_deref_mut() {
-                t.push(StageTrace::capture(i, &self.lists));
-            }
-            if i == bytes.len() {
-                break;
-            }
-            let cls = aut.byte_class(bytes[i]);
-            self.read_phase(aut, cls);
-            if let Some(t) = trace.as_deref_mut() {
-                t.push(StageTrace::read(i, &self.lists));
-            }
-        }
-        Ok(())
-    }
-
-    /// The run-skipping loop: classify the whole document into alphabet
-    /// classes in one vectorised pass, then walk maximal class runs. Whenever
-    /// every live state is [`DetSeva::run_skippable`] on the run's class, the
-    /// remainder of the run is consumed in one step — the per-byte walk would
-    /// leave every list, the active set, and all reachable DAG structure
-    /// bitwise unchanged over those positions (see `run_skippable` for the
-    /// proof obligations), so nothing needs to be executed. Positions that
-    /// fail the test fall back to the per-byte phases, one byte at a time,
-    /// re-testing after each byte (capture transitions mid-run can both
-    /// create and destroy skippability).
-    fn run_class_runs<S: Stepper>(
-        &mut self,
-        aut: &mut S,
-        doc: &Document,
-    ) -> Result<(), SpannerError> {
-        let mut class_buf = std::mem::take(&mut self.class_buf);
-        aut.classify_document(doc, &mut class_buf);
-        let result = self.run_class_runs_inner(aut, doc, &class_buf);
-        self.class_buf = class_buf;
-        result
-    }
-
-    /// Body of [`Evaluator::run_class_runs`], split out so the class buffer
-    /// is restored on the error path too.
-    fn run_class_runs_inner<S: Stepper>(
-        &mut self,
-        aut: &mut S,
-        doc: &Document,
-        class_buf: &[u8],
-    ) -> Result<(), SpannerError> {
-        for run in ClassRuns::new(class_buf) {
-            let cls = run.class as usize;
-            let end = run.start + run.len;
-            let mut i = run.start;
-            while i < end {
-                self.maintenance_point(aut)?;
-                if self.active.as_slice().iter().all(|&q| aut.run_skippable(q as usize, cls)) {
-                    // The rest of the run is a no-op for every live state
-                    // (vacuously so once the active set is empty). Skipped
-                    // positions cost no step fuel; one clock check covers
-                    // the whole consumed run.
-                    self.checker.tick_jump()?;
-                    break;
-                }
-                self.checker.tick()?;
-                self.capture_phase(aut, i);
-                self.read_phase(aut, cls);
-                i += 1;
-            }
-        }
-        self.maintenance_point(aut)?;
-        self.capture_phase(aut, doc.len());
-        Ok(())
-    }
-
-    /// The skip-mask scanning loop ([`EngineMode::SkipScan`]): instead of
-    /// materializing class runs and testing each one, maintain the active
-    /// set's skippable classes as one intersected [`ClassMask`] and jump
-    /// straight to the next *interesting* byte.
-    ///
-    /// Per executed position this costs what the class-run loop costs (one
-    /// predicate test per live state, then the `Capturing`/`Reading`
-    /// phases); per *skippable* stretch it costs a chunked LUT scan —
-    /// `find_next_interesting` — regardless of how many class runs the
-    /// stretch spans. The mask is rebuilt only when the active set changes,
-    /// and the byte-level interest table only when a skip actually happens,
-    /// so dense regions never pay for either.
-    ///
-    /// Skip decisions are identical to the class-run engine's: a byte is
-    /// skipped either because its class is in the mask — which, by the
-    /// [`Stepper::skip_mask`] contract, means every live state has a
-    /// *memoized* skippable entry for it — or because the same
-    /// all-live-states [`Stepper::run_skippable`] test the class-run loop
-    /// performs just succeeded. Lazily determinized automata therefore
-    /// intern subset states in exactly the same order under both engines.
-    fn run_skip_scan<S: Stepper>(
-        &mut self,
-        aut: &mut S,
-        doc: &Document,
-    ) -> Result<(), SpannerError> {
-        let bytes = doc.bytes();
-        self.scanner.reset();
-        let mut i = 0usize;
-        while i < bytes.len() {
-            if aut.wants_maintenance() {
-                // Eviction rewrites state ids and forgets memoized skip
-                // entries: every cached view is stale. (The re-interned live
-                // states are the same subsets under new ids, so a stale mask
-                // would still under-approximate — but dropping it keeps the
-                // reasoning local.)
-                self.maintenance_point(aut)?;
-                self.scanner.reset();
-            }
-            let cls = aut.byte_class(bytes[i]);
-            if self.scanner.should_skip(aut, self.active.as_slice(), cls) {
-                // Skipped stretches cost no step fuel; the scan that finds
-                // the next interesting byte amortizes one clock check.
-                self.checker.tick_jump()?;
-                match self.scanner.next_interesting(aut.partition(), bytes, i + 1) {
-                    Some(j) => i = j,
-                    None => break,
-                }
-                continue;
-            }
-            self.checker.tick()?;
-            self.capture_phase(aut, i);
-            self.read_phase(aut, cls);
-            self.scanner.executed();
-            i += 1;
-            if self.active.is_empty() {
-                // No live runs, no future output: the rest of the document
-                // is vacuously skippable.
-                break;
-            }
-        }
-        self.maintenance_point(aut)?;
-        self.capture_phase(aut, doc.len());
-        Ok(())
-    }
-
-    /// Grows the per-state storage (lists, snapshots, active sets) to cover
-    /// state id `q` — a no-op for eager automata, whose state space is fixed,
-    /// and an amortized bump when a lazy automaton interns fresh subsets.
-    #[inline]
-    fn ensure_state(&mut self, q: usize) {
-        if q >= self.lists.len() {
-            let n = q + 1;
-            self.lists.resize(n, ListRef::EMPTY);
-            self.old.resize(n, ListRef::EMPTY);
-            self.active.grow(n);
-            self.next_active.grow(n);
-        }
-    }
-
-    /// Once-per-position cache-budget hook: when a lazy stepper reports it is
-    /// over budget, hand it the live state ids, let it clear-and-restart, and
-    /// remap the evaluator's per-state structures onto the rewritten ids.
-    /// Free for eager automata (`wants_maintenance` is a constant `false`).
-    /// Each performed eviction feeds the thrash guard, whose verdict is
-    /// returned only after the remap completes — the evaluator's invariants
-    /// hold even on the error path.
-    #[inline]
-    fn maintenance_point<S: Stepper>(&mut self, aut: &mut S) -> Result<(), SpannerError> {
-        if !aut.wants_maintenance() {
-            return Ok(());
-        }
-        // Save the live lists in active order and clear the old slots before
-        // any new id is written (old and new id ranges overlap).
-        let mut ids = std::mem::take(&mut self.maint_ids);
-        let mut saved = std::mem::take(&mut self.maint_lists);
-        ids.clear();
-        ids.extend_from_slice(self.active.as_slice());
-        saved.clear();
-        for &q in &ids {
-            saved.push(self.lists[q as usize]);
-            self.lists[q as usize] = ListRef::EMPTY;
-        }
-        let mut verdict = Ok(());
-        if aut.maintain(&mut ids) {
-            verdict = self.checker.note_clear();
-            self.active.clear();
-            for (k, &q) in ids.iter().enumerate() {
-                let q = q as usize;
-                self.ensure_state(q);
-                self.active.insert(q);
-                self.lists[q] = saved[k];
-            }
-        } else {
-            // No eviction after all: restore the slots untouched.
-            for (k, &q) in ids.iter().enumerate() {
-                self.lists[q as usize] = saved[k];
-            }
-        }
-        self.maint_ids = ids;
-        self.maint_lists = saved;
-        verdict
-    }
-
-    /// `Capturing(i)`: the extended variable transitions taken immediately
-    /// before letter `i`. Lazycopies the lists of the phase-start active
-    /// states (the paper's lazy copy of every list; inactive lists are EMPTY).
-    #[inline]
-    fn capture_phase<S: Stepper>(&mut self, aut: &mut S, i: usize) {
-        let live = self.active.len();
-        for idx in 0..live {
-            let q = self.active.get(idx);
-            self.old[q] = self.lists[q];
-        }
-        for idx in 0..live {
-            let q = self.active.get(idx);
-            if !aut.has_markers(q) {
-                continue;
-            }
-            let src = self.old[q];
-            for &(markers, p) in aut.markers_from(q) {
-                self.ensure_state(p);
-                let node_id = next_arena_id(self.store.nodes.len(), "DAG node");
-                self.store.nodes.push(Node { markers, pos: i as u32, list: src });
-                // list_p.add(node): prepend a fresh cell.
-                let cell_id = next_arena_id(self.store.cells.len(), "list cell");
-                if self.active.insert(p) {
-                    // p had an empty list: start it.
-                    self.store.cells.push(Cell { node: node_id, next: None });
-                    self.lists[p] = ListRef { head: cell_id, tail: cell_id, len_hint: 1 };
-                } else {
-                    let cur = self.lists[p];
-                    self.store.cells.push(Cell { node: node_id, next: Some(cur.head) });
-                    self.lists[p] = ListRef {
-                        head: cell_id,
-                        tail: cur.tail,
-                        len_hint: cur.len_hint.saturating_add(1),
-                    };
-                }
-            }
-        }
-    }
-
-    /// `Reading(i)`: the letter transition on the byte whose alphabet class
-    /// is `cls`.
-    #[inline]
-    fn read_phase<S: Stepper>(&mut self, aut: &mut S, cls: usize) {
-        let live = self.active.len();
-        for idx in 0..live {
-            let q = self.active.get(idx);
-            self.old[q] = self.lists[q];
-            self.lists[q] = ListRef::EMPTY;
-        }
-        self.next_active.clear();
-        for idx in 0..live {
-            let q = self.active.get(idx);
-            if let Some(p) = aut.step_class(q, cls) {
-                self.ensure_state(p);
-                let src = self.old[q];
-                // list_p.append(list_old_q)
-                if self.next_active.insert(p) {
-                    self.lists[p] = src;
-                } else {
-                    let cur = self.lists[p];
-                    let tail = cur.tail as usize;
-                    debug_assert!(
-                        self.store.cells[tail].next.is_none(),
-                        "append target must end in null"
-                    );
-                    self.store.cells[tail].next = Some(src.head);
-                    self.lists[p] = ListRef {
-                        head: cur.head,
-                        tail: src.tail,
-                        len_hint: cur.len_hint.saturating_add(src.len_hint),
-                    };
-                }
-            }
-        }
-        std::mem::swap(&mut self.active, &mut self.next_active);
     }
 }
 
@@ -1076,7 +524,7 @@ impl<'a> DagView<'a> {
 
     /// Counts mappings by counting root-to-`⊥` paths (see
     /// [`EnumerationDag::count_paths`]).
-    pub fn count_paths(&self) -> u128 {
+    pub fn count_paths(&self) -> Result<u128, SpannerError> {
         self.store.count_paths()
     }
 }
@@ -1114,14 +562,11 @@ impl EnumerationDag {
     pub fn build_with_trace(aut: &DetSeva, doc: &Document) -> (EnumerationDag, Vec<StageTrace>) {
         let mut traces = Vec::new();
         let mut evaluator = Evaluator::new();
-        let mut stepper: &DetSeva = aut;
-        evaluator.run(&mut stepper, doc, Some(&mut traces));
-        let dag = EnumerationDag {
-            store: std::mem::take(&mut evaluator.store),
-            registry: aut.registry().clone(),
-            doc_len: doc.len(),
-        };
-        (dag, traces)
+        infallible(evaluator.drive_traced(aut, doc, |stage, pos, lists| {
+            traces.push(StageTrace::new(stage, pos, lists))
+        }));
+        let store = std::mem::take(&mut evaluator.run.acc);
+        (EnumerationDag { store, registry: aut.registry().clone(), doc_len: doc.len() }, traces)
     }
 
     /// The variable registry of the automaton that produced this DAG.
@@ -1182,8 +627,9 @@ impl EnumerationDag {
     /// in bijection with output mappings.
     ///
     /// This is an alternative to Algorithm 3 (see [`crate::count`]) that reuses
-    /// an already-built DAG; it runs in time linear in the DAG size.
-    pub fn count_paths(&self) -> u128 {
+    /// an already-built DAG; it runs in time linear in the DAG size. Fails
+    /// with [`SpannerError::CountOverflow`] when the count exceeds `u128`.
+    pub fn count_paths(&self) -> Result<u128, SpannerError> {
         self.store.count_paths()
     }
 }
@@ -1225,19 +671,14 @@ pub enum Stage {
 }
 
 impl StageTrace {
-    fn capture(pos: usize, lists: &[ListRef]) -> StageTrace {
-        StageTrace { stage: Stage::Capturing, pos, nonempty: Self::snapshot(lists) }
-    }
-    fn read(pos: usize, lists: &[ListRef]) -> StageTrace {
-        StageTrace { stage: Stage::Reading, pos, nonempty: Self::snapshot(lists) }
-    }
-    fn snapshot(lists: &[ListRef]) -> Vec<(usize, usize)> {
-        lists
+    fn new(stage: Stage, pos: usize, lists: &[ListRef]) -> StageTrace {
+        let nonempty = lists
             .iter()
             .enumerate()
             .filter(|(_, l)| !l.is_empty())
             .map(|(q, l)| (q, l.len_hint as usize))
-            .collect()
+            .collect();
+        StageTrace { stage, pos, nonempty }
     }
 }
 
@@ -1427,7 +868,7 @@ mod tests {
         let dag = EnumerationDag::build(&aut, &Document::from("zz"));
         assert!(dag.is_empty());
         assert_eq!(dag.collect_mappings(), vec![]);
-        assert_eq!(dag.count_paths(), 0);
+        assert_eq!(dag.count_paths().unwrap(), 0);
         let dag = EnumerationDag::build(&aut, &Document::empty());
         assert!(dag.is_empty());
     }
@@ -1439,7 +880,11 @@ mod tests {
         for text in ["ab", "abab", "aaabbb", "abababab"] {
             let doc = Document::from(text);
             let dag = EnumerationDag::build(&aut, &doc);
-            assert_eq!(dag.count_paths(), dag.collect_mappings().len() as u128, "on {text:?}");
+            assert_eq!(
+                dag.count_paths().unwrap(),
+                dag.collect_mappings().len() as u128,
+                "on {text:?}"
+            );
         }
     }
 
@@ -1485,7 +930,7 @@ mod tests {
         let dag = EnumerationDag::build(&aut, &Document::from("ab"));
         assert_eq!(dag.num_nodes(), 1 + 8);
         assert_eq!(dag.num_roots(), 1);
-        assert_eq!(dag.count_paths(), 3);
+        assert_eq!(dag.count_paths().unwrap(), 3);
     }
 
     #[test]
@@ -1628,7 +1073,11 @@ mod tests {
             assert_eq!(reused.num_nodes(), fresh.num_nodes(), "nodes on {text:?}");
             assert_eq!(reused.num_cells(), fresh.num_cells(), "cells on {text:?}");
             assert_eq!(reused.num_roots(), fresh.num_roots(), "roots on {text:?}");
-            assert_eq!(reused.count_paths(), fresh.count_paths(), "paths on {text:?}");
+            assert_eq!(
+                reused.count_paths().unwrap(),
+                fresh.count_paths().unwrap(),
+                "paths on {text:?}"
+            );
             assert_eq!(reused.collect_mappings(), fresh.collect_mappings(), "mappings on {text:?}");
         }
     }
@@ -1678,11 +1127,11 @@ mod tests {
         let mut evaluator = Evaluator::new();
         for _ in 0..3 {
             let doc = Document::from("ab");
-            assert_eq!(evaluator.eval(&f3, &doc).count_paths(), 3);
+            assert_eq!(evaluator.eval(&f3, &doc).count_paths().unwrap(), 3);
             let doc = Document::from("aaa");
             assert_eq!(
-                evaluator.eval(&small, &doc).count_paths(),
-                EnumerationDag::build(&small, &doc).count_paths()
+                evaluator.eval(&small, &doc).count_paths().unwrap(),
+                EnumerationDag::build(&small, &doc).count_paths().unwrap()
             );
         }
     }
@@ -1696,10 +1145,10 @@ mod tests {
         // The evaluator can immediately be reused…
         let view = evaluator.eval(&aut, &Document::from("abab"));
         // …while the owned DAG remains valid and unchanged.
-        assert_eq!(dag.count_paths(), 3);
+        assert_eq!(dag.count_paths().unwrap(), 3);
         assert_eq!(
-            view.count_paths(),
-            EnumerationDag::build(&aut, &Document::from("abab")).count_paths()
+            view.count_paths().unwrap(),
+            EnumerationDag::build(&aut, &Document::from("abab")).count_paths().unwrap()
         );
     }
 }

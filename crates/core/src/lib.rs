@@ -17,11 +17,13 @@
 //!   ([`LazyDetSeva`] + budgeted [`LazyCache`], module [`lazy`]) that
 //!   determinizes nondeterministic eVA on demand behind the [`Stepper`] seam;
 //! * **Algorithm 1 + 2**: linear-time preprocessing and constant-delay enumeration of
-//!   all output mappings ([`enumerate`]), driven by a sparse active-state set
-//!   ([`sparse`]) and exposed both as the one-shot [`EnumerationDag`] and as the
-//!   reusable, allocation-free-after-warm-up [`Evaluator`];
+//!   all output mappings ([`enumerate`]), exposed both as the one-shot
+//!   [`EnumerationDag`] and as the reusable, allocation-free-after-warm-up
+//!   [`Evaluator`];
 //! * **Algorithm 3**: counting the number of output mappings in `O(|A| × |d|)`
-//!   ([`count`]);
+//!   ([`count`]) — the same [`Driver`] loop as Algorithm 1 ([`driver`], over
+//!   a sparse active-state set, [`sparse`]) with each state's list replaced
+//!   by a count;
 //! * a high-level [`CompiledSpanner`] façade tying it all together.
 //!
 //! Automaton *construction* from regex formulas, translation of classical
@@ -36,6 +38,7 @@ pub mod byteclass;
 pub mod count;
 pub mod det;
 pub mod document;
+pub mod driver;
 pub mod enumerate;
 pub mod error;
 pub mod eva;
@@ -57,7 +60,8 @@ pub use byteclass::{
 pub use count::{count_mappings, CountCache, Counter};
 pub use det::{DetSeva, Stepper};
 pub use document::Document;
-pub use enumerate::{DagView, EngineMode, EnumerationDag, Evaluator, MappingIter};
+pub use driver::{Accumulator, Driver, EngineMode};
+pub use enumerate::{DagView, EnumerationDag, Evaluator, MappingIter};
 pub use error::{ParseError, Result, SpannerError};
 pub use eva::{Eva, EvaBuilder, EvaRun, StateId};
 pub use lazy::{

@@ -27,10 +27,10 @@
 //! [`crate::CountCache`] / [`crate::DetSeva::accepts`] on the decompressed
 //! document — `tests/slp.rs` pins this differentially.
 //!
-//! [`SlpEvaluator`] mirrors [`crate::CountCache`]'s engine-embedding idiom:
-//! it drives the eager [`DetSeva`], the live lazy engine, and the
-//! frozen/delta split of the batch runtime, owning the per-worker
-//! [`LazyCache`] / [`FrozenDelta`] plus the memo tables. A warm memo can be
+//! [`SlpEvaluator`] drives the eager [`DetSeva`], the live lazy engine, and
+//! the frozen/delta split of the batch runtime through the same per-worker
+//! cache slot as the byte engines' [`crate::Driver`] (its [`LazyCache`] /
+//! [`FrozenDelta`]), plus its own memo tables. A warm memo can be
 //! snapshotted into an immutable [`SlpSharedMemo`] and attached to a
 //! [`FrozenCache`] (see [`crate::CompiledSpanner::freeze_warm_slp`]), so N
 //! workers compose documents off one shared bottom-up pass instead of
@@ -41,6 +41,7 @@ use std::sync::Arc;
 
 use crate::det::{DetSeva, Stepper};
 use crate::document::Document;
+use crate::driver::CacheSlot;
 use crate::error::SpannerError;
 use crate::lazy::{
     next_engine_id, CapacitySignature, FrozenCache, FrozenDelta, FrozenStepper, LazyCache,
@@ -436,10 +437,10 @@ impl Workspace {
     /// Runs the clear-and-restart eviction protocol when the underlying
     /// cache is over budget: live frontier ids are handed to
     /// [`Stepper::maintain`], remapped in place, and the local memo — whose
-    /// rows reference pre-eviction ids — is dropped. Mirrors
-    /// `CountCache::maintenance_point`; the remap completes even when the
-    /// thrash guard trips, so the error is propagated *after* the state is
-    /// consistent again.
+    /// rows reference pre-eviction ids — is dropped. The grammar-side
+    /// counterpart of the [`crate::Driver`]'s maintenance point: the remap
+    /// completes even when the thrash guard trips, so the error is
+    /// propagated *after* the state is consistent again.
     fn maintain_ids<S: Stepper>(
         &mut self,
         st: &mut S,
@@ -1062,27 +1063,23 @@ fn merge_sorted_counts_saturating(row: &mut Vec<(u32, u64)>) {
 /// proportional to the compressed size once its per-`(symbol, state)` memo
 /// is warm.
 ///
-/// Mirrors [`crate::CountCache`]'s embedding idiom: the evaluator owns the
-/// per-worker halves of whichever engine it is driven against — a
-/// [`LazyCache`] for live lazy automata, a [`FrozenDelta`] for the shared
-/// frozen snapshots of the batch runtime — plus the memo tables and scratch,
-/// all retained-capacity across documents. Counts are `u64` (the batch
+/// The evaluator owns the per-worker halves of whichever engine it is driven
+/// against in the [`crate::Driver`]'s cache slot — a [`LazyCache`] for live
+/// lazy automata, a [`FrozenDelta`] for the shared frozen snapshots of the
+/// batch runtime — plus the memo tables and scratch, all retained-capacity
+/// across documents. Counts are `u64` (the batch
 /// runtime's counting type); wider counts can always fall back to the byte
 /// engines on the decompressed document.
 #[derive(Debug, Default)]
 pub struct SlpEvaluator {
     ws: Workspace,
-    /// Embedded lazy cache, tagged with the automaton id it belongs to.
-    lazy: Option<(u64, LazyCache)>,
-    /// Embedded frozen-overflow delta, tagged with the snapshot id.
-    frozen: Option<(u64, FrozenDelta)>,
+    slot: CacheSlot,
     /// Per-frozen-run generation: delta-local state ids die with the
     /// per-document delta reset, so each frozen run gets a fresh epoch.
     frozen_gen: u64,
     limits: EvalLimits,
     memo_budget: usize,
     memo_budget_override: Option<usize>,
-    cache_budget_override: Option<usize>,
 }
 
 impl SlpEvaluator {
@@ -1099,10 +1096,9 @@ impl SlpEvaluator {
 
     /// Overrides the byte budget of the embedded determinization cache /
     /// overflow delta (`None` restores the automaton's configured budget) —
-    /// the degradation-ladder hook, mirroring
-    /// [`crate::CountCache::set_cache_budget_override`].
+    /// the degradation-ladder hook, as [`crate::Driver::set_cache_budget_override`].
     pub fn set_cache_budget_override(&mut self, budget: Option<usize>) {
-        self.cache_budget_override = budget;
+        self.slot.budget_override = budget;
     }
 
     /// Sets the byte budget of the memo tables (rows are cleared and
@@ -1147,9 +1143,7 @@ impl SlpEvaluator {
 
     /// Total bytes held: memo tables plus the embedded cache or delta.
     pub fn memory_bytes(&self) -> usize {
-        self.ws.memo.bytes
-            + self.lazy.as_ref().map_or(0, |(_, c)| c.memory_bytes())
-            + self.frozen.as_ref().map_or(0, |(_, d)| d.memory_bytes())
+        self.ws.memo.bytes + self.slot.governed_bytes()
     }
 
     /// Capacity snapshot for allocation-retention assertions: the embedded
@@ -1158,9 +1152,9 @@ impl SlpEvaluator {
     /// last two — the E10b diagnostics see SLP memory through the same lens
     /// as the determinization caches.
     pub fn capacity_signature(&self) -> CapacitySignature {
-        let mut sig = match (&self.lazy, &self.frozen) {
-            (Some((_, cache)), _) => cache.capacity_signature(),
-            (None, Some((_, delta))) => delta.capacity_signature(),
+        let mut sig = match (self.slot.lazy_cache(), self.slot.frozen_delta()) {
+            (Some(cache), _) => cache.capacity_signature(),
+            (None, Some(delta)) => delta.capacity_signature(),
             (None, None) => CapacitySignature([0; 10]),
         };
         sig.0[8] = self.ws.memo.count_arena.capacity();
@@ -1177,19 +1171,12 @@ impl SlpEvaluator {
     }
 
     /// Sheds the determinization-side memory for the global governor
-    /// (severity 1, mirrors [`crate::Evaluator::shed_cold_memory`]): drops
-    /// the embedded lazy cache and [`FrozenDelta::shed`]s the overflow
-    /// delta. The memo tables are untouched — they are severity 2, see
+    /// (severity 1, as [`crate::Driver::shed_cold_memory`]): drops the
+    /// embedded lazy cache and [`FrozenDelta::shed`]s the overflow delta.
+    /// The memo tables are untouched — they are severity 2, see
     /// [`SlpEvaluator::shed_memos`]. Returns the bytes freed.
     pub fn shed_cold_memory(&mut self) -> usize {
-        let mut freed = 0;
-        if let Some((_, cache)) = self.lazy.take() {
-            freed += cache.memory_bytes();
-        }
-        if let Some((_, delta)) = self.frozen.as_mut() {
-            freed += delta.shed();
-        }
-        freed
+        self.slot.shed()
     }
 
     /// Sheds the SLP memo tables for the global governor (severity 2 of the
@@ -1208,13 +1195,13 @@ impl SlpEvaluator {
     /// a lazy automaton (the freeze source of
     /// [`crate::CompiledSpanner::freeze_warm_slp`]).
     pub fn lazy_cache(&self) -> Option<&LazyCache> {
-        self.lazy.as_ref().map(|(_, c)| c)
+        self.slot.lazy_cache()
     }
 
     /// The embedded frozen-overflow delta, if the evaluator has stepped
     /// through a frozen snapshot.
     pub fn frozen_delta(&self) -> Option<&FrozenDelta> {
-        self.frozen.as_ref().map(|(_, d)| d)
+        self.slot.frozen_delta()
     }
 
     /// Snapshots the current memo into an immutable [`SlpSharedMemo`].
@@ -1253,34 +1240,20 @@ impl SlpEvaluator {
     /// Rows are keyed to the cache's eviction epoch: evictions move state
     /// ids, so they drop the memo alongside the evicted states.
     pub fn count_lazy(&mut self, aut: &LazyDetSeva, slp: &Slp) -> Result<u64, SpannerError> {
-        let mut cache = match self.lazy.take() {
-            Some((id, cache)) if id == aut.id() => cache,
-            _ => aut.create_cache(),
-        };
-        cache.bind(aut);
-        cache.set_budget(self.cache_budget_override.unwrap_or(aut.config().memory_budget));
-        let budget = self.memo_budget();
-        self.ws.begin(&self.limits, aut.id(), cache.clear_count(), budget);
-        let mut stepper = LazyStepper::new(aut, &mut cache);
-        let result = self.ws.count_run(&mut stepper, slp, None);
-        self.lazy = Some((aut.id(), cache));
-        result
+        let (limits, budget, ws) = (self.limits, self.memo_budget(), &mut self.ws);
+        self.slot.with_lazy(aut, |cache| {
+            ws.begin(&limits, aut.id(), cache.clear_count(), budget);
+            ws.count_run(&mut LazyStepper::new(aut, cache), slp, None)
+        })
     }
 
     /// [`SlpEvaluator::accepts`] against a live lazy automaton.
     pub fn accepts_lazy(&mut self, aut: &LazyDetSeva, slp: &Slp) -> Result<bool, SpannerError> {
-        let mut cache = match self.lazy.take() {
-            Some((id, cache)) if id == aut.id() => cache,
-            _ => aut.create_cache(),
-        };
-        cache.bind(aut);
-        cache.set_budget(self.cache_budget_override.unwrap_or(aut.config().memory_budget));
-        let budget = self.memo_budget();
-        self.ws.begin(&self.limits, aut.id(), cache.clear_count(), budget);
-        let mut stepper = LazyStepper::new(aut, &mut cache);
-        let result = self.ws.accepts_run(&mut stepper, slp, None);
-        self.lazy = Some((aut.id(), cache));
-        result
+        let (limits, budget, ws) = (self.limits, self.memo_budget(), &mut self.ws);
+        self.slot.with_lazy(aut, |cache| {
+            ws.begin(&limits, aut.id(), cache.clear_count(), budget);
+            ws.accepts_run(&mut LazyStepper::new(aut, cache), slp, None)
+        })
     }
 
     /// [`SlpEvaluator::count`] stepping through a shared [`FrozenCache`]
@@ -1296,20 +1269,11 @@ impl SlpEvaluator {
         frozen: &FrozenCache,
         slp: &Slp,
     ) -> Result<u64, SpannerError> {
-        let mut delta = match self.frozen.take() {
-            Some((id, delta)) if id == frozen.id() => delta,
-            _ => FrozenDelta::new(),
-        };
-        delta.bind(frozen, aut);
-        delta.set_budget(self.cache_budget_override.unwrap_or(aut.config().memory_budget));
-        self.frozen_gen += 1;
-        let budget = self.memo_budget();
-        self.ws.begin(&self.limits, frozen.id(), self.frozen_gen, budget);
-        let shared = frozen.slp_memo().map(|m| &m.tables);
-        let mut stepper = FrozenStepper::new(aut, frozen, &mut delta);
-        let result = self.ws.count_run(&mut stepper, slp, shared);
-        self.frozen = Some((frozen.id(), delta));
-        result
+        self.begin_frozen(frozen);
+        let (ws, shared) = (&mut self.ws, frozen.slp_memo().map(|m| &m.tables));
+        self.slot.with_frozen(aut, frozen, |delta| {
+            ws.count_run(&mut FrozenStepper::new(aut, frozen, delta), slp, shared)
+        })
     }
 
     /// [`SlpEvaluator::accepts`] through a shared frozen snapshot.
@@ -1319,20 +1283,19 @@ impl SlpEvaluator {
         frozen: &FrozenCache,
         slp: &Slp,
     ) -> Result<bool, SpannerError> {
-        let mut delta = match self.frozen.take() {
-            Some((id, delta)) if id == frozen.id() => delta,
-            _ => FrozenDelta::new(),
-        };
-        delta.bind(frozen, aut);
-        delta.set_budget(self.cache_budget_override.unwrap_or(aut.config().memory_budget));
+        self.begin_frozen(frozen);
+        let (ws, shared) = (&mut self.ws, frozen.slp_memo().map(|m| &m.tables));
+        self.slot.with_frozen(aut, frozen, |delta| {
+            ws.accepts_run(&mut FrozenStepper::new(aut, frozen, delta), slp, shared)
+        })
+    }
+
+    /// Starts a frozen run under a fresh memo epoch: delta-local state ids
+    /// die with the per-document delta reset.
+    fn begin_frozen(&mut self, frozen: &FrozenCache) {
         self.frozen_gen += 1;
         let budget = self.memo_budget();
         self.ws.begin(&self.limits, frozen.id(), self.frozen_gen, budget);
-        let shared = frozen.slp_memo().map(|m| &m.tables);
-        let mut stepper = FrozenStepper::new(aut, frozen, &mut delta);
-        let result = self.ws.accepts_run(&mut stepper, slp, shared);
-        self.frozen = Some((frozen.id(), delta));
-        result
     }
 }
 

@@ -3,10 +3,12 @@
 use crate::count::{CountCache, Counter};
 use crate::det::DetSeva;
 use crate::document::Document;
-use crate::enumerate::{DagView, EnumerationDag, Evaluator, MappingIter};
+use crate::driver::Target;
+use crate::enumerate::{infallible, DagView, EnumerationDag, Evaluator, MappingIter};
 use crate::error::SpannerError;
 use crate::eva::Eva;
 use crate::lazy::{FrozenCache, LazyConfig, LazyDetSeva};
+use crate::limits::EvalLimits;
 use crate::mapping::Mapping;
 use crate::slp::{Slp, SlpEvaluator};
 use crate::variable::VarRegistry;
@@ -178,9 +180,17 @@ impl CompiledSpanner {
     /// Phase 1 (Algorithm 1): preprocess `doc` in time `O(|A| × |d|)`,
     /// producing the compact DAG representation of all output mappings.
     pub fn evaluate(&self, doc: &Document) -> EnumerationDag {
-        match &self.engine {
-            Engine::Eager(det) => EnumerationDag::build(det, doc),
-            Engine::Lazy(lazy) => Evaluator::new().eval_lazy_owned(lazy, doc),
+        Evaluator::new().owned(self.target(None), self.registry(), doc)
+    }
+
+    /// What a run of this spanner steps through: the eager tables, or the
+    /// lazy automaton — live, or through `frozen` when one is given (eager
+    /// spanners ignore `frozen`).
+    fn target<'a>(&'a self, frozen: Option<&'a FrozenCache>) -> Target<'a> {
+        match (&self.engine, frozen) {
+            (Engine::Eager(det), _) => Target::Eager(det),
+            (Engine::Lazy(lazy), None) => Target::Lazy(lazy),
+            (Engine::Lazy(lazy), Some(frozen)) => Target::Frozen(lazy, frozen),
         }
     }
 
@@ -194,10 +204,7 @@ impl CompiledSpanner {
         evaluator: &'a mut Evaluator,
         doc: &Document,
     ) -> DagView<'a> {
-        match &self.engine {
-            Engine::Eager(det) => evaluator.eval(det, doc),
-            Engine::Lazy(lazy) => evaluator.eval_lazy(lazy, doc),
-        }
+        infallible(self.try_evaluate_with(evaluator, doc))
     }
 
     /// [`CompiledSpanner::evaluate_with`] under the evaluator's configured
@@ -209,10 +216,7 @@ impl CompiledSpanner {
         evaluator: &'a mut Evaluator,
         doc: &Document,
     ) -> Result<DagView<'a>, SpannerError> {
-        match &self.engine {
-            Engine::Eager(det) => evaluator.try_eval(det, doc),
-            Engine::Lazy(lazy) => evaluator.try_eval_lazy(lazy, doc),
-        }
+        evaluator.try_view(self.target(None), self.registry(), doc)
     }
 
     /// Evaluates and materializes all output mappings.
@@ -245,10 +249,7 @@ impl CompiledSpanner {
         cache: &mut CountCache<C>,
         doc: &Document,
     ) -> Result<C, SpannerError> {
-        match &self.engine {
-            Engine::Eager(det) => cache.count(det, doc),
-            Engine::Lazy(lazy) => cache.count_lazy(lazy, doc),
-        }
+        cache.drive(self.target(None), doc)
     }
 
     /// Whether the spanner produces at least one mapping on `doc`.
@@ -270,10 +271,7 @@ impl CompiledSpanner {
     /// checks on a lazy spanner amortize subset construction across
     /// documents exactly like [`CompiledSpanner::evaluate_with`] does.
     pub fn is_match_with(&self, evaluator: &mut Evaluator, doc: &Document) -> bool {
-        match &self.engine {
-            Engine::Eager(det) => det.accepts(doc),
-            Engine::Lazy(lazy) => evaluator.accepts_lazy(lazy, doc),
-        }
+        infallible(evaluator.accepts(self.target(None), doc, EvalLimits::none()))
     }
 
     /// [`CompiledSpanner::is_match_with`] under the evaluator's configured
@@ -283,10 +281,7 @@ impl CompiledSpanner {
         evaluator: &mut Evaluator,
         doc: &Document,
     ) -> Result<bool, SpannerError> {
-        match &self.engine {
-            Engine::Eager(det) => evaluator.try_accepts(det, doc),
-            Engine::Lazy(lazy) => evaluator.try_accepts_lazy(lazy, doc),
-        }
+        evaluator.accepts(self.target(None), doc, evaluator.limits())
     }
 
     /// Convenience wrapper: evaluate and iterate in one call, holding the DAG
@@ -329,10 +324,7 @@ impl CompiledSpanner {
         frozen: &FrozenCache,
         doc: &Document,
     ) -> DagView<'a> {
-        match &self.engine {
-            Engine::Eager(det) => evaluator.eval(det, doc),
-            Engine::Lazy(lazy) => evaluator.eval_frozen(lazy, frozen, doc),
-        }
+        infallible(self.try_evaluate_frozen_with(evaluator, frozen, doc))
     }
 
     /// [`CompiledSpanner::evaluate_frozen_with`] under the evaluator's
@@ -344,10 +336,7 @@ impl CompiledSpanner {
         frozen: &FrozenCache,
         doc: &Document,
     ) -> Result<DagView<'a>, SpannerError> {
-        match &self.engine {
-            Engine::Eager(det) => evaluator.try_eval(det, doc),
-            Engine::Lazy(lazy) => evaluator.try_eval_frozen(lazy, frozen, doc),
-        }
+        evaluator.try_view(self.target(Some(frozen)), self.registry(), doc)
     }
 
     /// Like [`CompiledSpanner::count_with`], but stepping a lazy spanner
@@ -359,10 +348,7 @@ impl CompiledSpanner {
         frozen: &FrozenCache,
         doc: &Document,
     ) -> Result<C, SpannerError> {
-        match &self.engine {
-            Engine::Eager(det) => cache.count(det, doc),
-            Engine::Lazy(lazy) => cache.count_frozen(lazy, frozen, doc),
-        }
+        cache.drive(self.target(Some(frozen)), doc)
     }
 
     /// Like [`CompiledSpanner::is_match_with`], but stepping a lazy spanner
@@ -374,10 +360,7 @@ impl CompiledSpanner {
         frozen: &FrozenCache,
         doc: &Document,
     ) -> bool {
-        match &self.engine {
-            Engine::Eager(det) => det.accepts(doc),
-            Engine::Lazy(lazy) => evaluator.accepts_frozen(lazy, frozen, doc),
-        }
+        infallible(evaluator.accepts(self.target(Some(frozen)), doc, EvalLimits::none()))
     }
 
     /// [`CompiledSpanner::is_match_frozen_with`] under the evaluator's
@@ -389,10 +372,7 @@ impl CompiledSpanner {
         frozen: &FrozenCache,
         doc: &Document,
     ) -> Result<bool, SpannerError> {
-        match &self.engine {
-            Engine::Eager(det) => evaluator.try_accepts(det, doc),
-            Engine::Lazy(lazy) => evaluator.try_accepts_frozen(lazy, frozen, doc),
-        }
+        evaluator.accepts(self.target(Some(frozen)), doc, evaluator.limits())
     }
 
     /// Counts `|⟦A⟧(d)|` directly over an [`Slp`]-compressed document —
@@ -545,7 +525,7 @@ mod tests {
         let doc = Document::from("aaaa");
         let dag = sp.evaluate(&doc);
         let streamed: Vec<Mapping> = sp.iter_mappings(&dag).collect();
-        assert_eq!(streamed.len(), dag.count_paths() as usize);
+        assert_eq!(streamed.len(), dag.count_paths().unwrap() as usize);
         assert_eq!(streamed.len(), 4 + 3 + 2 + 1);
         assert_eq!(sp.count_u64(&doc).unwrap(), 10);
     }
@@ -622,8 +602,8 @@ mod tests {
         assert!(eager.freeze_warm(&[]).is_none());
         let doc = Document::from("baab");
         assert_eq!(
-            eager.evaluate_frozen_with(&mut frosty, &frozen, &doc).count_paths(),
-            eager.evaluate_with(&mut live, &doc).count_paths()
+            eager.evaluate_frozen_with(&mut frosty, &frozen, &doc).count_paths().unwrap(),
+            eager.evaluate_with(&mut live, &doc).count_paths().unwrap()
         );
     }
 

@@ -33,10 +33,7 @@
 //! on the lowest-index failure, exactly as before.
 
 use crate::faults;
-use crate::pool::{
-    CountCachePool, EvaluatorPool, PooledCountCache, PooledEvaluator, PooledSlpEvaluator,
-    SlpEvaluatorPool,
-};
+use crate::pool::{CountCachePool, EvaluatorPool, Pool, PoolEngine, Pooled, SlpEvaluatorPool};
 use crate::report::{BatchReport, DegradePolicy};
 use spanners_core::{
     CompiledSpanner, Counter, DagView, Document, EngineMode, EvalLimits, FrozenCache,
@@ -125,7 +122,7 @@ impl BatchOptions {
         }
         if self.degrade.max_attempts > 16 {
             return Err(SpannerError::InvalidConfig {
-                what: "DegradePolicy.max_attempts is absurdly large (the ladder has 4 rungs; \
+                what: "DegradePolicy.max_attempts is absurdly large (the ladder has 3 rungs; \
                        cap is 16)",
             });
         }
@@ -258,16 +255,15 @@ pub(crate) fn freeze_for_slp_batch(spanner: &CompiledSpanner, slps: &[Slp]) -> O
 enum Rung {
     /// The plain first attempt: pool engine mode, configured cache budget.
     Normal,
-    /// One-off enlarged determinization-cache budget (lazy spanners).
+    /// One-off enlarged determinization-cache (and memo) budget (lazy
+    /// spanners).
     BoostBudget,
     /// The simplest engine loop, keeping any budget boost.
     PerByte,
-    /// The eager automaton — no cache at all (when the spanner has one).
-    Eager,
 }
 
-/// The per-document attempt loop shared by all three batch shapes: walk the
-/// rung ladder until an attempt succeeds or fails unrecoverably. Returns
+/// The per-document attempt loop: walk the rung ladder until an attempt
+/// succeeds or fails unrecoverably. Returns
 /// `(outcome, retries_spent, succeeded_degraded)`.
 fn run_attempts<R>(
     rungs: &[Rung],
@@ -346,41 +342,18 @@ impl BatchPlan<'_> {
     }
     /// The applicable escalation ladder, truncated to the policy's attempt
     /// budget. Rung order: normal → boosted cache budget (lazy only) →
-    /// per-byte engine → eager automaton (when one exists alongside the lazy
-    /// engine).
-    fn rungs(&self, policy: &DegradePolicy) -> Vec<Rung> {
+    /// per-byte engine (engines with a byte loop only — grammar composition
+    /// has none).
+    fn rungs(&self, policy: &DegradePolicy, byte_loop: bool) -> Vec<Rung> {
         let mut rungs = vec![Rung::Normal];
-        if self.spanner.lazy_automaton().is_some() {
+        if self.spanner.is_lazy() {
             rungs.push(Rung::BoostBudget);
         }
-        rungs.push(Rung::PerByte);
-        if self.spanner.lazy_automaton().is_some() && self.spanner.eager_automaton().is_some() {
-            rungs.push(Rung::Eager);
+        if byte_loop {
+            rungs.push(Rung::PerByte);
         }
         rungs.truncate((policy.max_attempts.max(1)) as usize);
         rungs
-    }
-
-    /// The escalation ladder of the grammar-aware entry points. There is no
-    /// per-byte rung — grammar composition has no byte loop to simplify —
-    /// so the ladder is normal → boosted budgets (lazy only) → eager
-    /// automaton (when one exists alongside the lazy engine).
-    fn slp_rungs(&self, policy: &DegradePolicy) -> Vec<Rung> {
-        let mut rungs = vec![Rung::Normal];
-        if self.spanner.lazy_automaton().is_some() {
-            rungs.push(Rung::BoostBudget);
-            if self.spanner.eager_automaton().is_some() {
-                rungs.push(Rung::Eager);
-            }
-        }
-        rungs.truncate((policy.max_attempts.max(1)) as usize);
-        rungs
-    }
-
-    /// The enlarged cache budget of the [`Rung::BoostBudget`] rung.
-    fn boosted_budget(&self, policy: &DegradePolicy) -> Option<usize> {
-        let base = self.spanner.lazy_automaton()?.config().memory_budget;
-        Some(base.saturating_mul(policy.budget_boost as usize))
     }
 
     /// Settles this batch's pooled-engine bytes into the global memory
@@ -388,29 +361,24 @@ impl BatchPlan<'_> {
     /// walks the shedding ladder while the ledger is over budget:
     /// severity 1 sheds the coldest per-engine state (lazy caches and
     /// frozen-overflow deltas of idle pooled engines), severity 2 clears
-    /// SLP overflow memos (`shed_memos` is a no-op for non-grammar pools).
+    /// SLP overflow memos (a no-op for engines without memo tables).
     /// Severity 3 — denying new checkouts with a retryable
     /// [`SpannerError::BudgetExceeded`] — happens at admission time, not
     /// here. Injected [`faults::governor_pressure`] is reported as external
     /// pressure before settling so torture tests can drive the ladder
     /// without allocating.
-    fn govern(
-        &self,
-        governed: &dyn Fn() -> usize,
-        shed_cold: &dyn Fn() -> u64,
-        shed_memos: &dyn Fn() -> u64,
-    ) {
+    fn govern<E: PoolEngine>(&self, pool: &Pool<E>) {
         let Some(handle) = self.governor else { return };
         let gov = handle.governor();
         gov.set_pressure(faults::governor_pressure());
-        handle.settle(governed());
+        handle.settle(pool.governed_bytes());
         if gov.over_budget() {
-            gov.note_deltas_shed(shed_cold());
-            handle.settle(governed());
+            gov.note_deltas_shed(pool.shed_cold());
+            handle.settle(pool.governed_bytes());
         }
         if gov.over_budget() {
-            gov.note_memos_shed(shed_memos());
-            handle.settle(governed());
+            gov.note_memos_shed(pool.shed_memos());
+            handle.settle(pool.governed_bytes());
         }
     }
 
@@ -433,6 +401,87 @@ impl BatchPlan<'_> {
         (base, df.force_eviction)
     }
 
+    /// The one report loop behind every batch shape: each of `jobs`
+    /// documents runs `run` on a pooled engine, contained (a panic
+    /// quarantines the engine), under the per-document limits and through
+    /// the degradation ladder; the engine's mode, budgets and limits are
+    /// reset before it goes back to the pool, the delta pressure of frozen
+    /// runs is sampled, and the pool's memory is settled with the governor.
+    fn report<E, R, F>(
+        &self,
+        pool: &Pool<E>,
+        jobs: usize,
+        opts: &BatchOptions,
+        run: F,
+    ) -> BatchReport<R>
+    where
+        E: PoolEngine,
+        R: Send,
+        F: Fn(&mut E, usize) -> Result<R, SpannerError> + Sync,
+    {
+        let rungs = self.rungs(&opts.degrade, E::BYTE_LOOP);
+        let boost = opts.degrade.budget_boost as usize;
+        let boosted = self
+            .spanner
+            .lazy_automaton()
+            .map(|lazy| lazy.config().memory_budget.saturating_mul(boost));
+        let boosted_memo =
+            Some(spanners_core::slp::DEFAULT_MEMO_BUDGET.saturating_mul(boost.max(1)));
+        let quarantined = AtomicUsize::new(0);
+        let delta_states = AtomicU64::new(0);
+        let delta_bytes = AtomicUsize::new(0);
+        let records = run_contained(
+            jobs,
+            opts.effective_threads(jobs),
+            || pool.checkout_tagged(self.gen_tag),
+            |engine: &mut Pooled<'_, E>, i| {
+                let (base_limits, force_eviction) = self.doc_setup(i, opts.limits);
+                let engine = &mut **engine;
+                let original_mode = engine.mode();
+                let interned_before = engine.frozen_delta().map_or(0, |d| d.states_interned());
+                let record =
+                    run_attempts(&rungs, base_limits, force_eviction, |rung, limits, evict| {
+                        engine.set_limits(limits);
+                        match rung {
+                            Rung::Normal => engine.set_budget_overrides(None, None),
+                            Rung::BoostBudget => engine.set_budget_overrides(boosted, boosted_memo),
+                            Rung::PerByte => engine.set_mode(EngineMode::PerByte),
+                        }
+                        if evict {
+                            engine.set_budget_overrides(Some(0), Some(0));
+                        }
+                        run(engine, i)
+                    });
+                // Delta-pressure sample: overflow states this document forced
+                // past the frozen snapshot (a rebind to a new snapshot resets
+                // the counter, undercounting that one document — harmless).
+                if let (Some(_), Some(d)) = (self.frozen, engine.frozen_delta()) {
+                    let grown = d.states_interned().saturating_sub(interned_before);
+                    delta_states.fetch_add(grown, Ordering::Relaxed);
+                    delta_bytes.fetch_max(d.memory_bytes(), Ordering::Relaxed);
+                }
+                // The engine goes back to the pool: shed per-document state.
+                engine.set_mode(original_mode);
+                engine.set_budget_overrides(None, None);
+                engine.set_limits(EvalLimits::none());
+                record
+            },
+            |i, message| {
+                (Err(SpannerError::WorkerPanicked { doc_index: self.doc_id(i), message }), 0, false)
+            },
+            |engine: Pooled<'_, E>| {
+                engine.quarantine();
+                quarantined.fetch_add(1, Ordering::Relaxed);
+            },
+        );
+        let mut report =
+            BatchReport::from_records(records, quarantined.into_inner(), pool.engines_created());
+        report.delta_states = delta_states.into_inner();
+        report.delta_bytes = delta_bytes.into_inner();
+        self.govern(pool);
+        report
+    }
+
     pub(crate) fn evaluate_report<R, F>(
         &self,
         pool: &EvaluatorPool,
@@ -444,77 +493,13 @@ impl BatchPlan<'_> {
         R: Send,
         F: Fn(usize, DagView<'_>) -> R + Sync,
     {
-        let threads = opts.effective_threads(docs.len());
-        let rungs = self.rungs(&opts.degrade);
-        let boosted = self.boosted_budget(&opts.degrade);
-        let quarantined = AtomicUsize::new(0);
-        let delta_states = AtomicU64::new(0);
-        let delta_bytes = AtomicUsize::new(0);
-        let records = run_contained(
-            docs.len(),
-            threads,
-            || pool.checkout_tagged(self.gen_tag),
-            |engine: &mut PooledEvaluator<'_>, i| {
-                let (base_limits, force_eviction) = self.doc_setup(i, opts.limits);
-                let doc = &docs[i];
-                let ev = &mut **engine;
-                let original_mode = ev.mode();
-                let interned_before = ev.frozen_delta().map_or(0, |d| d.states_interned());
-                let record =
-                    run_attempts(&rungs, base_limits, force_eviction, |rung, limits, evict| {
-                        ev.set_limits(limits);
-                        match rung {
-                            Rung::Normal => ev.set_cache_budget_override(None),
-                            Rung::BoostBudget => ev.set_cache_budget_override(boosted),
-                            Rung::PerByte => ev.set_mode(EngineMode::PerByte),
-                            Rung::Eager => {}
-                        }
-                        if evict {
-                            ev.set_cache_budget_override(Some(0));
-                        }
-                        if rung == Rung::Eager {
-                            if let Some(det) = self.spanner.eager_automaton() {
-                                return ev.try_eval(det, doc).map(|view| f(i, view));
-                            }
-                        }
-                        match self.frozen {
-                            Some(frozen) => self
-                                .spanner
-                                .try_evaluate_frozen_with(ev, frozen, doc)
-                                .map(|view| f(i, view)),
-                            None => self.spanner.try_evaluate_with(ev, doc).map(|view| f(i, view)),
-                        }
-                    });
-                // Delta-pressure sample: overflow states this document forced
-                // past the frozen snapshot (a rebind to a new snapshot resets
-                // the counter, undercounting that one document — harmless).
-                if self.frozen.is_some() {
-                    if let Some(d) = ev.frozen_delta() {
-                        let grown = d.states_interned().saturating_sub(interned_before);
-                        delta_states.fetch_add(grown, Ordering::Relaxed);
-                        delta_bytes.fetch_max(d.memory_bytes(), Ordering::Relaxed);
-                    }
-                }
-                // The engine goes back to the pool: shed per-document state.
-                ev.set_mode(original_mode);
-                ev.set_cache_budget_override(None);
-                ev.set_limits(EvalLimits::none());
-                record
-            },
-            |i, message| {
-                (Err(SpannerError::WorkerPanicked { doc_index: self.doc_id(i), message }), 0, false)
-            },
-            |engine: PooledEvaluator<'_>| {
-                engine.quarantine();
-                quarantined.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        let mut report =
-            BatchReport::from_records(records, quarantined.into_inner(), pool.engines_created());
-        report.delta_states = delta_states.into_inner();
-        report.delta_bytes = delta_bytes.into_inner();
-        self.govern(&|| pool.governed_bytes(), &|| pool.shed_cold(), &|| 0);
-        report
+        self.report(pool, docs.len(), opts, |ev, i| {
+            let view = match self.frozen {
+                Some(frozen) => self.spanner.try_evaluate_frozen_with(ev, frozen, &docs[i]),
+                None => self.spanner.try_evaluate_with(ev, &docs[i]),
+            };
+            view.map(|view| f(i, view))
+        })
     }
 
     pub(crate) fn count_report<C>(
@@ -526,126 +511,25 @@ impl BatchPlan<'_> {
     where
         C: Counter + Send,
     {
-        let threads = opts.effective_threads(docs.len());
-        let rungs = self.rungs(&opts.degrade);
-        let boosted = self.boosted_budget(&opts.degrade);
-        let quarantined = AtomicUsize::new(0);
-        let records = run_contained(
-            docs.len(),
-            threads,
-            || pool.checkout_tagged(self.gen_tag),
-            |engine: &mut PooledCountCache<'_, C>, i| {
-                let (base_limits, force_eviction) = self.doc_setup(i, opts.limits);
-                let doc = &docs[i];
-                let cache = &mut **engine;
-                let original_mode = cache.mode();
-                let record =
-                    run_attempts(&rungs, base_limits, force_eviction, |rung, limits, evict| {
-                        cache.set_limits(limits);
-                        match rung {
-                            Rung::Normal => cache.set_cache_budget_override(None),
-                            Rung::BoostBudget => cache.set_cache_budget_override(boosted),
-                            Rung::PerByte => cache.set_mode(EngineMode::PerByte),
-                            Rung::Eager => {}
-                        }
-                        if evict {
-                            cache.set_cache_budget_override(Some(0));
-                        }
-                        if rung == Rung::Eager {
-                            if let Some(det) = self.spanner.eager_automaton() {
-                                return cache.count(det, doc);
-                            }
-                        }
-                        match self.frozen {
-                            Some(frozen) => self.spanner.count_frozen_with(cache, frozen, doc),
-                            None => self.spanner.count_with(cache, doc),
-                        }
-                    });
-                cache.set_mode(original_mode);
-                cache.set_cache_budget_override(None);
-                cache.set_limits(EvalLimits::none());
-                record
-            },
-            |i, message| {
-                (Err(SpannerError::WorkerPanicked { doc_index: self.doc_id(i), message }), 0, false)
-            },
-            |engine: PooledCountCache<'_, C>| {
-                engine.quarantine();
-                quarantined.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        self.govern(&|| pool.governed_bytes(), &|| pool.shed_cold(), &|| 0);
-        BatchReport::from_records(records, quarantined.into_inner(), pool.engines_created())
+        self.report(pool, docs.len(), opts, |cache, i| match self.frozen {
+            Some(frozen) => self.spanner.count_frozen_with(cache, frozen, &docs[i]),
+            None => self.spanner.count_with(cache, &docs[i]),
+        })
     }
 
-    /// [`BatchPlan::count_report`] over SLP-compressed documents: same
-    /// containment, fault keying, degradation ladder (minus the per-byte
-    /// rung) and report pipeline, with each worker holding a pooled
-    /// [`spanners_core::SlpEvaluator`] whose memo tables stay warm across
-    /// the batch.
+    /// [`BatchPlan::count_report`] over SLP-compressed documents, with each
+    /// worker holding a pooled [`spanners_core::SlpEvaluator`] whose memo
+    /// tables stay warm across the batch.
     pub(crate) fn count_slp_report(
         &self,
         pool: &SlpEvaluatorPool,
         slps: &[Slp],
         opts: &BatchOptions,
     ) -> BatchReport<u64> {
-        let threads = opts.effective_threads(slps.len());
-        let rungs = self.slp_rungs(&opts.degrade);
-        let boosted = self.boosted_budget(&opts.degrade);
-        let boosted_memo = spanners_core::slp::DEFAULT_MEMO_BUDGET
-            .saturating_mul(opts.degrade.budget_boost.max(1) as usize);
-        let quarantined = AtomicUsize::new(0);
-        let records = run_contained(
-            slps.len(),
-            threads,
-            || pool.checkout_tagged(self.gen_tag),
-            |engine: &mut PooledSlpEvaluator<'_>, i| {
-                let (base_limits, force_eviction) = self.doc_setup(i, opts.limits);
-                let slp = &slps[i];
-                let ev = &mut **engine;
-                let record =
-                    run_attempts(&rungs, base_limits, force_eviction, |rung, limits, evict| {
-                        ev.set_limits(limits);
-                        match rung {
-                            Rung::Normal => {
-                                ev.set_cache_budget_override(None);
-                                ev.set_memo_budget_override(None);
-                            }
-                            Rung::BoostBudget => {
-                                ev.set_cache_budget_override(boosted);
-                                ev.set_memo_budget_override(Some(boosted_memo));
-                            }
-                            Rung::PerByte | Rung::Eager => {}
-                        }
-                        if evict {
-                            ev.set_cache_budget_override(Some(0));
-                            ev.set_memo_budget_override(Some(0));
-                        }
-                        if rung == Rung::Eager {
-                            if let Some(det) = self.spanner.eager_automaton() {
-                                return ev.count(det, slp);
-                            }
-                        }
-                        match self.frozen {
-                            Some(frozen) => self.spanner.count_slp_frozen_with(ev, frozen, slp),
-                            None => self.spanner.count_slp_with(ev, slp),
-                        }
-                    });
-                ev.set_cache_budget_override(None);
-                ev.set_memo_budget_override(None);
-                ev.set_limits(EvalLimits::none());
-                record
-            },
-            |i, message| {
-                (Err(SpannerError::WorkerPanicked { doc_index: self.doc_id(i), message }), 0, false)
-            },
-            |engine: PooledSlpEvaluator<'_>| {
-                engine.quarantine();
-                quarantined.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        self.govern(&|| pool.governed_bytes(), &|| pool.shed_cold(), &|| pool.shed_memos());
-        BatchReport::from_records(records, quarantined.into_inner(), pool.engines_created())
+        self.report(pool, slps.len(), opts, |ev, i| match self.frozen {
+            Some(frozen) => self.spanner.count_slp_frozen_with(ev, frozen, &slps[i]),
+            None => self.spanner.count_slp_with(ev, &slps[i]),
+        })
     }
 
     pub(crate) fn is_match_report(
@@ -654,56 +538,10 @@ impl BatchPlan<'_> {
         docs: &[Document],
         opts: &BatchOptions,
     ) -> BatchReport<bool> {
-        let threads = opts.effective_threads(docs.len());
-        let rungs = self.rungs(&opts.degrade);
-        let boosted = self.boosted_budget(&opts.degrade);
-        let quarantined = AtomicUsize::new(0);
-        let records = run_contained(
-            docs.len(),
-            threads,
-            || pool.checkout_tagged(self.gen_tag),
-            |engine: &mut PooledEvaluator<'_>, i| {
-                let (base_limits, force_eviction) = self.doc_setup(i, opts.limits);
-                let doc = &docs[i];
-                let ev = &mut **engine;
-                let original_mode = ev.mode();
-                let record =
-                    run_attempts(&rungs, base_limits, force_eviction, |rung, limits, evict| {
-                        ev.set_limits(limits);
-                        match rung {
-                            Rung::Normal => ev.set_cache_budget_override(None),
-                            Rung::BoostBudget => ev.set_cache_budget_override(boosted),
-                            Rung::PerByte => ev.set_mode(EngineMode::PerByte),
-                            Rung::Eager => {}
-                        }
-                        if evict {
-                            ev.set_cache_budget_override(Some(0));
-                        }
-                        if rung == Rung::Eager {
-                            if let Some(det) = self.spanner.eager_automaton() {
-                                return ev.try_accepts(det, doc);
-                            }
-                        }
-                        match self.frozen {
-                            Some(frozen) => self.spanner.try_is_match_frozen_with(ev, frozen, doc),
-                            None => self.spanner.try_is_match_with(ev, doc),
-                        }
-                    });
-                ev.set_mode(original_mode);
-                ev.set_cache_budget_override(None);
-                ev.set_limits(EvalLimits::none());
-                record
-            },
-            |i, message| {
-                (Err(SpannerError::WorkerPanicked { doc_index: self.doc_id(i), message }), 0, false)
-            },
-            |engine: PooledEvaluator<'_>| {
-                engine.quarantine();
-                quarantined.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        self.govern(&|| pool.governed_bytes(), &|| pool.shed_cold(), &|| 0);
-        BatchReport::from_records(records, quarantined.into_inner(), pool.engines_created())
+        self.report(pool, docs.len(), opts, |ev, i| match self.frozen {
+            Some(frozen) => self.spanner.try_is_match_frozen_with(ev, frozen, &docs[i]),
+            None => self.spanner.try_is_match_with(ev, &docs[i]),
+        })
     }
 }
 
@@ -716,7 +554,7 @@ impl BatchPlan<'_> {
 /// [`crate::SpannerServer`] instead, which amortizes both across calls.
 pub trait BatchSpanner {
     /// Evaluates every document, mapping each resulting DAG view through `f`
-    /// (e.g. `|_, dag| dag.collect_mappings()` or `|_, dag| dag.count_paths()`)
+    /// (e.g. `|_, dag| dag.collect_mappings()` or `|_, dag| dag.count_paths().unwrap()`)
     /// on the worker that produced it, and returns the outputs in document
     /// order. `f` receives the document index alongside the view.
     ///
@@ -791,29 +629,31 @@ pub trait BatchSpanner {
     ) -> Result<BatchReport<u64>, SpannerError>;
 }
 
+/// The panic hint of the abort-on-failure `evaluate_batch` entry points.
+pub(crate) const EVALUATE_HINT: &str = "use evaluate_batch_report for per-document errors";
+/// The panic hint of the abort-on-failure `is_match_batch` entry points.
+pub(crate) const IS_MATCH_HINT: &str = "configure limits via the report APIs";
+
+/// Runs one report on a transient plan and pool: the one-shot form of the
+/// [`BatchSpanner`] entry points.
+fn one_shot<E: PoolEngine, R>(
+    spanner: &CompiledSpanner,
+    frozen: Option<FrozenCache>,
+    report: impl FnOnce(&BatchPlan<'_>, &Pool<E>) -> BatchReport<R>,
+) -> BatchReport<R> {
+    report(&BatchPlan::new(spanner, frozen.as_ref()), &Pool::new())
+}
+
 impl BatchSpanner for CompiledSpanner {
     fn evaluate_batch<R, F>(&self, docs: &[Document], opts: &BatchOptions, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize, DagView<'_>) -> R + Sync,
     {
-        let frozen = freeze_for_batch(self, docs);
-        let pool = EvaluatorPool::new();
-        let plan = BatchPlan::new(self, frozen.as_ref());
-        let report = plan.evaluate_report(&pool, docs, opts, &f);
-        report
-            .results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.unwrap_or_else(|e| {
-                    panic!(
-                        "document {i} failed in evaluate_batch \
-                         (use evaluate_batch_report for per-document errors): {e}"
-                    )
-                })
-            })
-            .collect()
+        one_shot(self, freeze_for_batch(self, docs), |plan, pool| {
+            plan.evaluate_report(pool, docs, opts, &f)
+        })
+        .expect_all("evaluate_batch", EVALUATE_HINT)
     }
 
     fn evaluate_batch_report<R, F>(
@@ -827,22 +667,23 @@ impl BatchSpanner for CompiledSpanner {
         F: Fn(usize, DagView<'_>) -> R + Sync,
     {
         opts.validate()?;
-        let frozen = freeze_for_batch(self, docs);
-        let pool = EvaluatorPool::new();
-        let plan = BatchPlan::new(self, frozen.as_ref());
-        Ok(plan.evaluate_report(&pool, docs, opts, &f))
+        Ok(one_shot(self, freeze_for_batch(self, docs), |plan, pool| {
+            plan.evaluate_report(pool, docs, opts, &f)
+        }))
     }
 
     fn count_batch<C>(&self, docs: &[Document], opts: &BatchOptions) -> Result<Vec<C>, SpannerError>
     where
         C: Counter + Send,
     {
-        let frozen = freeze_for_batch(self, docs);
-        let pool: CountCachePool<C> = CountCachePool::new();
-        let plan = BatchPlan::new(self, frozen.as_ref());
         // Document order is preserved, so the error reported is the one of
         // the lowest-index failing document — deterministic across runs.
-        plan.count_report(&pool, docs, opts).into_results().into_iter().collect()
+        one_shot(self, freeze_for_batch(self, docs), |plan, pool| {
+            plan.count_report(pool, docs, opts)
+        })
+        .into_results()
+        .into_iter()
+        .collect()
     }
 
     fn count_batch_report<C>(
@@ -854,19 +695,18 @@ impl BatchSpanner for CompiledSpanner {
         C: Counter + Send,
     {
         opts.validate()?;
-        let frozen = freeze_for_batch(self, docs);
-        let pool: CountCachePool<C> = CountCachePool::new();
-        let plan = BatchPlan::new(self, frozen.as_ref());
-        Ok(plan.count_report(&pool, docs, opts))
+        Ok(one_shot(self, freeze_for_batch(self, docs), |plan, pool| {
+            plan.count_report(pool, docs, opts)
+        }))
     }
 
     fn count_slp_batch(&self, slps: &[Slp], opts: &BatchOptions) -> Result<Vec<u64>, SpannerError> {
-        let frozen = freeze_for_slp_batch(self, slps);
-        let pool = SlpEvaluatorPool::new();
-        let plan = BatchPlan::new(self, frozen.as_ref());
-        // Document order is preserved, so the error reported is the one of
-        // the lowest-index failing document — deterministic across runs.
-        plan.count_slp_report(&pool, slps, opts).into_results().into_iter().collect()
+        one_shot(self, freeze_for_slp_batch(self, slps), |plan, pool| {
+            plan.count_slp_report(pool, slps, opts)
+        })
+        .into_results()
+        .into_iter()
+        .collect()
     }
 
     fn count_slp_batch_report(
@@ -875,29 +715,16 @@ impl BatchSpanner for CompiledSpanner {
         opts: &BatchOptions,
     ) -> Result<BatchReport<u64>, SpannerError> {
         opts.validate()?;
-        let frozen = freeze_for_slp_batch(self, slps);
-        let pool = SlpEvaluatorPool::new();
-        let plan = BatchPlan::new(self, frozen.as_ref());
-        Ok(plan.count_slp_report(&pool, slps, opts))
+        Ok(one_shot(self, freeze_for_slp_batch(self, slps), |plan, pool| {
+            plan.count_slp_report(pool, slps, opts)
+        }))
     }
 
     fn is_match_batch(&self, docs: &[Document], opts: &BatchOptions) -> Vec<bool> {
-        let frozen = freeze_for_batch(self, docs);
-        let pool = EvaluatorPool::new();
-        let plan = BatchPlan::new(self, frozen.as_ref());
-        plan.is_match_report(&pool, docs, opts)
-            .into_results()
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.unwrap_or_else(|e| {
-                    panic!(
-                        "document {i} failed in is_match_batch \
-                         (configure limits via the report APIs): {e}"
-                    )
-                })
-            })
-            .collect()
+        one_shot(self, freeze_for_batch(self, docs), |plan, pool| {
+            plan.is_match_report(pool, docs, opts)
+        })
+        .expect_all("is_match_batch", IS_MATCH_HINT)
     }
 }
 

@@ -8,11 +8,13 @@
 //! about throughput *across* documents. Three pieces turn the single-document
 //! engines of `spanners-core` into a serving runtime:
 //!
-//! * **engine pools** ([`EvaluatorPool`], [`CountCachePool`]) hand out warm
-//!   per-worker [`Evaluator`]s / [`CountCache`]s with a checkout/checkin
-//!   guard. Engines retain their arena capacity across documents *and*
-//!   batches, preserving the zero-steady-state-allocation contract of the
-//!   core crate;
+//! * **engine pools** — one [`Pool`] type, instantiated as [`EvaluatorPool`],
+//!   [`CountCachePool`] and [`SlpEvaluatorPool`] — hand out warm per-worker
+//!   [`Evaluator`]s, [`CountCache`]s (the Algorithm 1 and Algorithm 3
+//!   instances of the core driver) and [`SlpEvaluator`]s with a
+//!   checkout/checkin guard. Engines retain their arena capacity across
+//!   documents *and* batches, preserving the zero-steady-state-allocation
+//!   contract of the core crate;
 //! * **shared frozen caches** — for lazy-backed spanners, the warm
 //!   determinization cache is snapshotted once into an immutable
 //!   `FrozenCache` (`Send + Sync`, shared via [`std::sync::Arc`]); workers
@@ -82,10 +84,7 @@ pub use batch::{BatchOptions, BatchSpanner};
 pub use multi::{
     MultiBatchReport, MultiSpanner, MultiSpannerServer, MultiStreamingServer, MultiTicket,
 };
-pub use pool::{
-    CountCachePool, EvaluatorPool, PooledCountCache, PooledEvaluator, PooledSlpEvaluator,
-    SlpEvaluatorPool,
-};
+pub use pool::{CountCachePool, EvaluatorPool, Pool, PoolEngine, Pooled, SlpEvaluatorPool};
 pub use report::{BatchReport, BatchSummary, DegradePolicy, TenantSlot};
 pub use server::SpannerServer;
 pub use streaming::{RefreezePolicy, StreamingOptions, StreamingServer, StreamingStats, Ticket};

@@ -1,15 +1,22 @@
 //! Checkout/checkin pools of warm per-worker evaluation engines.
 //!
-//! A pool is the serving-side answer to "one warm [`Evaluator`] per worker":
+//! A pool is the serving-side answer to "one warm engine per worker":
 //! workers check an engine out for a document (or a run of documents), and
 //! the drop of the guard checks it back in with **all retained capacity** —
-//! DAG arenas, per-state buffers, class buffers, lazy caches and frozen
-//! deltas included. In steady state a pool stops allocating entirely: the
-//! same engines cycle between workers, and a batch of N threads creates at
-//! most N engines over the pool's lifetime no matter how many documents it
-//! serves.
+//! DAG arenas, per-state buffers, class buffers, lazy caches, frozen deltas
+//! and SLP memo tables included. In steady state a pool stops allocating
+//! entirely: the same engines cycle between workers, and a batch of N
+//! threads creates at most N engines over the pool's lifetime no matter how
+//! many documents it serves.
+//!
+//! There is one [`Pool`] type for every engine ([`PoolEngine`]): the
+//! Algorithm 1 and Algorithm 3 instances of the core driver
+//! ([`EvaluatorPool`], [`CountCachePool`]) and the grammar-aware
+//! [`SlpEvaluator`] ([`SlpEvaluatorPool`]).
 
-use spanners_core::{CountCache, Counter, EngineMode, Evaluator, SlpEvaluator};
+use spanners_core::{
+    Accumulator, CountCache, Driver, EngineMode, EvalLimits, Evaluator, FrozenDelta, SlpEvaluator,
+};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -24,7 +31,104 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// A pool of warm [`Evaluator`]s (Algorithm 1 engines).
+/// An engine a [`Pool`] hands out and the batch runtime drives through the
+/// degradation ladder: the knobs a retry turns, and the governed memory a
+/// global [`spanners_core::MemoryGovernor`] ledgers and sheds.
+pub trait PoolEngine: Send + Sized {
+    /// Whether the engine scans document bytes, so the ladder's per-byte
+    /// rung applies (grammar composition has no byte loop).
+    const BYTE_LOOP: bool = true;
+    /// A fresh engine running `mode`.
+    fn fresh(mode: EngineMode) -> Self;
+    /// The engine mode it runs.
+    fn mode(&self) -> EngineMode;
+    /// Switches the engine mode.
+    fn set_mode(&mut self, mode: EngineMode);
+    /// Sets the per-document limits.
+    fn set_limits(&mut self, limits: EvalLimits);
+    /// Sets the one-off byte budgets of a ladder rung: the determinization
+    /// cache's and, for engines with memo tables, the memo's (`None`
+    /// restores the configured budgets).
+    fn set_budget_overrides(&mut self, cache: Option<usize>, memo: Option<usize>);
+    /// The frozen-overflow delta, if the engine has run against a snapshot.
+    fn frozen_delta(&self) -> Option<&FrozenDelta>;
+    /// Bytes of governed memory held.
+    fn governed_bytes(&self) -> usize;
+    /// Sheds lazy caches and frozen deltas (governor severity 1); returns
+    /// the bytes freed.
+    fn shed_cold_memory(&mut self) -> usize;
+    /// Sheds memo tables (governor severity 2); returns the bytes freed.
+    fn shed_memos(&mut self) -> usize {
+        0
+    }
+}
+
+impl<A> PoolEngine for Driver<A>
+where
+    A: Accumulator + Default + Send,
+    A::Value: Send,
+{
+    fn fresh(mode: EngineMode) -> Self {
+        Driver::with_mode(mode)
+    }
+    fn mode(&self) -> EngineMode {
+        Driver::mode(self)
+    }
+    fn set_mode(&mut self, mode: EngineMode) {
+        Driver::set_mode(self, mode);
+    }
+    fn set_limits(&mut self, limits: EvalLimits) {
+        Driver::set_limits(self, limits);
+    }
+    fn set_budget_overrides(&mut self, cache: Option<usize>, _memo: Option<usize>) {
+        self.set_cache_budget_override(cache);
+    }
+    fn frozen_delta(&self) -> Option<&FrozenDelta> {
+        Driver::frozen_delta(self)
+    }
+    fn governed_bytes(&self) -> usize {
+        Driver::governed_bytes(self)
+    }
+    fn shed_cold_memory(&mut self) -> usize {
+        Driver::shed_cold_memory(self)
+    }
+}
+
+/// Checked-in evaluators keep their `(symbol, state)` memo tables alongside
+/// their lazy caches and frozen deltas, so a batch over one shared rule set
+/// composes most documents from already-memoized rows. Grammar composition
+/// has no byte loop, so there is no engine mode to run.
+impl PoolEngine for SlpEvaluator {
+    const BYTE_LOOP: bool = false;
+    fn fresh(_mode: EngineMode) -> Self {
+        SlpEvaluator::new()
+    }
+    fn mode(&self) -> EngineMode {
+        EngineMode::default()
+    }
+    fn set_mode(&mut self, _mode: EngineMode) {}
+    fn set_limits(&mut self, limits: EvalLimits) {
+        SlpEvaluator::set_limits(self, limits);
+    }
+    fn set_budget_overrides(&mut self, cache: Option<usize>, memo: Option<usize>) {
+        self.set_cache_budget_override(cache);
+        self.set_memo_budget_override(memo);
+    }
+    fn frozen_delta(&self) -> Option<&FrozenDelta> {
+        SlpEvaluator::frozen_delta(self)
+    }
+    fn governed_bytes(&self) -> usize {
+        SlpEvaluator::governed_bytes(self)
+    }
+    fn shed_cold_memory(&mut self) -> usize {
+        SlpEvaluator::shed_cold_memory(self)
+    }
+    fn shed_memos(&mut self) -> usize {
+        SlpEvaluator::shed_memos(self)
+    }
+}
+
+/// A pool of warm engines.
 ///
 /// ```
 /// use spanners_runtime::EvaluatorPool;
@@ -38,40 +142,58 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// let _again = pool.checkout(); // the same warm engine, not a new one
 /// assert_eq!(pool.engines_created(), 1);
 /// ```
-#[derive(Debug, Default)]
-pub struct EvaluatorPool {
+#[derive(Debug)]
+pub struct Pool<E> {
     /// Idle engines, each tagged with the serving generation it last ran
     /// under (`0` for untagged batch work). Tag-aware checkouts prefer an
-    /// engine of their own generation — its [`spanners_core::FrozenDelta`]
-    /// is already bound to that generation's snapshot, so no rebind-reset.
-    idle: Mutex<Vec<(u64, Evaluator)>>,
+    /// engine of their own generation — its [`FrozenDelta`] is already bound
+    /// to that generation's snapshot, so no rebind-reset.
+    idle: Mutex<Vec<(u64, E)>>,
     mode: EngineMode,
     created: AtomicUsize,
     quarantined: AtomicUsize,
 }
 
-impl EvaluatorPool {
+/// A pool of warm [`Evaluator`]s (Algorithm 1 engines).
+pub type EvaluatorPool = Pool<Evaluator>;
+/// A pool of warm [`CountCache`]s (Algorithm 3 engines).
+pub type CountCachePool<C> = Pool<CountCache<C>>;
+/// A pool of warm [`SlpEvaluator`]s (grammar-aware engines).
+pub type SlpEvaluatorPool = Pool<SlpEvaluator>;
+
+impl<E> Default for Pool<E> {
+    fn default() -> Self {
+        Pool {
+            idle: Mutex::new(Vec::new()),
+            mode: EngineMode::default(),
+            created: AtomicUsize::new(0),
+            quarantined: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl<E: PoolEngine> Pool<E> {
     /// An empty pool handing out engines in the default
     /// [`EngineMode::SkipScan`].
-    pub fn new() -> EvaluatorPool {
-        EvaluatorPool::default()
+    pub fn new() -> Self {
+        Pool::default()
     }
 
     /// An empty pool whose engines run the given mode.
-    pub fn with_mode(mode: EngineMode) -> EvaluatorPool {
-        EvaluatorPool { mode, ..EvaluatorPool::default() }
+    pub fn with_mode(mode: EngineMode) -> Self {
+        Pool { mode, ..Pool::default() }
     }
 
     /// Checks an engine out: a warm one when available, a fresh one
     /// otherwise. The returned guard checks it back in on drop.
-    pub fn checkout(&self) -> PooledEvaluator<'_> {
+    pub fn checkout(&self) -> Pooled<'_, E> {
         self.checkout_tagged(0)
     }
 
     /// Checks an engine out preferring one last used under generation `tag`
     /// (falling back to any warm engine, then to a fresh one). The guard
     /// remembers the tag and checks the engine back in under it.
-    pub fn checkout_tagged(&self, tag: u64) -> PooledEvaluator<'_> {
+    pub fn checkout_tagged(&self, tag: u64) -> Pooled<'_, E> {
         crate::faults::checkout_fault();
         let engine = {
             let mut idle = lock(&self.idle);
@@ -80,11 +202,13 @@ impl EvaluatorPool {
                 None => idle.pop().map(|(_, e)| e),
             }
         };
-        let engine = engine.unwrap_or_else(|| {
-            self.created.fetch_add(1, Ordering::Relaxed);
-            Evaluator::with_mode(self.mode)
-        });
-        PooledEvaluator { pool: self, engine: Some(engine), tag }
+        let engine = engine.unwrap_or_else(|| self.create());
+        Pooled { pool: self, engine: Some(engine), tag }
+    }
+
+    fn create(&self) -> E {
+        self.created.fetch_add(1, Ordering::Relaxed);
+        E::fresh(self.mode)
     }
 
     /// Number of engines currently checked in.
@@ -98,53 +222,62 @@ impl EvaluatorPool {
         self.created.load(Ordering::Relaxed)
     }
 
-    /// Total engines quarantined (see [`PooledEvaluator::quarantine`]) — each
-    /// was dropped instead of checked back in, and a fresh replacement was
+    /// Total engines quarantined (see [`Pooled::quarantine`]) — each was
+    /// dropped instead of checked back in, and a fresh replacement was
     /// checked in pre-emptively in its place.
     pub fn quarantined(&self) -> usize {
         self.quarantined.load(Ordering::Relaxed)
     }
 
-    /// Governed bytes held by the idle engines (lazy caches plus frozen
-    /// deltas) — what this pool settles into a global
-    /// [`spanners_core::MemoryGovernor`]. Checked-out engines are counted at
-    /// the next settle point, after their batch checks them back in.
+    /// Governed bytes held by the idle engines — what this pool settles into
+    /// a global [`spanners_core::MemoryGovernor`]. Checked-out engines are
+    /// counted at the next settle point, after their batch checks them back
+    /// in.
     pub fn governed_bytes(&self) -> usize {
         lock(&self.idle).iter().map(|(_, e)| e.governed_bytes()).sum()
     }
 
-    /// Sheds every idle engine's governed memory (severity 1 of the global
-    /// shedding ladder; see [`Evaluator::shed_cold_memory`]). Returns the
-    /// number of engines that actually freed bytes.
+    /// Sheds every idle engine's lazy caches and frozen deltas (severity 1
+    /// of the global shedding ladder). Returns the number of engines that
+    /// actually freed bytes.
     pub fn shed_cold(&self) -> u64 {
-        let mut idle = lock(&self.idle);
-        idle.iter_mut().map(|(_, e)| e.shed_cold_memory()).filter(|&freed| freed > 0).count() as u64
+        self.shed_each(E::shed_cold_memory)
+    }
+
+    /// Sheds every idle engine's memo tables (severity 2; only grammar-aware
+    /// engines have any). Returns the number of engines that freed bytes.
+    pub fn shed_memos(&self) -> u64 {
+        self.shed_each(E::shed_memos)
+    }
+
+    fn shed_each(&self, shed: impl Fn(&mut E) -> usize) -> u64 {
+        lock(&self.idle).iter_mut().map(|(_, e)| shed(e)).filter(|&freed| freed > 0).count() as u64
     }
 }
 
-/// Checkout guard of an [`EvaluatorPool`]; derefs to the [`Evaluator`] and
-/// returns it (capacity retained) on drop.
+/// Checkout guard of a [`Pool`]; derefs to the engine and returns it
+/// (capacity retained) on drop.
 #[derive(Debug)]
-pub struct PooledEvaluator<'p> {
-    pool: &'p EvaluatorPool,
-    engine: Option<Evaluator>,
+pub struct Pooled<'p, E: PoolEngine> {
+    pool: &'p Pool<E>,
+    engine: Option<E>,
     tag: u64,
 }
 
-impl Deref for PooledEvaluator<'_> {
-    type Target = Evaluator;
-    fn deref(&self) -> &Evaluator {
+impl<E: PoolEngine> Deref for Pooled<'_, E> {
+    type Target = E;
+    fn deref(&self) -> &E {
         self.engine.as_ref().expect("engine present until drop")
     }
 }
 
-impl DerefMut for PooledEvaluator<'_> {
-    fn deref_mut(&mut self) -> &mut Evaluator {
+impl<E: PoolEngine> DerefMut for Pooled<'_, E> {
+    fn deref_mut(&mut self) -> &mut E {
         self.engine.as_mut().expect("engine present until drop")
     }
 }
 
-impl PooledEvaluator<'_> {
+impl<E: PoolEngine> Pooled<'_, E> {
     /// Consumes the guard **without** checking the engine back in: the
     /// engine is dropped and the pool's quarantine counter bumped. Used by
     /// panic containment — an engine whose evaluation unwound mid-document
@@ -156,266 +289,13 @@ impl PooledEvaluator<'_> {
     pub fn quarantine(mut self) {
         if self.engine.take().is_some() {
             self.pool.quarantined.fetch_add(1, Ordering::Relaxed);
-            self.pool.created.fetch_add(1, Ordering::Relaxed);
-            lock(&self.pool.idle).push((self.tag, Evaluator::with_mode(self.pool.mode)));
+            let fresh = self.pool.create();
+            lock(&self.pool.idle).push((self.tag, fresh));
         }
     }
 }
 
-impl Drop for PooledEvaluator<'_> {
-    fn drop(&mut self) {
-        if let Some(engine) = self.engine.take() {
-            lock(&self.pool.idle).push((self.tag, engine));
-        }
-    }
-}
-
-/// A pool of warm [`CountCache`]s (Algorithm 3 engines) — the counting
-/// mirror of [`EvaluatorPool`].
-#[derive(Debug)]
-pub struct CountCachePool<C: Counter> {
-    idle: Mutex<Vec<(u64, CountCache<C>)>>,
-    mode: EngineMode,
-    created: AtomicUsize,
-    quarantined: AtomicUsize,
-}
-
-impl<C: Counter> Default for CountCachePool<C> {
-    fn default() -> Self {
-        CountCachePool {
-            idle: Mutex::new(Vec::new()),
-            mode: EngineMode::default(),
-            created: AtomicUsize::new(0),
-            quarantined: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl<C: Counter> CountCachePool<C> {
-    /// An empty pool handing out caches in the default
-    /// [`EngineMode::SkipScan`].
-    pub fn new() -> CountCachePool<C> {
-        CountCachePool::default()
-    }
-
-    /// An empty pool whose caches run the given mode.
-    pub fn with_mode(mode: EngineMode) -> CountCachePool<C> {
-        CountCachePool { mode, ..CountCachePool::default() }
-    }
-
-    /// Checks a cache out: a warm one when available, a fresh one otherwise.
-    /// The returned guard checks it back in on drop.
-    pub fn checkout(&self) -> PooledCountCache<'_, C> {
-        self.checkout_tagged(0)
-    }
-
-    /// Checks a cache out preferring one last used under generation `tag`
-    /// (see [`EvaluatorPool::checkout_tagged`]).
-    pub fn checkout_tagged(&self, tag: u64) -> PooledCountCache<'_, C> {
-        crate::faults::checkout_fault();
-        let engine = {
-            let mut idle = lock(&self.idle);
-            match idle.iter().rposition(|&(t, _)| t == tag) {
-                Some(i) => Some(idle.swap_remove(i).1),
-                None => idle.pop().map(|(_, e)| e),
-            }
-        };
-        let engine = engine.unwrap_or_else(|| {
-            self.created.fetch_add(1, Ordering::Relaxed);
-            CountCache::with_mode(self.mode)
-        });
-        PooledCountCache { pool: self, engine: Some(engine), tag }
-    }
-
-    /// Number of caches currently checked in.
-    pub fn idle(&self) -> usize {
-        lock(&self.idle).len()
-    }
-
-    /// Total caches ever created (see [`EvaluatorPool::engines_created`]).
-    pub fn engines_created(&self) -> usize {
-        self.created.load(Ordering::Relaxed)
-    }
-
-    /// Total caches quarantined (see [`EvaluatorPool::quarantined`]).
-    pub fn quarantined(&self) -> usize {
-        self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Governed bytes held by the idle caches (see
-    /// [`EvaluatorPool::governed_bytes`]).
-    pub fn governed_bytes(&self) -> usize {
-        lock(&self.idle).iter().map(|(_, e)| e.governed_bytes()).sum()
-    }
-
-    /// Sheds every idle cache's governed memory (see
-    /// [`EvaluatorPool::shed_cold`]); returns how many freed bytes.
-    pub fn shed_cold(&self) -> u64 {
-        let mut idle = lock(&self.idle);
-        idle.iter_mut().map(|(_, e)| e.shed_cold_memory()).filter(|&freed| freed > 0).count() as u64
-    }
-}
-
-/// Checkout guard of a [`CountCachePool`]; derefs to the [`CountCache`] and
-/// returns it (capacity retained) on drop.
-#[derive(Debug)]
-pub struct PooledCountCache<'p, C: Counter> {
-    pool: &'p CountCachePool<C>,
-    engine: Option<CountCache<C>>,
-    tag: u64,
-}
-
-impl<C: Counter> Deref for PooledCountCache<'_, C> {
-    type Target = CountCache<C>;
-    fn deref(&self) -> &CountCache<C> {
-        self.engine.as_ref().expect("engine present until drop")
-    }
-}
-
-impl<C: Counter> DerefMut for PooledCountCache<'_, C> {
-    fn deref_mut(&mut self) -> &mut CountCache<C> {
-        self.engine.as_mut().expect("engine present until drop")
-    }
-}
-
-impl<C: Counter> PooledCountCache<'_, C> {
-    /// Consumes the guard **without** checking the cache back in, checking a
-    /// fresh replacement in pre-emptively (see
-    /// [`PooledEvaluator::quarantine`]).
-    pub fn quarantine(mut self) {
-        if self.engine.take().is_some() {
-            self.pool.quarantined.fetch_add(1, Ordering::Relaxed);
-            self.pool.created.fetch_add(1, Ordering::Relaxed);
-            lock(&self.pool.idle).push((self.tag, CountCache::with_mode(self.pool.mode)));
-        }
-    }
-}
-
-impl<C: Counter> Drop for PooledCountCache<'_, C> {
-    fn drop(&mut self) {
-        if let Some(engine) = self.engine.take() {
-            lock(&self.pool.idle).push((self.tag, engine));
-        }
-    }
-}
-
-/// A pool of warm [`SlpEvaluator`]s (grammar-aware engines) — the
-/// compressed-corpus mirror of [`CountCachePool`]. Checked-in evaluators
-/// keep their `(symbol, state)` memo tables alongside their lazy caches and
-/// frozen deltas, so a batch over one shared rule set composes most
-/// documents from already-memoized rows.
-#[derive(Debug, Default)]
-pub struct SlpEvaluatorPool {
-    idle: Mutex<Vec<(u64, SlpEvaluator)>>,
-    created: AtomicUsize,
-    quarantined: AtomicUsize,
-}
-
-impl SlpEvaluatorPool {
-    /// An empty pool. Grammar composition has no per-byte inner loop, so
-    /// there is no engine-mode knob to configure.
-    pub fn new() -> SlpEvaluatorPool {
-        SlpEvaluatorPool::default()
-    }
-
-    /// Checks an evaluator out: a warm one when available, a fresh one
-    /// otherwise. The returned guard checks it back in on drop.
-    pub fn checkout(&self) -> PooledSlpEvaluator<'_> {
-        self.checkout_tagged(0)
-    }
-
-    /// Checks an evaluator out preferring one last used under generation
-    /// `tag` (see [`EvaluatorPool::checkout_tagged`]).
-    pub fn checkout_tagged(&self, tag: u64) -> PooledSlpEvaluator<'_> {
-        crate::faults::checkout_fault();
-        let engine = {
-            let mut idle = lock(&self.idle);
-            match idle.iter().rposition(|&(t, _)| t == tag) {
-                Some(i) => Some(idle.swap_remove(i).1),
-                None => idle.pop().map(|(_, e)| e),
-            }
-        };
-        let engine = engine.unwrap_or_else(|| {
-            self.created.fetch_add(1, Ordering::Relaxed);
-            SlpEvaluator::new()
-        });
-        PooledSlpEvaluator { pool: self, engine: Some(engine), tag }
-    }
-
-    /// Number of evaluators currently checked in.
-    pub fn idle(&self) -> usize {
-        lock(&self.idle).len()
-    }
-
-    /// Total evaluators ever created (see
-    /// [`EvaluatorPool::engines_created`]).
-    pub fn engines_created(&self) -> usize {
-        self.created.load(Ordering::Relaxed)
-    }
-
-    /// Total evaluators quarantined (see [`EvaluatorPool::quarantined`]).
-    pub fn quarantined(&self) -> usize {
-        self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Governed bytes held by the idle evaluators — memo tables, lazy
-    /// caches and frozen deltas (see [`EvaluatorPool::governed_bytes`]).
-    pub fn governed_bytes(&self) -> usize {
-        lock(&self.idle).iter().map(|(_, e)| e.governed_bytes()).sum()
-    }
-
-    /// Sheds every idle evaluator's determinization-side memory (severity 1;
-    /// see [`EvaluatorPool::shed_cold`]); returns how many freed bytes.
-    pub fn shed_cold(&self) -> u64 {
-        let mut idle = lock(&self.idle);
-        idle.iter_mut().map(|(_, e)| e.shed_cold_memory()).filter(|&freed| freed > 0).count() as u64
-    }
-
-    /// Sheds every idle evaluator's SLP memo tables (severity 2 of the
-    /// global shedding ladder; see [`SlpEvaluator::shed_memos`]); returns
-    /// how many freed bytes.
-    pub fn shed_memos(&self) -> u64 {
-        let mut idle = lock(&self.idle);
-        idle.iter_mut().map(|(_, e)| e.shed_memos()).filter(|&freed| freed > 0).count() as u64
-    }
-}
-
-/// Checkout guard of an [`SlpEvaluatorPool`]; derefs to the [`SlpEvaluator`]
-/// and returns it (capacity retained) on drop.
-#[derive(Debug)]
-pub struct PooledSlpEvaluator<'p> {
-    pool: &'p SlpEvaluatorPool,
-    engine: Option<SlpEvaluator>,
-    tag: u64,
-}
-
-impl Deref for PooledSlpEvaluator<'_> {
-    type Target = SlpEvaluator;
-    fn deref(&self) -> &SlpEvaluator {
-        self.engine.as_ref().expect("engine present until drop")
-    }
-}
-
-impl DerefMut for PooledSlpEvaluator<'_> {
-    fn deref_mut(&mut self) -> &mut SlpEvaluator {
-        self.engine.as_mut().expect("engine present until drop")
-    }
-}
-
-impl PooledSlpEvaluator<'_> {
-    /// Consumes the guard **without** checking the evaluator back in,
-    /// checking a fresh replacement in pre-emptively (see
-    /// [`PooledEvaluator::quarantine`]).
-    pub fn quarantine(mut self) {
-        if self.engine.take().is_some() {
-            self.pool.quarantined.fetch_add(1, Ordering::Relaxed);
-            self.pool.created.fetch_add(1, Ordering::Relaxed);
-            lock(&self.pool.idle).push((self.tag, SlpEvaluator::new()));
-        }
-    }
-}
-
-impl Drop for PooledSlpEvaluator<'_> {
+impl<E: PoolEngine> Drop for Pooled<'_, E> {
     fn drop(&mut self) {
         if let Some(engine) = self.engine.take() {
             lock(&self.pool.idle).push((self.tag, engine));
@@ -426,10 +306,52 @@ impl Drop for PooledSlpEvaluator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spanners_core::{
+        ByteClass, CompiledSpanner, Document, EnginePolicy, EvaBuilder, MarkerSet, Slp, VarRegistry,
+    };
 
-    #[test]
-    fn checkout_reuses_warm_engines() {
-        let pool = EvaluatorPool::new();
+    /// Runs one document through an engine against a lazy spanner, so the
+    /// engine holds governed memory afterwards.
+    trait RunLazy: PoolEngine {
+        fn run_lazy(&mut self, spanner: &CompiledSpanner, text: &[u8]);
+    }
+
+    impl RunLazy for Evaluator {
+        fn run_lazy(&mut self, spanner: &CompiledSpanner, text: &[u8]) {
+            spanner.evaluate_with(self, &Document::new(text.to_vec())).num_nodes();
+        }
+    }
+
+    impl RunLazy for CountCache<u64> {
+        fn run_lazy(&mut self, spanner: &CompiledSpanner, text: &[u8]) {
+            spanner.count_with(self, &Document::new(text.to_vec())).unwrap();
+        }
+    }
+
+    impl RunLazy for SlpEvaluator {
+        fn run_lazy(&mut self, spanner: &CompiledSpanner, text: &[u8]) {
+            spanner.count_slp_with(self, &Slp::literal(text)).unwrap();
+        }
+    }
+
+    /// `Σ* x{a+} Σ*` on the lazy engine.
+    fn lazy_spanner() -> CompiledSpanner {
+        let mut reg = VarRegistry::new();
+        let x = reg.intern("x").unwrap();
+        let mut b = EvaBuilder::new(reg);
+        let q = b.add_states(3);
+        b.set_initial(q[0]);
+        b.set_final(q[2]);
+        b.add_letter(q[0], ByteClass::any(), q[0]);
+        b.add_byte(q[1], b'a', q[1]);
+        b.add_letter(q[2], ByteClass::any(), q[2]);
+        b.add_var(q[0], MarkerSet::new().with_open(x), q[1]).unwrap();
+        b.add_var(q[1], MarkerSet::new().with_close(x), q[2]).unwrap();
+        CompiledSpanner::from_eva_with(&b.build().unwrap(), EnginePolicy::Lazy).unwrap()
+    }
+
+    fn checkout_reuses_warm_engines<E: PoolEngine>() {
+        let pool = Pool::<E>::new();
         assert_eq!(pool.idle(), 0);
         {
             let _a = pool.checkout();
@@ -443,34 +365,8 @@ mod tests {
         assert_eq!(pool.idle(), 1);
     }
 
-    #[test]
-    fn count_pool_mirrors_evaluator_pool() {
-        let pool: CountCachePool<u64> = CountCachePool::new();
-        {
-            let _a = pool.checkout();
-        }
-        assert_eq!(pool.idle(), 1);
-        let _b = pool.checkout();
-        assert_eq!(pool.engines_created(), 1);
-    }
-
-    #[test]
-    fn slp_pool_mirrors_evaluator_pool() {
-        let pool = SlpEvaluatorPool::new();
-        {
-            let _a = pool.checkout();
-        }
-        assert_eq!(pool.idle(), 1);
-        let _b = pool.checkout();
-        assert_eq!(pool.engines_created(), 1);
-        pool.checkout().quarantine();
-        assert_eq!(pool.quarantined(), 1);
-        assert_eq!(pool.idle(), 1, "quarantine must check a fresh replacement in");
-    }
-
-    #[test]
-    fn pool_recovers_from_lock_poisoning() {
-        let pool = EvaluatorPool::new();
+    fn pool_recovers_from_lock_poisoning<E: PoolEngine>() {
+        let pool = Pool::<E>::new();
         // Poison the freelist mutex: panic on another thread while holding it.
         std::thread::scope(|s| {
             let handle = s.spawn(|| {
@@ -490,9 +386,8 @@ mod tests {
         assert_eq!(pool.engines_created(), 1, "warm engine reused across poisoning");
     }
 
-    #[test]
-    fn panic_while_holding_guard_leaves_pool_usable() {
-        let pool = EvaluatorPool::new();
+    fn panic_while_holding_guard_leaves_pool_usable<E: PoolEngine>() {
+        let pool = Pool::<E>::new();
         std::thread::scope(|s| {
             let handle = s.spawn(|| {
                 let _engine = pool.checkout();
@@ -507,13 +402,9 @@ mod tests {
         assert_eq!(pool.engines_created(), 1);
     }
 
-    #[test]
-    fn quarantined_engines_are_replaced_preemptively() {
-        let pool = EvaluatorPool::new();
-        {
-            let engine = pool.checkout();
-            engine.quarantine();
-        }
+    fn quarantined_engines_are_replaced_preemptively<E: PoolEngine>() {
+        let pool = Pool::<E>::new();
+        pool.checkout().quarantine();
         // The poisoned engine is gone, but a fresh replacement is already
         // checked in: the pool never drains toward zero under quarantines.
         assert_eq!(pool.idle(), 1, "quarantine must check a fresh replacement in");
@@ -522,22 +413,14 @@ mod tests {
         // The next checkout reuses the replacement — no further creation.
         let _fresh = pool.checkout();
         assert_eq!(pool.engines_created(), 2);
-
-        let count_pool: CountCachePool<u64> = CountCachePool::new();
-        count_pool.checkout().quarantine();
-        assert_eq!(count_pool.idle(), 1);
-        assert_eq!(count_pool.quarantined(), 1);
-        let _fresh = count_pool.checkout();
-        assert_eq!(count_pool.engines_created(), 2);
     }
 
-    #[test]
-    fn sustained_quarantines_keep_the_pool_stocked_and_creation_bounded() {
+    fn sustained_quarantines_keep_the_pool_stocked_and_creation_bounded<E: PoolEngine>() {
         // The replenishment invariant of the streaming runtime: a pool
         // hammered by panics (every other document quarantining its engine)
         // must never be found empty by the next checkout, and engines_created
         // must stay exactly quarantined + peak concurrency.
-        let pool = EvaluatorPool::new();
+        let pool = Pool::<E>::new();
         for i in 0..100 {
             let engine = pool.checkout();
             // Live engines (created minus quarantined) never dip below the
@@ -557,9 +440,8 @@ mod tests {
         assert_eq!(pool.idle(), 1, "exactly one live engine remains at quiescence");
     }
 
-    #[test]
-    fn tagged_checkout_prefers_matching_generation() {
-        let pool = EvaluatorPool::new();
+    fn tagged_checkout_prefers_matching_generation<E: PoolEngine>() {
+        let pool = Pool::<E>::new();
         // Seed two engines under generations 1 and 2.
         {
             let _g1 = pool.checkout_tagged(1);
@@ -571,6 +453,7 @@ mod tests {
         {
             let _e = pool.checkout_tagged(2);
             assert_eq!(pool.engines_created(), 2, "matching engine must be reused");
+            assert_eq!(lock(&pool.idle)[0].0, 1, "generation-1 engine left idle");
         }
         // A checkout for an unseen generation falls back to any warm engine
         // rather than creating a cold one.
@@ -578,13 +461,24 @@ mod tests {
         assert_eq!(pool.engines_created(), 2, "fallback must reuse a warm engine");
     }
 
-    #[test]
-    fn pools_are_shareable_across_threads() {
-        fn shared<T: Send + Sync>() {}
-        shared::<EvaluatorPool>();
-        shared::<CountCachePool<u64>>();
-        shared::<SlpEvaluatorPool>();
-        let pool = EvaluatorPool::new();
+    fn pool_governs_memory_of_lazy_runs<E: RunLazy>() {
+        let spanner = lazy_spanner();
+        let pool = Pool::<E>::new();
+        pool.checkout().run_lazy(&spanner, b"xaay aaa z");
+        assert!(pool.governed_bytes() > 0, "a lazy run leaves governed memory");
+        assert_eq!(pool.shed_cold(), 1, "the idle engine sheds its lazy cache");
+        pool.shed_memos();
+        assert_eq!(pool.governed_bytes(), 0, "nothing governed is left after shedding");
+        // Shedding never breaks the engine: it rebuilds on the next run.
+        pool.checkout().run_lazy(&spanner, b"aa");
+        assert_eq!(pool.engines_created(), 1);
+    }
+
+    fn pools_are_shareable_across_threads<E: PoolEngine>()
+    where
+        Pool<E>: Sync,
+    {
+        let pool = Pool::<E>::new();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -597,5 +491,62 @@ mod tests {
         // Contention bound: never more engines than peak concurrent checkouts.
         assert!(pool.engines_created() <= 4, "created {}", pool.engines_created());
         assert_eq!(pool.idle(), pool.engines_created());
+    }
+
+    /// Instantiates every pool test for one engine type.
+    macro_rules! pool_tests {
+        ($($module:ident: $engine:ty,)*) => {$(
+            mod $module {
+                use super::*;
+
+                #[test]
+                fn checkout_reuses_warm_engines() {
+                    super::checkout_reuses_warm_engines::<$engine>();
+                }
+
+                #[test]
+                fn pool_recovers_from_lock_poisoning() {
+                    super::pool_recovers_from_lock_poisoning::<$engine>();
+                }
+
+                #[test]
+                fn panic_while_holding_guard_leaves_pool_usable() {
+                    super::panic_while_holding_guard_leaves_pool_usable::<$engine>();
+                }
+
+                #[test]
+                fn quarantined_engines_are_replaced_preemptively() {
+                    super::quarantined_engines_are_replaced_preemptively::<$engine>();
+                }
+
+                #[test]
+                fn sustained_quarantines_keep_the_pool_stocked_and_creation_bounded() {
+                    super::sustained_quarantines_keep_the_pool_stocked_and_creation_bounded::<
+                        $engine,
+                    >();
+                }
+
+                #[test]
+                fn tagged_checkout_prefers_matching_generation() {
+                    super::tagged_checkout_prefers_matching_generation::<$engine>();
+                }
+
+                #[test]
+                fn pool_governs_memory_of_lazy_runs() {
+                    super::pool_governs_memory_of_lazy_runs::<$engine>();
+                }
+
+                #[test]
+                fn pools_are_shareable_across_threads() {
+                    super::pools_are_shareable_across_threads::<$engine>();
+                }
+            }
+        )*};
+    }
+
+    pool_tests! {
+        evaluator: Evaluator,
+        count_cache: CountCache<u64>,
+        slp_evaluator: SlpEvaluator,
     }
 }

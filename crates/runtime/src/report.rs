@@ -23,12 +23,14 @@ use spanners_core::SpannerError;
 /// retries; the hard deadline and step budget still apply):
 ///
 /// 1. a one-off enlarged determinization-cache budget
-///    (`budget_boost ×` the automaton's configured budget; lazy spanners
-///    only — this is the rung that rescues eviction thrash);
+///    (`budget_boost ×` the automaton's configured budget, and of the memo
+///    budget for grammar-aware engines; lazy spanners only — this is the
+///    rung that rescues eviction thrash);
 /// 2. [`spanners_core::EngineMode::PerByte`] — the simplest, most
-///    predictable engine loop;
-/// 3. the eager automaton, when the spanner has one — no cache to thrash at
-///    all.
+///    predictable engine loop (engines with a byte loop only).
+///
+/// A compiled spanner runs either the eager or the lazy engine, never both,
+/// so there is no eager-automaton rung.
 ///
 /// Hard-deadline expiries, step-budget exhaustion, panics and counter
 /// overflows are **not** retried: re-running them buys nothing.
@@ -216,6 +218,18 @@ impl<T> BatchReport<T> {
     /// Consumes the report, yielding the per-document outcomes.
     pub fn into_results(self) -> Vec<Result<T, SpannerError>> {
         self.results
+    }
+
+    /// The per-document values for the abort-on-failure entry points:
+    /// panics on the lowest-index failing document, naming the `api` and
+    /// the `hint` to a fault-tolerant alternative.
+    pub(crate) fn expect_all(self, api: &str, hint: &str) -> Vec<T> {
+        let results = self.results.into_iter().enumerate();
+        results
+            .map(|(i, r)| {
+                r.unwrap_or_else(|e| panic!("document {i} failed in {api} ({hint}): {e}"))
+            })
+            .collect()
     }
 }
 

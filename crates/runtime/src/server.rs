@@ -4,9 +4,10 @@
 //! compiled spanner against arriving batches of documents, keeping all of it
 //! warm across calls:
 //!
-//! * the engine pools ([`EvaluatorPool`], [`CountCachePool`]) — per-worker
-//!   arenas retain capacity from batch to batch, so a steady-state server
-//!   performs no allocation in the hot path;
+//! * an [`EvaluatorPool`] and a `u64` [`CountCachePool`] (the Algorithm 1
+//!   and Algorithm 3 instances of the one engine [`crate::Pool`]) —
+//!   per-worker arenas retain capacity from batch to batch, so a
+//!   steady-state server performs no allocation in the hot path;
 //! * the shared frozen determinization snapshot of a lazy-backed spanner,
 //!   built once (from the first batch's leading documents, or explicitly via
 //!   [`SpannerServer::warm`]) and then shared read-only by every worker via
@@ -17,7 +18,7 @@
 //! any number of request-handling threads — batches from concurrent callers
 //! simply share the pools.
 
-use crate::batch::{BatchOptions, BatchPlan, WARM_SAMPLE_DOCS};
+use crate::batch::{BatchOptions, BatchPlan, EVALUATE_HINT, IS_MATCH_HINT, WARM_SAMPLE_DOCS};
 use crate::pool::{CountCachePool, EvaluatorPool};
 use crate::report::BatchReport;
 use spanners_core::{CompiledSpanner, Counter, DagView, Document, FrozenCache, SpannerError};
@@ -133,18 +134,7 @@ impl SpannerServer {
     {
         self.plan(docs)
             .evaluate_report(&self.eval_pool, docs, &self.opts, &f)
-            .into_results()
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.unwrap_or_else(|e| {
-                    panic!(
-                        "document {i} failed in evaluate_batch \
-                         (use evaluate_batch_report for per-document errors): {e}"
-                    )
-                })
-            })
-            .collect()
+            .expect_all("evaluate_batch", EVALUATE_HINT)
     }
 
     /// Counts `|⟦A⟧(d)|` for every document of the batch (Algorithm 3), in
@@ -177,23 +167,12 @@ impl SpannerServer {
     pub fn is_match_batch(&self, docs: &[Document]) -> Vec<bool> {
         self.plan(docs)
             .is_match_report(&self.eval_pool, docs, &self.opts)
-            .into_results()
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.unwrap_or_else(|e| {
-                    panic!(
-                        "document {i} failed in is_match_batch \
-                         (configure limits via the report APIs): {e}"
-                    )
-                })
-            })
-            .collect()
+            .expect_all("is_match_batch", IS_MATCH_HINT)
     }
 
     /// Fault-tolerant batch evaluation: one `Result` per document, worker
     /// panics contained (engines quarantined, see
-    /// [`crate::EvaluatorPool::quarantined`]), recoverable limit trips
+    /// [`crate::Pool::quarantined`]), recoverable limit trips
     /// retried per the server's [`BatchOptions::degrade`] policy. Fails only
     /// on invalid options. See
     /// [`crate::BatchSpanner::evaluate_batch_report`].

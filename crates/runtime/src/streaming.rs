@@ -469,7 +469,7 @@ pub struct StreamingStats {
     pub generation: u64,
     /// Engines created / quarantined by the serving pool.
     pub engines_created: usize,
-    /// See [`crate::EvaluatorPool::quarantined`].
+    /// See [`crate::Pool::quarantined`].
     pub engines_quarantined: usize,
 }
 

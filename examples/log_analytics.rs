@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "preprocessing in {:?}; {} (ip, status) pairs",
         eval_start.elapsed(),
-        dag.count_paths()
+        dag.count_paths().unwrap()
     );
 
     // Aggregate: status histogram of the extracted pairs (streaming, no

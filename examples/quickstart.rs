@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "preprocessing: {} DAG nodes, {} list cells, {} outputs",
         dag.num_nodes(),
         dag.num_cells(),
-        dag.count_paths()
+        dag.count_paths().unwrap()
     );
 
     // Phase 2 (Algorithm 2): constant-delay enumeration of the output mappings.

@@ -265,7 +265,8 @@ fn concurrent_server_callers_share_pools_safely() {
                 for _ in 0..5 {
                     assert_eq!(server.count_batch(&docs).unwrap(), expected);
                     assert!(server
-                        .evaluate_batch(&docs, |i, dag| dag.count_paths() == expected[i] as u128)
+                        .evaluate_batch(&docs, |i, dag| dag.count_paths().unwrap()
+                            == expected[i] as u128)
                         .iter()
                         .all(|&ok| ok));
                 }

@@ -92,8 +92,10 @@ fn class_run_engine_matches_per_byte_engine() {
             // Enumeration order must match exactly, not just as sets.
             let fast_mappings =
                 fast.eval(spanner.try_automaton().expect("eager engine"), doc).collect_mappings();
-            let fast_paths =
-                fast.eval(spanner.try_automaton().expect("eager engine"), doc).count_paths();
+            let fast_paths = fast
+                .eval(spanner.try_automaton().expect("eager engine"), doc)
+                .count_paths()
+                .unwrap();
             let slow_view = slow.eval(spanner.try_automaton().expect("eager engine"), doc);
             assert_eq!(
                 fast_mappings,
@@ -101,7 +103,7 @@ fn class_run_engine_matches_per_byte_engine() {
                 "mappings/order diverged, pattern {pattern}, |d| = {}",
                 doc.len()
             );
-            assert_eq!(fast_paths, slow_view.count_paths(), "paths, pattern {pattern}");
+            assert_eq!(fast_paths, slow_view.count_paths().unwrap(), "paths, pattern {pattern}");
             // Counting engines agree with each other and with the DAG.
             let nf =
                 fast_counts.count(spanner.try_automaton().expect("eager engine"), doc).unwrap();
@@ -259,15 +261,22 @@ fn lazy_class_run_engine_matches_per_byte_and_eager() {
     let mut eager_eval = Evaluator::new();
     let mut cold_counts = CountCache::<u128>::new();
     for doc in adversarial_docs() {
-        let expected_paths =
-            eager_eval.eval(eager.try_automaton().expect("eager engine"), &doc).count_paths();
+        let expected_paths = eager_eval
+            .eval(eager.try_automaton().expect("eager engine"), &doc)
+            .count_paths()
+            .unwrap();
         // Fresh evaluators per document: the skip metadata for every class
         // run is populated lazily *during* this very evaluation.
         let cold = Evaluator::with_mode(EngineMode::ClassRuns).eval_lazy_owned(&lazy, &doc);
         let cold_bytes = Evaluator::with_mode(EngineMode::PerByte).eval_lazy_owned(&lazy, &doc);
-        assert_eq!(cold.count_paths(), expected_paths, "cold class-runs paths, |d|={}", doc.len());
         assert_eq!(
-            cold_bytes.count_paths(),
+            cold.count_paths().unwrap(),
+            expected_paths,
+            "cold class-runs paths, |d|={}",
+            doc.len()
+        );
+        assert_eq!(
+            cold_bytes.count_paths().unwrap(),
             expected_paths,
             "cold per-byte paths, |d|={}",
             doc.len()
@@ -316,7 +325,7 @@ fn lazy_run_skipping_is_stable_once_warm() {
         .iter()
         .map(|doc| {
             let view = evaluator.eval_lazy(&lazy, doc);
-            let paths = view.count_paths();
+            let paths = view.count_paths().unwrap();
             let mappings = if paths < 200_000 { view.collect_mappings() } else { Vec::new() };
             (view.num_nodes(), view.num_cells(), paths, mappings)
         })
@@ -325,7 +334,7 @@ fn lazy_run_skipping_is_stable_once_warm() {
         let view = evaluator.eval_lazy(&lazy, doc);
         assert_eq!(view.num_nodes(), *nodes, "node count drifted, |d| = {}", doc.len());
         assert_eq!(view.num_cells(), *cells, "cell count drifted, |d| = {}", doc.len());
-        assert_eq!(view.count_paths(), *paths, "path count drifted, |d| = {}", doc.len());
+        assert_eq!(view.count_paths().unwrap(), *paths, "path count drifted, |d| = {}", doc.len());
         if *paths < 200_000 {
             assert_eq!(&view.collect_mappings(), mappings, "output drifted, |d| = {}", doc.len());
         }
@@ -343,11 +352,16 @@ fn lazy_run_skipping_survives_mid_run_eviction() {
     let mut thrash = Evaluator::with_mode(EngineMode::ClassRuns);
     for doc in adversarial_docs() {
         let eager_view = eager_eval.eval(eager.try_automaton().expect("eager engine"), &doc);
-        let paths = eager_view.count_paths();
+        let paths = eager_view.count_paths().unwrap();
         let expected =
             if paths < 200_000 { sorted(eager_view.collect_mappings()) } else { Vec::new() };
         let view = thrash.eval_lazy(&strict, &doc);
-        assert_eq!(view.count_paths(), paths, "thrashing paths diverged, |d| = {}", doc.len());
+        assert_eq!(
+            view.count_paths().unwrap(),
+            paths,
+            "thrashing paths diverged, |d| = {}",
+            doc.len()
+        );
         if paths < 200_000 {
             let got = sorted(view.collect_mappings());
             assert_eq!(got, expected, "thrashing class-runs diverged, |d| = {}", doc.len());

@@ -124,14 +124,16 @@ fn lazy_matches_eager_across_workload_families() {
                     .eval(eager.try_automaton().expect("eager engine"), doc)
                     .collect_mappings(),
             );
-            let expected_count =
-                eager_eval.eval(eager.try_automaton().expect("eager engine"), doc).count_paths();
+            let expected_count = eager_eval
+                .eval(eager.try_automaton().expect("eager engine"), doc)
+                .count_paths()
+                .unwrap();
 
             let fast = lazy_runs.eval_lazy(&lazy, doc).collect_mappings();
             assert_no_duplicates(&fast, &format!("{pattern} class-runs |d|={}", doc.len()));
             assert_eq!(sorted(fast), expected, "class-runs mappings, {pattern}, |d|={}", doc.len());
             assert_eq!(
-                lazy_runs.eval_lazy(&lazy, doc).count_paths(),
+                lazy_runs.eval_lazy(&lazy, doc).count_paths().unwrap(),
                 expected_count,
                 "class-runs paths, {pattern}"
             );
@@ -237,8 +239,10 @@ fn tiny_budget_forces_mid_document_eviction_without_divergence() {
                     .eval(eager.try_automaton().expect("eager engine"), doc)
                     .collect_mappings(),
             );
-            let expected_count =
-                eager_eval.eval(eager.try_automaton().expect("eager engine"), doc).count_paths();
+            let expected_count = eager_eval
+                .eval(eager.try_automaton().expect("eager engine"), doc)
+                .count_paths()
+                .unwrap();
 
             let got = thrash.eval_lazy(&lazy, doc).collect_mappings();
             assert_no_duplicates(&got, &format!("thrash {pattern} |d|={}", doc.len()));
@@ -316,7 +320,7 @@ fn exponential_blowup_family_evaluates_lazily_within_budget() {
         let doc = w::random_text(seed, len, b"ab");
         let expected = w::exp_blowup_expected(n, &doc);
         let dag = evaluator.eval_lazy(&lazy, &doc);
-        assert_eq!(dag.count_paths(), expected as u128, "paths at |d| = {len}");
+        assert_eq!(dag.count_paths().unwrap(), expected as u128, "paths at |d| = {len}");
         let mappings = dag.collect_mappings();
         assert_eq!(mappings.len(), expected, "mappings at |d| = {len}");
         assert_no_duplicates(&mappings, "exp family");
@@ -401,14 +405,17 @@ fn facade_serves_lazy_spanners_through_the_standard_entry_points() {
     for seed in 0..4u64 {
         let doc = w::random_text(seed, 500, b"abc");
         let expected = w::exp_blowup_expected(n, &doc);
-        assert_eq!(spanner.evaluate_with(&mut evaluator, &doc).count_paths(), expected as u128);
+        assert_eq!(
+            spanner.evaluate_with(&mut evaluator, &doc).count_paths().unwrap(),
+            expected as u128
+        );
         assert_eq!(spanner.count_with(&mut counter, &doc).unwrap() as usize, expected);
         assert_eq!(spanner.count_u64(&doc).unwrap() as usize, expected);
         assert_eq!(spanner.mappings(&doc).len(), expected);
         assert_eq!(spanner.is_match(&doc), expected > 0);
         assert_eq!(spanner.is_match_with(&mut evaluator, &doc), expected > 0);
         // The owned-DAG path works too.
-        assert_eq!(spanner.evaluate(&doc).count_paths(), expected as u128);
+        assert_eq!(spanner.evaluate(&doc).count_paths().unwrap(), expected as u128);
     }
 
     // `is_match_with` amortizes: the warm evaluator cache serves repeated
@@ -434,7 +441,7 @@ fn facade_serves_lazy_spanners_through_the_standard_entry_points() {
     assert_eq!(strict.count_u64(&doc).unwrap() as usize, w::exp_blowup_expected(n, &doc));
     let mut thrash_eval = Evaluator::new();
     let view = strict.evaluate_with(&mut thrash_eval, &doc);
-    assert_eq!(view.count_paths() as usize, w::exp_blowup_expected(n, &doc));
+    assert_eq!(view.count_paths().unwrap() as usize, w::exp_blowup_expected(n, &doc));
     let cache = thrash_eval.lazy_cache().unwrap();
     assert!(cache.clear_count() > 0, "the façade budget never reached the cache");
 }

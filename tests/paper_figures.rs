@@ -134,7 +134,7 @@ fn figure6_dag_has_the_paper_shape() {
     let dag = spanner.evaluate(&Document::from("ab"));
     assert_eq!(dag.num_nodes(), 9);
     assert_eq!(dag.num_roots(), 1);
-    assert_eq!(dag.count_paths(), 3);
+    assert_eq!(dag.count_paths().unwrap(), 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -80,9 +80,9 @@ fn assert_eager_modes_identical(spanner: &CompiledSpanner, doc: &Document, ctx: 
     let mut scan = Evaluator::with_mode(EngineMode::SkipScan);
     let mut runs = Evaluator::with_mode(EngineMode::ClassRuns);
     let mut bytes = Evaluator::with_mode(EngineMode::PerByte);
-    let paths = scan.eval(aut, doc).count_paths();
-    assert_eq!(runs.eval(aut, doc).count_paths(), paths, "paths vs class-runs, {ctx}");
-    assert_eq!(bytes.eval(aut, doc).count_paths(), paths, "paths vs per-byte, {ctx}");
+    let paths = scan.eval(aut, doc).count_paths().unwrap();
+    assert_eq!(runs.eval(aut, doc).count_paths().unwrap(), paths, "paths vs class-runs, {ctx}");
+    assert_eq!(bytes.eval(aut, doc).count_paths().unwrap(), paths, "paths vs per-byte, {ctx}");
     if paths < ENUM_CAP {
         let scanned = scan.eval(aut, doc).collect_mappings();
         assert_eq!(
@@ -175,9 +175,14 @@ fn lazy_skip_scan_matches_class_runs_exactly() {
         let cold_scan = Evaluator::with_mode(EngineMode::SkipScan).eval_lazy_owned(&lazy, doc);
         let cold_runs = Evaluator::with_mode(EngineMode::ClassRuns).eval_lazy_owned(&lazy, doc);
         let cold_bytes = Evaluator::with_mode(EngineMode::PerByte).eval_lazy_owned(&lazy, doc);
-        let paths = cold_scan.count_paths();
-        assert_eq!(cold_runs.count_paths(), paths, "cold paths, |d| = {}", doc.len());
-        assert_eq!(cold_bytes.count_paths(), paths, "cold per-byte paths, |d| = {}", doc.len());
+        let paths = cold_scan.count_paths().unwrap();
+        assert_eq!(cold_runs.count_paths().unwrap(), paths, "cold paths, |d| = {}", doc.len());
+        assert_eq!(
+            cold_bytes.count_paths().unwrap(),
+            paths,
+            "cold per-byte paths, |d| = {}",
+            doc.len()
+        );
         if paths < ENUM_CAP {
             let scanned = cold_scan.collect_mappings();
             assert_eq!(
@@ -207,8 +212,8 @@ fn lazy_skip_scan_matches_class_runs_exactly() {
         let _ = warm_bytes.eval_lazy(&lazy, doc).num_nodes();
     }
     for doc in &docs {
-        let paths = warm_scan.eval_lazy(&lazy, doc).count_paths();
-        assert_eq!(warm_runs.eval_lazy(&lazy, doc).count_paths(), paths, "warm paths");
+        let paths = warm_scan.eval_lazy(&lazy, doc).count_paths().unwrap();
+        assert_eq!(warm_runs.eval_lazy(&lazy, doc).count_paths().unwrap(), paths, "warm paths");
         if paths < ENUM_CAP {
             let scanned = warm_scan.eval_lazy(&lazy, doc).collect_mappings();
             assert_eq!(
@@ -252,11 +257,11 @@ fn skip_scan_survives_mid_document_eviction() {
     docs.extend(chunk_boundary_docs());
     for doc in &docs {
         let eager_view = eager_eval.eval(eager.try_automaton().expect("eager engine"), doc);
-        let paths = eager_view.count_paths();
+        let paths = eager_view.count_paths().unwrap();
         let expected =
             if paths < ENUM_CAP { sorted(eager_view.collect_mappings()) } else { Vec::new() };
         let view = thrash.eval_lazy(&strict, doc);
-        assert_eq!(view.count_paths(), paths, "thrashing paths, |d| = {}", doc.len());
+        assert_eq!(view.count_paths().unwrap(), paths, "thrashing paths, |d| = {}", doc.len());
         if paths < ENUM_CAP {
             assert_eq!(
                 sorted(view.collect_mappings()),
@@ -319,9 +324,9 @@ fn frozen_skip_scan_matches_live_and_class_runs() {
     let mut docs = density_sweep_docs();
     docs.extend(chunk_boundary_docs());
     for doc in &docs {
-        let paths = live.eval_lazy(lazy, doc).count_paths();
+        let paths = live.eval_lazy(lazy, doc).count_paths().unwrap();
         let frozen_view = frozen_scan.eval_frozen(lazy, &frozen, doc);
-        assert_eq!(frozen_view.count_paths(), paths, "frozen paths, |d| = {}", doc.len());
+        assert_eq!(frozen_view.count_paths().unwrap(), paths, "frozen paths, |d| = {}", doc.len());
         if paths < ENUM_CAP {
             let scanned = frozen_view.collect_mappings();
             assert_eq!(

@@ -47,7 +47,7 @@ fn sparse_engine_matches_baselines_on_workload_families() {
         for doc in &docs {
             let reused = evaluator.eval(spanner.try_automaton().expect("eager engine"), doc);
             let reused_mappings = reused.collect_mappings();
-            let reused_paths = reused.count_paths();
+            let reused_paths = reused.count_paths().unwrap();
 
             let fresh = EnumerationDag::build(spanner.try_automaton().expect("eager engine"), doc);
             assert_eq!(
@@ -55,7 +55,7 @@ fn sparse_engine_matches_baselines_on_workload_families() {
                 fresh.collect_mappings(),
                 "evaluator vs one-shot build, pattern {pattern}"
             );
-            assert_eq!(reused_paths, fresh.count_paths(), "pattern {pattern}");
+            assert_eq!(reused_paths, fresh.count_paths().unwrap(), "pattern {pattern}");
 
             let materialized =
                 sorted(materialize_enumerate(spanner.try_automaton().expect("eager engine"), doc));
