@@ -9,7 +9,7 @@
 //! the run counts equal the mapping counts.
 //!
 //! Counting is not a separate engine: [`CountCache`] is the shared
-//! Algorithm 1 [`Driver`] over the [`Counts`] accumulator, so it has the
+//! Algorithm 1 [`Driver`] over a run-count accumulator, so it has the
 //! same entry points, scan loops, lazy/frozen caches, limits and
 //! zero-steady-state-allocation contract as the enumeration engine. Run
 //! skipping leaves counts unchanged for the same reason it leaves the
@@ -20,7 +20,7 @@
 
 use crate::det::DetSeva;
 use crate::document::Document;
-use crate::driver::{Accumulator, Driver, Target};
+use crate::driver::{sealed::Accumulate, Driver, Target};
 use crate::error::SpannerError;
 use crate::lazy::{FrozenCache, LazyDetSeva};
 use crate::markerset::MarkerSet;
@@ -120,13 +120,19 @@ pub fn count_mappings<C: Counter>(aut: &DetSeva, doc: &Document) -> Result<C, Sp
     CountCache::new().count(aut, doc)
 }
 
-/// The Algorithm 3 accumulator of the [`Driver`]: each state carries the
-/// number of partial runs ending in it. Because the automaton is sequential
-/// every partial run encodes a valid partial mapping, and because it is
-/// deterministic different runs encode different mappings, so the final
-/// states' run counts sum to the mapping count.
-#[derive(Debug, Clone)]
-pub struct Counts<C>(PhantomData<C>);
+mod counts {
+    /// The Algorithm 3 accumulator behind the [`super::CountCache`] alias
+    /// (public in visibility only, so the alias can name it): each state
+    /// carries the number of partial runs ending in it. Because the
+    /// automaton is sequential every partial run encodes a valid partial
+    /// mapping, and because it is deterministic different runs encode
+    /// different mappings, so the final states' run counts sum to the
+    /// mapping count.
+    #[derive(Debug, Clone)]
+    pub struct Counts<C>(pub(super) std::marker::PhantomData<C>);
+}
+
+use counts::Counts;
 
 impl<C> Default for Counts<C> {
     fn default() -> Self {
@@ -134,7 +140,7 @@ impl<C> Default for Counts<C> {
     }
 }
 
-impl<C: Counter> Accumulator for Counts<C> {
+impl<C: Counter> Accumulate for Counts<C> {
     type Value = C;
     type Output = C;
 
@@ -178,8 +184,8 @@ impl<C: Counter> Accumulator for Counts<C> {
     }
 }
 
-/// The reusable engine behind Algorithm 3: the [`Driver`] over the
-/// [`Counts`] accumulator.
+/// The reusable engine behind Algorithm 3: the [`Driver`] over the run-count
+/// accumulator.
 ///
 /// A `CountCache` owns the per-state count vectors, the sparse active sets,
 /// and the byte-class buffer of the class-run fast path, all retained across

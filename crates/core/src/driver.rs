@@ -4,11 +4,9 @@
 //! by a count. [`Driver`] is that shared `Evaluate` loop, generic over an
 //! [`Accumulator`] that decides what a state carries:
 //!
-//! * [`DagStore`](crate::enumerate::DagStore) — the list of DAG nodes of
-//!   Algorithm 1, whose finished DAG Algorithm 2 enumerates with constant
-//!   delay ([`crate::Evaluator`]);
-//! * [`Counts`](crate::count::Counts) — the number of partial runs of
-//!   Algorithm 3 ([`crate::CountCache`]).
+//! * the list of DAG nodes of Algorithm 1, whose finished DAG Algorithm 2
+//!   enumerates with constant delay ([`crate::Evaluator`]);
+//! * the number of partial runs of Algorithm 3 ([`crate::CountCache`]).
 //!
 //! The driver owns everything else exactly once: the sparse active-state
 //! sets, the `Capturing`/`Reading` phases, the three scan loops of
@@ -31,52 +29,64 @@ use crate::enumerate::Stage;
 use crate::error::SpannerError;
 use crate::lazy::{FrozenCache, FrozenDelta, FrozenStepper, LazyCache, LazyDetSeva, LazyStepper};
 use crate::limits::{EvalLimits, LimitChecker};
-use crate::markerset::MarkerSet;
 use crate::sparse::SparseSet;
 
-/// What the `Evaluate` loop of Algorithm 1 accumulates per automaton state.
-///
-/// A value stands for the set of partial runs ending in a state. The driver
-/// moves values along transitions; the accumulator says how runs are
-/// extended (`Capturing`) and merged (`Reading`), and what the final states'
-/// values amount to.
-pub trait Accumulator {
-    /// The per-state value: a node list or a run count.
-    type Value: Clone;
-    /// What a finished document yields.
-    type Output;
-    /// The value of a state no run ends in.
-    fn empty() -> Self::Value;
-    /// Starts a document and returns the initial state's value: the list
-    /// `[⊥]`, or one run.
-    fn begin(&mut self) -> Self::Value;
-    /// `Capturing`: adds to `dst` the runs of `src` extended by the variable
-    /// transition `markers` before letter `pos`. `fresh` is set when `dst`
-    /// held no runs.
-    fn capture(
-        &mut self,
-        dst: &mut Self::Value,
-        fresh: bool,
-        src: &Self::Value,
-        markers: MarkerSet,
-        pos: usize,
-    ) -> Result<(), SpannerError>;
-    /// `Reading`: adds the runs of `src` to `dst`. `fresh` is set when `dst`
-    /// held no runs.
-    fn read(
-        &mut self,
-        dst: &mut Self::Value,
-        fresh: bool,
-        src: &Self::Value,
-    ) -> Result<(), SpannerError>;
-    /// Ends a document given the values of the live final states, in
-    /// active-set order.
-    fn finish<'v>(
-        &mut self,
-        finals: impl Iterator<Item = (usize, &'v Self::Value)>,
-    ) -> Result<Self::Output, SpannerError>
-    where
-        Self::Value: 'v;
+/// What the `Evaluate` loop of Algorithm 1 accumulates per automaton state:
+/// the list-DAG of [`crate::Evaluator`] or the run counts of
+/// [`crate::CountCache`]. The trait is sealed — its methods live in a
+/// crate-private supertrait — so the set of driver instances is closed.
+pub trait Accumulator: sealed::Accumulate {}
+
+impl<A: sealed::Accumulate> Accumulator for A {}
+
+pub(crate) mod sealed {
+    use crate::error::SpannerError;
+    use crate::markerset::MarkerSet;
+
+    /// The methods of [`super::Accumulator`].
+    ///
+    /// A value stands for the set of partial runs ending in a state. The
+    /// driver moves values along transitions; the accumulator says how runs
+    /// are extended (`Capturing`) and merged (`Reading`), and what the final
+    /// states' values amount to.
+    pub trait Accumulate: Default {
+        /// The per-state value: a node list or a run count.
+        type Value: Clone;
+        /// What a finished document yields.
+        type Output;
+        /// The value of a state no run ends in.
+        fn empty() -> Self::Value;
+        /// Starts a document and returns the initial state's value: the
+        /// list `[⊥]`, or one run.
+        fn begin(&mut self) -> Self::Value;
+        /// `Capturing`: adds to `dst` the runs of `src` extended by the
+        /// variable transition `markers` before letter `pos`. `fresh` is set
+        /// when `dst` held no runs.
+        fn capture(
+            &mut self,
+            dst: &mut Self::Value,
+            fresh: bool,
+            src: &Self::Value,
+            markers: MarkerSet,
+            pos: usize,
+        ) -> Result<(), SpannerError>;
+        /// `Reading`: adds the runs of `src` to `dst`. `fresh` is set when
+        /// `dst` held no runs.
+        fn read(
+            &mut self,
+            dst: &mut Self::Value,
+            fresh: bool,
+            src: &Self::Value,
+        ) -> Result<(), SpannerError>;
+        /// Ends a document given the values of the live final states, in
+        /// active-set order.
+        fn finish<'v>(
+            &mut self,
+            finals: impl Iterator<Item = (usize, &'v Self::Value)>,
+        ) -> Result<Self::Output, SpannerError>
+        where
+            Self::Value: 'v;
+    }
 }
 
 /// Which inner loop a [`Driver`] runs Algorithm 1 (or Algorithm 3) with.
@@ -146,55 +156,7 @@ pub(crate) enum Target<'a> {
     Frozen(&'a LazyDetSeva, &'a FrozenCache),
 }
 
-/// One pass over a document through any [`Stepper`]: an untraced driver
-/// run, or the output-free acceptance check.
-trait Pass {
-    type Output;
-    fn pass<S: Stepper>(
-        &mut self,
-        aut: &mut S,
-        doc: &Document,
-    ) -> Result<Self::Output, SpannerError>;
-}
-
-impl<A: Accumulator> Pass for Run<A> {
-    type Output = A::Output;
-    fn pass<S: Stepper>(&mut self, aut: &mut S, doc: &Document) -> Result<A::Output, SpannerError> {
-        self.drive(aut, doc, None::<NoTrace<A::Value>>)
-    }
-}
-
-/// The acceptance check under per-document limits
-/// ([`crate::det::try_accepts_generic`]).
-struct Acceptance(EvalLimits);
-
-impl Pass for Acceptance {
-    type Output = bool;
-    fn pass<S: Stepper>(&mut self, aut: &mut S, doc: &Document) -> Result<bool, SpannerError> {
-        try_accepts_generic(aut, doc, &self.0)
-    }
-}
-
 impl CacheSlot {
-    /// Runs `pass` over `doc` through `target`, stepping lazy automata
-    /// through this slot's cache or delta.
-    fn drive<P: Pass>(
-        &mut self,
-        pass: &mut P,
-        target: Target<'_>,
-        doc: &Document,
-    ) -> Result<P::Output, SpannerError> {
-        match target {
-            Target::Eager(det) => pass.pass(&mut &*det, doc),
-            Target::Lazy(aut) => {
-                self.with_lazy(aut, |cache| pass.pass(&mut LazyStepper::new(aut, cache), doc))
-            }
-            Target::Frozen(aut, frozen) => self.with_frozen(aut, frozen, |delta| {
-                pass.pass(&mut FrozenStepper::new(aut, frozen, delta), doc)
-            }),
-        }
-    }
-
     /// Runs `f` with the cache of `aut` — the retained one if it belongs to
     /// `aut`, a fresh one otherwise — bound to `aut` under the effective byte
     /// budget. Binding first makes the budget deterministic per run: a
@@ -301,7 +263,7 @@ pub(crate) struct Run<A: Accumulator> {
     /// Phase-start snapshots of `values` for the active states.
     old: Vec<A::Value>,
     /// States with runs in the current phase. Invariant: every state
-    /// outside it holds [`Accumulator::empty`].
+    /// outside it holds [`sealed::Accumulate::empty`].
     active: SparseSet,
     /// The active set under construction during a `Reading` phase.
     next_active: SparseSet,
@@ -320,7 +282,7 @@ pub(crate) struct Run<A: Accumulator> {
     checker: LimitChecker,
 }
 
-impl<A: Accumulator + Default> Default for Run<A> {
+impl<A: Accumulator> Default for Run<A> {
     fn default() -> Self {
         Run {
             acc: A::default(),
@@ -350,7 +312,7 @@ impl<A: Accumulator> std::fmt::Debug for Driver<A> {
     }
 }
 
-impl<A: Accumulator + Default> Driver<A> {
+impl<A: Accumulator> Driver<A> {
     /// A fresh engine with empty buffers, using the default
     /// [`EngineMode::SkipScan`] loop. Buffers grow on first use and are
     /// retained across runs.
@@ -364,9 +326,7 @@ impl<A: Accumulator + Default> Driver<A> {
         driver.run.mode = mode;
         driver
     }
-}
 
-impl<A: Accumulator> Driver<A> {
     /// The engine mode this engine runs.
     pub fn mode(&self) -> EngineMode {
         self.run.mode
@@ -456,13 +416,24 @@ impl<A: Accumulator> Driver<A> {
         self.run.values.capacity()
     }
 
-    /// Runs Algorithm 1 over `doc` through `target`.
+    /// Runs Algorithm 1 over `doc` through `target`, stepping lazy automata
+    /// through this engine's cache slot.
     pub(crate) fn drive(
         &mut self,
         target: Target<'_>,
         doc: &Document,
     ) -> Result<A::Output, SpannerError> {
-        self.slot.drive(&mut self.run, target, doc)
+        let run = &mut self.run;
+        match target {
+            Target::Eager(det) => run.drive(&mut &*det, doc, None::<NoTrace<A::Value>>),
+            Target::Lazy(aut) => self.slot.with_lazy(aut, |cache| {
+                run.drive(&mut LazyStepper::new(aut, cache), doc, None::<NoTrace<A::Value>>)
+            }),
+            Target::Frozen(aut, frozen) => self.slot.with_frozen(aut, frozen, |delta| {
+                let mut stepper = FrozenStepper::new(aut, frozen, delta);
+                run.drive(&mut stepper, doc, None::<NoTrace<A::Value>>)
+            }),
+        }
     }
 
     /// [`Driver::drive`] over an eager automaton with the per-byte loop,
@@ -477,14 +448,24 @@ impl<A: Accumulator> Driver<A> {
     }
 
     /// Whether `target` accepts `doc` under `limits`, through this engine's
-    /// cache slot.
+    /// cache slot. Acceptance runs the bare-set loop of
+    /// [`crate::det::try_accepts_generic`], not the driver: it carries no
+    /// per-state values.
     pub(crate) fn accepts(
         &mut self,
         target: Target<'_>,
         doc: &Document,
         limits: EvalLimits,
     ) -> Result<bool, SpannerError> {
-        self.slot.drive(&mut Acceptance(limits), target, doc)
+        match target {
+            Target::Eager(det) => try_accepts_generic(&mut &*det, doc, &limits),
+            Target::Lazy(aut) => self.slot.with_lazy(aut, |cache| {
+                try_accepts_generic(&mut LazyStepper::new(aut, cache), doc, &limits)
+            }),
+            Target::Frozen(aut, frozen) => self.slot.with_frozen(aut, frozen, |delta| {
+                try_accepts_generic(&mut FrozenStepper::new(aut, frozen, delta), doc, &limits)
+            }),
+        }
     }
 }
 

@@ -14,7 +14,7 @@
 //! The loop itself — sparse active sets, the skip-scan, class-run and
 //! per-byte inner loops of [`crate::EngineMode`], lazy-cache maintenance and
 //! limits — is the shared [`Driver`]; this module supplies its list-DAG
-//! accumulator, [`DagStore`]. The evaluation state lives in a reusable
+//! accumulator, a DAG arena. The evaluation state lives in a reusable
 //! [`Evaluator`], so a long-running service evaluating one compiled spanner
 //! over millions of documents performs **no allocation after warm-up** —
 //! each [`Evaluator::eval`] call recycles the previous document's capacity.
@@ -29,7 +29,7 @@
 
 use crate::det::DetSeva;
 use crate::document::Document;
-use crate::driver::{Accumulator, Driver, Target};
+use crate::driver::{sealed::Accumulate, Driver, Target};
 use crate::error::SpannerError;
 use crate::lazy::{FrozenCache, LazyDetSeva};
 use crate::limits::EvalLimits;
@@ -58,17 +58,42 @@ fn next_arena_id(len: usize, what: &str) -> u32 {
     len as u32
 }
 
-/// A singly linked list of DAG nodes, represented as the `(start, end)` pair of
-/// pointers described in the paper. Cheap to copy (`lazycopy` is a bitwise copy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ListRef {
-    head: CellId,
-    tail: CellId,
-    /// Empty lists are encoded by `len == 0`; `head`/`tail` are then
-    /// meaningless. Saturates at `u32::MAX` — it is a hint for diagnostics
-    /// (`StageTrace`), not load-bearing state.
-    len_hint: u32,
+/// The list-DAG accumulator behind the [`Evaluator`] alias. Public in
+/// visibility only, so the alias can name it; outside the crate it is
+/// reachable only as that alias.
+mod arena {
+    use super::{Cell, CellId, Node};
+
+    /// A singly linked list of DAG nodes, represented as the `(start, end)`
+    /// pair of pointers described in the paper. Cheap to copy (`lazycopy` is
+    /// a bitwise copy).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ListRef {
+        pub(super) head: CellId,
+        pub(super) tail: CellId,
+        /// Empty lists are encoded by `len == 0`; `head`/`tail` are then
+        /// meaningless. Saturates at `u32::MAX` — it is a hint for
+        /// diagnostics (`StageTrace`), not load-bearing state.
+        pub(super) len_hint: u32,
+    }
+
+    /// The arena-backed DAG produced by Algorithm 1: nodes, list cells and
+    /// the root lists of the final states. It is the list-DAG accumulator of
+    /// the driver, and is shared by the owned [`super::EnumerationDag`] and
+    /// the borrowed [`super::DagView`] an [`super::Evaluator`] hands out.
+    #[derive(Debug, Clone, Default)]
+    pub struct DagStore {
+        pub(super) nodes: Vec<Node>,
+        pub(super) cells: Vec<Cell>,
+        /// Lists of the final states after the last `Capturing` phase
+        /// (the entry points of Algorithm 2), in increasing state order.
+        pub(super) roots: Vec<ListRef>,
+        /// Scratch for sorting `(final state, list)` pairs into `roots`.
+        pub(super) root_scratch: Vec<(usize, ListRef)>,
+    }
 }
+
+use arena::{DagStore, ListRef};
 
 impl ListRef {
     const EMPTY: ListRef = ListRef { head: 0, tail: 0, len_hint: 0 };
@@ -96,22 +121,7 @@ struct Node {
     list: ListRef,
 }
 
-/// The arena-backed DAG produced by Algorithm 1: nodes, list cells and the
-/// root lists of the final states. It is the list-DAG [`Accumulator`] of the
-/// [`Driver`], and is shared by the owned [`EnumerationDag`] and the
-/// borrowed [`DagView`] an [`Evaluator`] hands out.
-#[derive(Debug, Clone, Default)]
-pub struct DagStore {
-    nodes: Vec<Node>,
-    cells: Vec<Cell>,
-    /// Lists of the final states after the last `Capturing` phase
-    /// (the entry points of Algorithm 2), in increasing state order.
-    roots: Vec<ListRef>,
-    /// Scratch for sorting `(final state, list)` pairs into `roots`.
-    root_scratch: Vec<(usize, ListRef)>,
-}
-
-impl Accumulator for DagStore {
+impl Accumulate for DagStore {
     type Value = ListRef;
     type Output = ();
 

@@ -21,7 +21,7 @@
 //!   [`EnumerationDag`] and as the reusable, allocation-free-after-warm-up
 //!   [`Evaluator`];
 //! * **Algorithm 3**: counting the number of output mappings in `O(|A| × |d|)`
-//!   ([`count`]) — the same [`Driver`] loop as Algorithm 1 ([`driver`], over
+//!   ([`count`]) — the same [`driver::Driver`] loop as Algorithm 1 ([`driver`], over
 //!   a sparse active-state set, [`sparse`]) with each state's list replaced
 //!   by a count;
 //! * a high-level [`CompiledSpanner`] façade tying it all together.
@@ -60,7 +60,7 @@ pub use byteclass::{
 pub use count::{count_mappings, CountCache, Counter};
 pub use det::{DetSeva, Stepper};
 pub use document::Document;
-pub use driver::{Accumulator, Driver, EngineMode};
+pub use driver::EngineMode;
 pub use enumerate::{DagView, EnumerationDag, Evaluator, MappingIter};
 pub use error::{ParseError, Result, SpannerError};
 pub use eva::{Eva, EvaBuilder, EvaRun, StateId};

@@ -29,7 +29,7 @@
 //!
 //! [`SlpEvaluator`] drives the eager [`DetSeva`], the live lazy engine, and
 //! the frozen/delta split of the batch runtime through the same per-worker
-//! cache slot as the byte engines' [`crate::Driver`] (its [`LazyCache`] /
+//! cache slot as the byte engines' [`crate::driver::Driver`] (its [`LazyCache`] /
 //! [`FrozenDelta`]), plus its own memo tables. A warm memo can be
 //! snapshotted into an immutable [`SlpSharedMemo`] and attached to a
 //! [`FrozenCache`] (see [`crate::CompiledSpanner::freeze_warm_slp`]), so N
@@ -438,7 +438,7 @@ impl Workspace {
     /// cache is over budget: live frontier ids are handed to
     /// [`Stepper::maintain`], remapped in place, and the local memo — whose
     /// rows reference pre-eviction ids — is dropped. The grammar-side
-    /// counterpart of the [`crate::Driver`]'s maintenance point: the remap
+    /// counterpart of the [`crate::driver::Driver`]'s maintenance point: the remap
     /// completes even when the thrash guard trips, so the error is
     /// propagated *after* the state is consistent again.
     fn maintain_ids<S: Stepper>(
@@ -1064,7 +1064,7 @@ fn merge_sorted_counts_saturating(row: &mut Vec<(u32, u64)>) {
 /// is warm.
 ///
 /// The evaluator owns the per-worker halves of whichever engine it is driven
-/// against in the [`crate::Driver`]'s cache slot — a [`LazyCache`] for live
+/// against in the [`crate::driver::Driver`]'s cache slot — a [`LazyCache`] for live
 /// lazy automata, a [`FrozenDelta`] for the shared frozen snapshots of the
 /// batch runtime — plus the memo tables and scratch, all retained-capacity
 /// across documents. Counts are `u64` (the batch
@@ -1096,7 +1096,7 @@ impl SlpEvaluator {
 
     /// Overrides the byte budget of the embedded determinization cache /
     /// overflow delta (`None` restores the automaton's configured budget) —
-    /// the degradation-ladder hook, as [`crate::Driver::set_cache_budget_override`].
+    /// the degradation-ladder hook, as [`crate::driver::Driver::set_cache_budget_override`].
     pub fn set_cache_budget_override(&mut self, budget: Option<usize>) {
         self.slot.budget_override = budget;
     }
@@ -1171,7 +1171,7 @@ impl SlpEvaluator {
     }
 
     /// Sheds the determinization-side memory for the global governor
-    /// (severity 1, as [`crate::Driver::shed_cold_memory`]): drops the
+    /// (severity 1, as [`crate::driver::Driver::shed_cold_memory`]): drops the
     /// embedded lazy cache and [`FrozenDelta::shed`]s the overflow delta.
     /// The memo tables are untouched — they are severity 2, see
     /// [`SlpEvaluator::shed_memos`]. Returns the bytes freed.

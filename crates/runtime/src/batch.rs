@@ -36,8 +36,8 @@ use crate::faults;
 use crate::pool::{CountCachePool, EvaluatorPool, Pool, PoolEngine, Pooled, SlpEvaluatorPool};
 use crate::report::{BatchReport, DegradePolicy};
 use spanners_core::{
-    CompiledSpanner, Counter, DagView, Document, EngineMode, EvalLimits, FrozenCache,
-    GovernorHandle, Slp, SpannerError,
+    CompiledSpanner, Counter, DagView, Document, EvalLimits, FrozenCache, GovernorHandle, Slp,
+    SpannerError,
 };
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -437,19 +437,16 @@ impl BatchPlan<'_> {
             |engine: &mut Pooled<'_, E>, i| {
                 let (base_limits, force_eviction) = self.doc_setup(i, opts.limits);
                 let engine = &mut **engine;
-                let original_mode = engine.mode();
                 let interned_before = engine.frozen_delta().map_or(0, |d| d.states_interned());
                 let record =
                     run_attempts(&rungs, base_limits, force_eviction, |rung, limits, evict| {
-                        engine.set_limits(limits);
-                        match rung {
-                            Rung::Normal => engine.set_budget_overrides(None, None),
-                            Rung::BoostBudget => engine.set_budget_overrides(boosted, boosted_memo),
-                            Rung::PerByte => engine.set_mode(EngineMode::PerByte),
-                        }
-                        if evict {
-                            engine.set_budget_overrides(Some(0), Some(0));
-                        }
+                        // The per-byte rung keeps the boost of the rung before it.
+                        let budgets = match rung {
+                            _ if evict => [Some(0); 2],
+                            Rung::Normal => [None; 2],
+                            Rung::BoostBudget | Rung::PerByte => [boosted, boosted_memo],
+                        };
+                        engine.attempt(limits, budgets, rung == Rung::PerByte);
                         run(engine, i)
                     });
                 // Delta-pressure sample: overflow states this document forced
@@ -461,9 +458,7 @@ impl BatchPlan<'_> {
                     delta_bytes.fetch_max(d.memory_bytes(), Ordering::Relaxed);
                 }
                 // The engine goes back to the pool: shed per-document state.
-                engine.set_mode(original_mode);
-                engine.set_budget_overrides(None, None);
-                engine.set_limits(EvalLimits::none());
+                engine.reset(pool.mode());
                 record
             },
             |i, message| {
@@ -629,11 +624,6 @@ pub trait BatchSpanner {
     ) -> Result<BatchReport<u64>, SpannerError>;
 }
 
-/// The panic hint of the abort-on-failure `evaluate_batch` entry points.
-pub(crate) const EVALUATE_HINT: &str = "use evaluate_batch_report for per-document errors";
-/// The panic hint of the abort-on-failure `is_match_batch` entry points.
-pub(crate) const IS_MATCH_HINT: &str = "configure limits via the report APIs";
-
 /// Runs one report on a transient plan and pool: the one-shot form of the
 /// [`BatchSpanner`] entry points.
 fn one_shot<E: PoolEngine, R>(
@@ -653,7 +643,7 @@ impl BatchSpanner for CompiledSpanner {
         one_shot(self, freeze_for_batch(self, docs), |plan, pool| {
             plan.evaluate_report(pool, docs, opts, &f)
         })
-        .expect_all("evaluate_batch", EVALUATE_HINT)
+        .expect_all("evaluate_batch")
     }
 
     fn evaluate_batch_report<R, F>(
@@ -724,13 +714,14 @@ impl BatchSpanner for CompiledSpanner {
         one_shot(self, freeze_for_batch(self, docs), |plan, pool| {
             plan.is_match_report(pool, docs, opts)
         })
-        .expect_all("is_match_batch", IS_MATCH_HINT)
+        .expect_all("is_match_batch")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spanners_core::EnginePolicy;
 
     fn no_panic(i: usize, message: String) -> usize {
         panic!("unexpected containment of job {i}: {message}");
@@ -783,6 +774,40 @@ mod tests {
             }
             assert_eq!(quarantined.load(Ordering::Relaxed), 2, "threads = {threads}");
         }
+    }
+
+    /// `Σ* x{a+} Σ*` on the given engine.
+    fn spanner(policy: EnginePolicy) -> CompiledSpanner {
+        use spanners_core::{ByteClass, EvaBuilder, MarkerSet, VarRegistry};
+        let mut reg = VarRegistry::new();
+        let x = reg.intern("x").unwrap();
+        let mut b = EvaBuilder::new(reg);
+        let q = b.add_states(3);
+        b.set_initial(q[0]);
+        b.set_final(q[2]);
+        b.add_letter(q[0], ByteClass::any(), q[0]);
+        b.add_byte(q[1], b'a', q[1]);
+        b.add_letter(q[2], ByteClass::any(), q[2]);
+        b.add_var(q[0], MarkerSet::new().with_open(x), q[1]).unwrap();
+        b.add_var(q[1], MarkerSet::new().with_close(x), q[2]).unwrap();
+        CompiledSpanner::from_eva_with(&b.build().unwrap(), policy).unwrap()
+    }
+
+    #[test]
+    fn frozen_count_batches_report_delta_pressure() {
+        // The snapshot is warmed on the four leading documents, which never
+        // reach the capture states; the fifth forces one overflow state.
+        let lazy = spanner(EnginePolicy::Lazy);
+        let docs: Vec<Document> =
+            ["bbb", "cc", "b", "cbc", "xaay aaa z"].into_iter().map(Document::from).collect();
+        let opts = BatchOptions::threads(1);
+        let counts = lazy.count_batch_report::<u64>(&docs, &opts).unwrap();
+        assert_eq!(counts.delta_states, 1, "count batches sample delta pressure");
+        assert!(counts.delta_bytes > 0);
+        let evaluated = lazy.evaluate_batch_report(&docs, &opts, |_, dag| dag.num_roots()).unwrap();
+        assert_eq!(counts.delta_states, evaluated.delta_states, "both run the same driver walk");
+        let eager = spanner(EnginePolicy::Eager);
+        assert_eq!(eager.count_batch_report::<u64>(&docs, &opts).unwrap().delta_states, 0);
     }
 
     #[test]

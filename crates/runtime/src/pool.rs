@@ -14,9 +14,8 @@
 //! ([`EvaluatorPool`], [`CountCachePool`]) and the grammar-aware
 //! [`SlpEvaluator`] ([`SlpEvaluatorPool`]).
 
-use spanners_core::{
-    Accumulator, CountCache, Driver, EngineMode, EvalLimits, Evaluator, FrozenDelta, SlpEvaluator,
-};
+use spanners_core::driver::{Accumulator, Driver};
+use spanners_core::{CountCache, EngineMode, EvalLimits, Evaluator, FrozenDelta, SlpEvaluator};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -31,57 +30,64 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// An engine a [`Pool`] hands out and the batch runtime drives through the
-/// degradation ladder: the knobs a retry turns, and the governed memory a
-/// global [`spanners_core::MemoryGovernor`] ledgers and sheds.
-pub trait PoolEngine: Send + Sized {
-    /// Whether the engine scans document bytes, so the ladder's per-byte
-    /// rung applies (grammar composition has no byte loop).
-    const BYTE_LOOP: bool = true;
-    /// A fresh engine running `mode`.
-    fn fresh(mode: EngineMode) -> Self;
-    /// The engine mode it runs.
-    fn mode(&self) -> EngineMode;
-    /// Switches the engine mode.
-    fn set_mode(&mut self, mode: EngineMode);
-    /// Sets the per-document limits.
-    fn set_limits(&mut self, limits: EvalLimits);
-    /// Sets the one-off byte budgets of a ladder rung: the determinization
-    /// cache's and, for engines with memo tables, the memo's (`None`
-    /// restores the configured budgets).
-    fn set_budget_overrides(&mut self, cache: Option<usize>, memo: Option<usize>);
-    /// The frozen-overflow delta, if the engine has run against a snapshot.
-    fn frozen_delta(&self) -> Option<&FrozenDelta>;
-    /// Bytes of governed memory held.
-    fn governed_bytes(&self) -> usize;
-    /// Sheds lazy caches and frozen deltas (governor severity 1); returns
-    /// the bytes freed.
-    fn shed_cold_memory(&mut self) -> usize;
-    /// Sheds memo tables (governor severity 2); returns the bytes freed.
-    fn shed_memos(&mut self) -> usize {
-        0
+/// An engine a [`Pool`] hands out: [`Evaluator`], [`CountCache`] or
+/// [`SlpEvaluator`]. The trait is sealed; its methods are the crate-private
+/// hooks the pool and the batch runtime's degradation ladder drive.
+pub trait PoolEngine: sealed::Engine {}
+
+impl<E: sealed::Engine> PoolEngine for E {}
+
+pub(crate) mod sealed {
+    use spanners_core::{EvalLimits, FrozenDelta};
+
+    /// The methods of [`super::PoolEngine`].
+    pub trait Engine: Send + Sized {
+        /// What a pool configures its engines with: the byte engines'
+        /// [`spanners_core::EngineMode`]; nothing for grammar composition.
+        type Mode: Copy + Default + std::fmt::Debug + Send + Sync;
+        /// Whether the engine scans document bytes, so the ladder's per-byte
+        /// rung applies (grammar composition has no byte loop).
+        const BYTE_LOOP: bool = true;
+        /// A fresh engine.
+        fn fresh(mode: Self::Mode) -> Self;
+        /// Sets up one attempt: the per-document limits, the one-off cache
+        /// and memo byte budgets (`None` keeps the configured ones) and, on
+        /// the per-byte rung, the per-byte loop.
+        fn attempt(&mut self, limits: EvalLimits, budgets: [Option<usize>; 2], per_byte: bool);
+        /// Undoes every attempt setting before the engine is checked in.
+        fn reset(&mut self, mode: Self::Mode);
+        /// The frozen-overflow delta, if the engine has run against a snapshot.
+        fn frozen_delta(&self) -> Option<&FrozenDelta>;
+        /// Bytes of governed memory held.
+        fn governed_bytes(&self) -> usize;
+        /// Sheds lazy caches and frozen deltas (governor severity 1); returns
+        /// the bytes freed.
+        fn shed_cold_memory(&mut self) -> usize;
+        /// Sheds memo tables (governor severity 2); returns the bytes freed.
+        fn shed_memos(&mut self) -> usize {
+            0
+        }
     }
 }
 
-impl<A> PoolEngine for Driver<A>
+impl<A: Accumulator> sealed::Engine for Driver<A>
 where
-    A: Accumulator + Default + Send,
-    A::Value: Send,
+    Driver<A>: Send,
 {
+    type Mode = EngineMode;
     fn fresh(mode: EngineMode) -> Self {
         Driver::with_mode(mode)
     }
-    fn mode(&self) -> EngineMode {
-        Driver::mode(self)
-    }
-    fn set_mode(&mut self, mode: EngineMode) {
-        Driver::set_mode(self, mode);
-    }
-    fn set_limits(&mut self, limits: EvalLimits) {
-        Driver::set_limits(self, limits);
-    }
-    fn set_budget_overrides(&mut self, cache: Option<usize>, _memo: Option<usize>) {
+    fn attempt(&mut self, limits: EvalLimits, [cache, _]: [Option<usize>; 2], per_byte: bool) {
+        self.set_limits(limits);
         self.set_cache_budget_override(cache);
+        if per_byte {
+            self.set_mode(EngineMode::PerByte);
+        }
+    }
+    fn reset(&mut self, mode: EngineMode) {
+        self.attempt(EvalLimits::none(), [None; 2], false);
+        self.set_mode(mode);
     }
     fn frozen_delta(&self) -> Option<&FrozenDelta> {
         Driver::frozen_delta(self)
@@ -96,23 +102,20 @@ where
 
 /// Checked-in evaluators keep their `(symbol, state)` memo tables alongside
 /// their lazy caches and frozen deltas, so a batch over one shared rule set
-/// composes most documents from already-memoized rows. Grammar composition
-/// has no byte loop, so there is no engine mode to run.
-impl PoolEngine for SlpEvaluator {
+/// composes most documents from already-memoized rows.
+impl sealed::Engine for SlpEvaluator {
+    type Mode = ();
     const BYTE_LOOP: bool = false;
-    fn fresh(_mode: EngineMode) -> Self {
+    fn fresh((): ()) -> Self {
         SlpEvaluator::new()
     }
-    fn mode(&self) -> EngineMode {
-        EngineMode::default()
-    }
-    fn set_mode(&mut self, _mode: EngineMode) {}
-    fn set_limits(&mut self, limits: EvalLimits) {
-        SlpEvaluator::set_limits(self, limits);
-    }
-    fn set_budget_overrides(&mut self, cache: Option<usize>, memo: Option<usize>) {
+    fn attempt(&mut self, limits: EvalLimits, [cache, memo]: [Option<usize>; 2], _: bool) {
+        self.set_limits(limits);
         self.set_cache_budget_override(cache);
         self.set_memo_budget_override(memo);
+    }
+    fn reset(&mut self, (): ()) {
+        self.attempt(EvalLimits::none(), [None; 2], false);
     }
     fn frozen_delta(&self) -> Option<&FrozenDelta> {
         SlpEvaluator::frozen_delta(self)
@@ -143,13 +146,13 @@ impl PoolEngine for SlpEvaluator {
 /// assert_eq!(pool.engines_created(), 1);
 /// ```
 #[derive(Debug)]
-pub struct Pool<E> {
+pub struct Pool<E: PoolEngine> {
     /// Idle engines, each tagged with the serving generation it last ran
     /// under (`0` for untagged batch work). Tag-aware checkouts prefer an
     /// engine of their own generation — its [`FrozenDelta`] is already bound
     /// to that generation's snapshot, so no rebind-reset.
     idle: Mutex<Vec<(u64, E)>>,
-    mode: EngineMode,
+    mode: E::Mode,
     created: AtomicUsize,
     quarantined: AtomicUsize,
 }
@@ -161,27 +164,38 @@ pub type CountCachePool<C> = Pool<CountCache<C>>;
 /// A pool of warm [`SlpEvaluator`]s (grammar-aware engines).
 pub type SlpEvaluatorPool = Pool<SlpEvaluator>;
 
-impl<E> Default for Pool<E> {
+impl<E: PoolEngine> Default for Pool<E> {
     fn default() -> Self {
         Pool {
             idle: Mutex::new(Vec::new()),
-            mode: EngineMode::default(),
+            mode: E::Mode::default(),
             created: AtomicUsize::new(0),
             quarantined: AtomicUsize::new(0),
         }
     }
 }
 
+impl<A: Accumulator> Pool<Driver<A>>
+where
+    Driver<A>: Send,
+{
+    /// An empty pool whose engines run the given mode.
+    pub fn with_mode(mode: EngineMode) -> Self {
+        Pool { mode, ..Pool::default() }
+    }
+}
+
 impl<E: PoolEngine> Pool<E> {
-    /// An empty pool handing out engines in the default
-    /// [`EngineMode::SkipScan`].
+    /// An empty pool handing out engines in their default configuration
+    /// (byte engines: [`EngineMode::SkipScan`]).
     pub fn new() -> Self {
         Pool::default()
     }
 
-    /// An empty pool whose engines run the given mode.
-    pub fn with_mode(mode: EngineMode) -> Self {
-        Pool { mode, ..Pool::default() }
+    /// The configuration every engine of this pool runs, restored before an
+    /// engine is checked back in by the batch runtime.
+    pub(crate) fn mode(&self) -> E::Mode {
+        self.mode
     }
 
     /// Checks an engine out: a warm one when available, a fresh one

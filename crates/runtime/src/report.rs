@@ -125,7 +125,9 @@ pub struct BatchReport<T> {
     /// this batch — the **delta-pressure** signal of the generational
     /// re-freeze path: zero on a snapshot that covers the workload, and
     /// persistently large on a drifting workload the snapshot has fallen
-    /// behind (frozen-path evaluation batches only; zero elsewhere).
+    /// behind. Every batch shape run against a frozen snapshot reports it
+    /// (evaluate, count, `is_match` and SLP count batches); eager and
+    /// live-lazy batches report zero.
     pub delta_states: u64,
     /// Peak bytes held by any worker's frozen delta during this batch (the
     /// byte-sided half of the delta-pressure signal).
@@ -221,10 +223,10 @@ impl<T> BatchReport<T> {
     }
 
     /// The per-document values for the abort-on-failure entry points:
-    /// panics on the lowest-index failing document, naming the `api` and
-    /// the `hint` to a fault-tolerant alternative.
-    pub(crate) fn expect_all(self, api: &str, hint: &str) -> Vec<T> {
+    /// panics on the lowest-index failing document, naming the `api`.
+    pub(crate) fn expect_all(self, api: &str) -> Vec<T> {
         let results = self.results.into_iter().enumerate();
+        let hint = "the report APIs return per-document errors";
         results
             .map(|(i, r)| {
                 r.unwrap_or_else(|e| panic!("document {i} failed in {api} ({hint}): {e}"))

@@ -18,7 +18,7 @@
 //! any number of request-handling threads — batches from concurrent callers
 //! simply share the pools.
 
-use crate::batch::{BatchOptions, BatchPlan, EVALUATE_HINT, IS_MATCH_HINT, WARM_SAMPLE_DOCS};
+use crate::batch::{BatchOptions, BatchPlan, WARM_SAMPLE_DOCS};
 use crate::pool::{CountCachePool, EvaluatorPool};
 use crate::report::BatchReport;
 use spanners_core::{CompiledSpanner, Counter, DagView, Document, FrozenCache, SpannerError};
@@ -134,7 +134,7 @@ impl SpannerServer {
     {
         self.plan(docs)
             .evaluate_report(&self.eval_pool, docs, &self.opts, &f)
-            .expect_all("evaluate_batch", EVALUATE_HINT)
+            .expect_all("evaluate_batch")
     }
 
     /// Counts `|⟦A⟧(d)|` for every document of the batch (Algorithm 3), in
@@ -167,7 +167,7 @@ impl SpannerServer {
     pub fn is_match_batch(&self, docs: &[Document]) -> Vec<bool> {
         self.plan(docs)
             .is_match_report(&self.eval_pool, docs, &self.opts)
-            .expect_all("is_match_batch", IS_MATCH_HINT)
+            .expect_all("is_match_batch")
     }
 
     /// Fault-tolerant batch evaluation: one `Result` per document, worker
