@@ -27,6 +27,12 @@
 //! [`crate::CountCache`] / [`crate::DetSeva::accepts`] on the decompressed
 //! document — `tests/slp.rs` pins this differentially.
 //!
+//! The memo never hashes. Rows live in flat CSR-style arenas; each rule set
+//! gets one head slot per nonterminal, and each row links to the next row of
+//! its `(rule set, symbol)`, so a lookup walks one symbol's chain of source
+//! states. Clearing costs O(rows held) and keeps every buffer, which matters
+//! because frozen runs clear their local memo on every document.
+//!
 //! [`SlpEvaluator`] drives the eager [`DetSeva`], the live lazy engine, and
 //! the frozen/delta split of the batch runtime through the same per-worker
 //! cache slot as the byte engines' [`crate::driver::Driver`] (its [`LazyCache`] /
@@ -36,7 +42,6 @@
 //! workers compose documents off one shared bottom-up pass instead of
 //! recomputing it N times.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::det::{DetSeva, Stepper};
@@ -252,60 +257,230 @@ impl Slp {
 enum RowRef {
     /// The row lives in the terminal scratch buffer.
     Term,
-    /// `count_arena[a..b]` / `set_arena[a..b]` of the local memo.
-    Local(usize, usize),
-    /// Same, of the shared (frozen-attached) memo.
-    Shared(usize, usize),
+    /// Row `r` of the local memo.
+    Local(u32),
+    /// Row `r` of the shared (frozen-attached) memo.
+    Shared(u32),
 }
 
-/// Memo tables: per `(rule-set id, symbol, source det state)`, the
-/// mapping-count row (for counting) and the reachable-state row (for
-/// acceptance), flat CSR-style arenas behind small hash indexes.
+/// Chain terminator of [`RowTable`]'s head slots and links.
+const NO_ROW: u32 = u32::MAX;
+
+/// Index bytes of one memoized row: its `(state, next)` chain link, its
+/// end offset, and at most one touched-head entry.
+const ROW_COST: usize = 8 + 4 + std::mem::size_of::<usize>();
+
+/// The memoized rows of one kind, per `(rule-set id, symbol, source det
+/// state)`: a flat CSR-style arena behind a dense index. Each rule set owns
+/// one head slot per nonterminal; each row carries a `(state, next)` link
+/// chaining the rows of its `(rule set, symbol)`, so a lookup walks at most
+/// one row per memoized source state and never hashes.
+#[derive(Debug, Clone, Default)]
+struct RowTable<E> {
+    /// `(rule-set id, first head slot)` per registered rule set — usually
+    /// one.
+    grammars: Vec<(u64, usize)>,
+    /// Newest row of each `(rule set, nonterminal)` chain, or [`NO_ROW`].
+    heads: Vec<u32>,
+    /// The non-empty head slots, so a clear costs O(rows held).
+    touched: Vec<usize>,
+    /// Per row: `(source state, next row of the same chain)`.
+    chain: Vec<(u32, u32)>,
+    /// Per row: end offset of its entries in `arena`.
+    ends: Vec<u32>,
+    arena: Vec<E>,
+}
+
+impl<E: Copy> RowTable<E> {
+    /// Drops every row, keeping all capacity and the head tables.
+    fn clear(&mut self) {
+        for &slot in &self.touched {
+            self.heads[slot] = NO_ROW;
+        }
+        self.touched.clear();
+        self.chain.clear();
+        self.ends.clear();
+        self.arena.clear();
+    }
+
+    /// Bytes held: arena entries, [`ROW_COST`] per row, and the head slots.
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.arena.as_slice())
+            + self.chain.len() * ROW_COST
+            + std::mem::size_of_val(self.heads.as_slice())
+    }
+
+    /// Allocated bytes of every buffer (allocation-retention diagnostics).
+    fn capacity_bytes(&self) -> usize {
+        self.grammars.capacity() * std::mem::size_of::<(u64, usize)>()
+            + (self.heads.capacity() + self.ends.capacity()) * 4
+            + self.touched.capacity() * std::mem::size_of::<usize>()
+            + self.chain.capacity() * 8
+            + self.arena.capacity() * std::mem::size_of::<E>()
+    }
+
+    /// First head slot of rule set `gid`, searching newest first: the
+    /// current document's rule set is almost always the last registered.
+    fn base(&self, gid: u64) -> Option<usize> {
+        self.grammars.iter().rev().find(|g| g.0 == gid).map(|g| g.1)
+    }
+
+    /// The row of `(gid, sym, q)`, if memoized.
+    fn find(&self, gid: u64, sym: u32, q: u32) -> Option<u32> {
+        let base = self.base(gid)?;
+        let mut r = self.heads[base + (sym - FIRST_NONTERMINAL) as usize];
+        while r != NO_ROW {
+            let (state, next) = self.chain[r as usize];
+            if state == q {
+                return Some(r);
+            }
+            r = next;
+        }
+        None
+    }
+
+    /// The entries of row `r`.
+    fn row(&self, r: u32) -> &[E] {
+        let r = r as usize;
+        let start = if r == 0 { 0 } else { self.ends[r - 1] as usize };
+        &self.arena[start..self.ends[r] as usize]
+    }
+
+    /// Memoizes `row` as the row of `(rules, sym, q)`, registering the rule
+    /// set on first use. While no rows are held every head slot is empty,
+    /// so the first insert after a clear drops the other rule sets' slots
+    /// and reuses the retained head table; for the same rule set, as in
+    /// frozen runs that clear per document, it writes nothing.
+    fn push(&mut self, rules: &SlpRules, sym: u32, q: u32, row: &[E]) {
+        let (gid, n) = (rules.id(), rules.num_rules());
+        if self.chain.is_empty() {
+            self.grammars.clear();
+            self.grammars.push((gid, 0));
+            self.heads.resize(n, NO_ROW);
+        }
+        let base = self.base(gid).unwrap_or_else(|| {
+            let base = self.heads.len();
+            self.heads.resize(base + n, NO_ROW);
+            self.grammars.push((gid, base));
+            base
+        });
+        let slot = base + (sym - FIRST_NONTERMINAL) as usize;
+        let head = self.heads[slot];
+        if head == NO_ROW {
+            self.touched.push(slot);
+        }
+        self.heads[slot] = self.chain.len() as u32;
+        self.chain.push((q, head));
+        self.arena.extend_from_slice(row);
+        self.ends.push(self.arena.len() as u32);
+    }
+}
+
+/// Memo tables: the mapping-count rows (for counting) and the
+/// reachable-state rows (for acceptance).
 #[derive(Debug, Clone, Default)]
 struct RowTables {
-    count_index: HashMap<(u64, u32, u32), u32>,
-    count_offsets: Vec<u32>,
-    count_arena: Vec<(u32, u64)>,
-    set_index: HashMap<(u64, u32, u32), u32>,
-    set_offsets: Vec<u32>,
-    set_arena: Vec<u32>,
-    /// Approximate bytes held (arena entries + index overhead).
-    bytes: usize,
+    counts: RowTable<(u32, u64)>,
+    sets: RowTable<u32>,
 }
-
-/// Approximate index-entry overhead of one memoized row (hash-map key,
-/// value, bucket share, offset slot).
-const ROW_COST: usize = 64;
 
 impl RowTables {
     fn clear(&mut self) {
-        self.count_index.clear();
-        self.count_offsets.clear();
-        self.count_arena.clear();
-        self.set_index.clear();
-        self.set_offsets.clear();
-        self.set_arena.clear();
-        self.bytes = 0;
+        self.counts.clear();
+        self.sets.clear();
     }
 
     fn is_empty(&self) -> bool {
-        self.count_index.is_empty() && self.set_index.is_empty()
+        self.num_rows() == 0
     }
 
     fn num_rows(&self) -> usize {
-        self.count_index.len() + self.set_index.len()
+        self.counts.chain.len() + self.sets.chain.len()
     }
 
-    fn lookup_count(&self, key: (u64, u32, u32)) -> Option<(usize, usize)> {
-        let &ri = self.count_index.get(&key)?;
-        let ri = ri as usize;
-        Some((self.count_offsets[ri] as usize, self.count_offsets[ri + 1] as usize))
+    fn bytes(&self) -> usize {
+        self.counts.bytes() + self.sets.bytes()
     }
+}
 
-    fn lookup_set(&self, key: (u64, u32, u32)) -> Option<(usize, usize)> {
-        let &ri = self.set_index.get(&key)?;
-        let ri = ri as usize;
-        Some((self.set_offsets[ri] as usize, self.set_offsets[ri + 1] as usize))
+/// A memo row entry: `(end state, partial-mapping count)` in counting
+/// rows, the bare end state in acceptance rows. Composition is generic over
+/// the two: counts scale and add, reachable-state sets union.
+trait Entry: Copy + Default {
+    /// Whether terminal rows are also projected into this lane's scratch.
+    const PROJECT: bool;
+    fn state(self) -> u32;
+    fn with_state(self, q: u32) -> Self;
+    /// Folds `row` — the row read from this entry's end state — into `acc`.
+    fn fold(self, row: &[Self], acc: &mut Vec<Self>) -> Result<(), SpannerError>;
+    /// Sorts `acc` by end state and merges duplicate states.
+    fn normalize(acc: &mut Vec<Self>) -> Result<(), SpannerError>;
+    fn table(memo: &RowTables) -> &RowTable<Self>;
+    fn table_mut(memo: &mut RowTables) -> &mut RowTable<Self>;
+    fn lane(ws: &Workspace) -> &Lane<Self>;
+    fn lane_mut(ws: &mut Workspace) -> &mut Lane<Self>;
+}
+
+impl Entry for (u32, u64) {
+    const PROJECT: bool = false;
+    fn state(self) -> u32 {
+        self.0
+    }
+    fn with_state(self, q: u32) -> Self {
+        (q, self.1)
+    }
+    fn fold(self, row: &[Self], acc: &mut Vec<Self>) -> Result<(), SpannerError> {
+        for &(p, w) in row {
+            acc.push((p, self.1.checked_mul(w).ok_or(SpannerError::CountOverflow)?));
+        }
+        Ok(())
+    }
+    fn normalize(acc: &mut Vec<Self>) -> Result<(), SpannerError> {
+        acc.sort_unstable_by_key(|&(p, _)| p);
+        merge_sorted_counts(acc)
+    }
+    fn table(memo: &RowTables) -> &RowTable<Self> {
+        &memo.counts
+    }
+    fn table_mut(memo: &mut RowTables) -> &mut RowTable<Self> {
+        &mut memo.counts
+    }
+    fn lane(ws: &Workspace) -> &Lane<Self> {
+        &ws.counts
+    }
+    fn lane_mut(ws: &mut Workspace) -> &mut Lane<Self> {
+        &mut ws.counts
+    }
+}
+
+impl Entry for u32 {
+    const PROJECT: bool = true;
+    fn state(self) -> u32 {
+        self
+    }
+    fn with_state(self, q: u32) -> Self {
+        q
+    }
+    fn fold(self, row: &[Self], acc: &mut Vec<Self>) -> Result<(), SpannerError> {
+        acc.extend_from_slice(row);
+        Ok(())
+    }
+    fn normalize(acc: &mut Vec<Self>) -> Result<(), SpannerError> {
+        acc.sort_unstable();
+        acc.dedup();
+        Ok(())
+    }
+    fn table(memo: &RowTables) -> &RowTable<Self> {
+        &memo.sets
+    }
+    fn table_mut(memo: &mut RowTables) -> &mut RowTable<Self> {
+        &mut memo.sets
+    }
+    fn lane(ws: &Workspace) -> &Lane<Self> {
+        &ws.sets
+    }
+    fn lane_mut(ws: &mut Workspace) -> &mut Lane<Self> {
+        &mut ws.sets
     }
 }
 
@@ -320,9 +495,9 @@ pub struct SlpSharedMemo {
 }
 
 impl SlpSharedMemo {
-    /// Approximate bytes held by the shared rows.
+    /// Approximate bytes held by the shared rows and their index.
     pub fn memory_bytes(&self) -> usize {
-        self.tables.bytes
+        self.tables.bytes()
     }
 
     /// Number of memoized `(rule set, symbol, state)` rows.
@@ -331,28 +506,44 @@ impl SlpSharedMemo {
     }
 }
 
-/// One explicit-stack frame of the bottom-up count-row computation:
-/// `row(sym, q) = Σ_{(p, c) ∈ row(left, q)} c · row(right, p)`.
+/// One explicit-stack frame of the bottom-up row computation:
+/// `row(sym, q) = Σ_{(p, c) ∈ row(left, q)} c · row(right, p)` for counts,
+/// `⋃_{p ∈ row(left, q)} row(right, p)` for reachable-state sets.
 #[derive(Debug, Default)]
-struct CountFrame {
+struct Frame<E> {
     sym: u32,
     q: u32,
     left_ready: bool,
     idx: usize,
-    left: Vec<(u32, u64)>,
-    acc: Vec<(u32, u64)>,
+    left: Vec<E>,
+    acc: Vec<E>,
 }
 
-/// Set-row sibling of [`CountFrame`]:
-/// `reach(sym, q) = ⋃_{p ∈ reach(left, q)} reach(right, p)`.
+/// The retained-capacity scratch of one entry type: the frame stack of the
+/// bottom-up computation, the terminal row, and the document fold's
+/// frontier.
 #[derive(Debug, Default)]
-struct SetFrame {
-    sym: u32,
-    q: u32,
-    left_ready: bool,
-    idx: usize,
-    left: Vec<u32>,
-    acc: Vec<u32>,
+struct Lane<E> {
+    frames: Vec<Frame<E>>,
+    free: Vec<Frame<E>>,
+    /// Terminal row scratch.
+    term: Vec<E>,
+    /// Document-fold frontier and its successor.
+    front: Vec<E>,
+    next: Vec<E>,
+}
+
+impl<E: Entry> Lane<E> {
+    fn take_frame(&mut self, sym: u32, q: u32) -> Frame<E> {
+        let mut f = self.free.pop().unwrap_or_default();
+        f.sym = sym;
+        f.q = q;
+        f.left_ready = false;
+        f.idx = 0;
+        f.left.clear();
+        f.acc.clear();
+        f
+    }
 }
 
 /// The reusable workspace of one evaluator: memo tables, frame stacks and
@@ -375,23 +566,11 @@ struct Workspace {
     /// diagnostic: `rows_built - memo.num_rows()` is recompute waste).
     rows_built: u64,
     checker: LimitChecker,
-    frames: Vec<CountFrame>,
-    free_frames: Vec<CountFrame>,
-    sframes: Vec<SetFrame>,
-    free_sframes: Vec<SetFrame>,
+    counts: Lane<(u32, u64)>,
+    sets: Lane<u32>,
     /// Capture sources of one terminal row: the state plus its marker
     /// targets (one entry per marker pair — multiplicity is mapping count).
     srcs: Vec<u32>,
-    /// Terminal count row scratch.
-    trow: Vec<(u32, u64)>,
-    /// Terminal set row scratch.
-    tset: Vec<u32>,
-    /// Count-fold frontier: `(state, partial-mapping count)`.
-    frontier: Vec<(u32, u64)>,
-    next: Vec<(u32, u64)>,
-    /// Acceptance-fold live set (sorted).
-    live: Vec<u32>,
-    next_live: Vec<u32>,
     /// Maintenance scratch (live ids handed to [`Stepper::maintain`]).
     maint: Vec<u32>,
 }
@@ -405,17 +584,9 @@ impl Default for Workspace {
             clears: 0,
             rows_built: 0,
             checker: LimitChecker::unlimited(),
-            frames: Vec::new(),
-            free_frames: Vec::new(),
-            sframes: Vec::new(),
-            free_sframes: Vec::new(),
+            counts: Lane::default(),
+            sets: Lane::default(),
             srcs: Vec::new(),
-            trow: Vec::new(),
-            tset: Vec::new(),
-            frontier: Vec::new(),
-            next: Vec::new(),
-            live: Vec::new(),
-            next_live: Vec::new(),
             maint: Vec::new(),
         }
     }
@@ -435,67 +606,44 @@ impl Workspace {
     }
 
     /// Runs the clear-and-restart eviction protocol when the underlying
-    /// cache is over budget: live frontier ids are handed to
+    /// cache is over budget: the frontier's ids are handed to
     /// [`Stepper::maintain`], remapped in place, and the local memo — whose
     /// rows reference pre-eviction ids — is dropped. The grammar-side
     /// counterpart of the [`crate::driver::Driver`]'s maintenance point: the remap
     /// completes even when the thrash guard trips, so the error is
     /// propagated *after* the state is consistent again.
-    fn maintain_ids<S: Stepper>(
-        &mut self,
-        st: &mut S,
-        ids: &mut [u32],
-    ) -> Result<(), SpannerError> {
+    fn maintain<S: Stepper, E: Entry>(&mut self, st: &mut S) -> Result<(), SpannerError> {
         if !st.wants_maintenance() {
             return Ok(());
         }
-        self.maint.clear();
-        self.maint.extend_from_slice(ids);
-        if st.maintain(&mut self.maint) {
-            ids.copy_from_slice(&self.maint);
-            self.memo.clear();
-            // Evictions remap state ids exactly once per clear, so bumping
-            // the epoch keeps rows memoized *after* this point valid for the
-            // next run against the same cache.
-            self.ctx.1 += 1;
-            self.checker.note_clear()?;
-        }
-        Ok(())
-    }
-
-    fn maintain_count_frontier<S: Stepper>(&mut self, st: &mut S) -> Result<(), SpannerError> {
-        if !st.wants_maintenance() {
-            return Ok(());
-        }
-        let mut ids = std::mem::take(&mut self.next_live);
+        let mut ids = std::mem::take(&mut self.maint);
         ids.clear();
-        ids.extend(self.frontier.iter().map(|&(q, _)| q));
-        let verdict = self.maintain_ids(st, &mut ids);
-        for (slot, &q) in self.frontier.iter_mut().zip(ids.iter()) {
-            slot.0 = q;
+        ids.extend(E::lane(self).front.iter().map(|e| e.state()));
+        let remapped = st.maintain(&mut ids);
+        if remapped {
+            for (e, &q) in E::lane_mut(self).front.iter_mut().zip(&ids) {
+                *e = e.with_state(q);
+            }
         }
-        self.next_live = ids;
-        verdict
-    }
-
-    fn maintain_live<S: Stepper>(&mut self, st: &mut S) -> Result<(), SpannerError> {
-        if !st.wants_maintenance() {
+        self.maint = ids;
+        if !remapped {
             return Ok(());
         }
-        let mut ids = std::mem::take(&mut self.live);
-        let verdict = self.maintain_ids(st, &mut ids);
-        // Remapped ids need not preserve order; the fold relies on
-        // sortedness for merging.
-        ids.sort_unstable();
-        self.live = ids;
-        verdict
+        self.memo.clear();
+        // Evictions remap state ids exactly once per clear, so bumping the
+        // epoch keeps rows memoized *after* this point valid for the next
+        // run against the same cache.
+        self.ctx.1 += 1;
+        self.checker.note_clear()
     }
 
     /// Computes the terminal count row for reading byte `b` from state `q`
-    /// into `self.trow`: `Capture` forks `{q: 1}` into `q` plus one entry
-    /// per marker pair (the phase-start snapshot means marker steps do not
-    /// chain), then `Read` steps every source on `b`'s class.
-    fn terminal_count_row<S: Stepper>(&mut self, st: &mut S, b: u8, q: u32) {
+    /// into the count lane's scratch: `Capture` forks `{q: 1}` into `q` plus
+    /// one entry per marker pair (the phase-start snapshot means marker
+    /// steps do not chain), then `Read` steps every source on `b`'s class.
+    /// Its states, sorted and distinct, are the terminal set row, projected
+    /// into the set lane's scratch when `project` is on.
+    fn terminal_row<S: Stepper>(&mut self, st: &mut S, b: u8, q: u32, project: bool) {
         self.srcs.clear();
         self.srcs.push(q);
         let qq = q as usize;
@@ -505,35 +653,19 @@ impl Workspace {
             }
         }
         let cls = st.byte_class(b);
-        self.trow.clear();
-        for i in 0..self.srcs.len() {
-            if let Some(t) = st.step_class(self.srcs[i] as usize, cls) {
-                self.trow.push((t as u32, 1));
+        let trow = &mut self.counts.term;
+        trow.clear();
+        for &src in &self.srcs {
+            if let Some(t) = st.step_class(src as usize, cls) {
+                trow.push((t as u32, 1));
             }
         }
-        self.trow.sort_unstable_by_key(|&(p, _)| p);
-        merge_sorted_counts_saturating(&mut self.trow);
-    }
-
-    /// Set sibling of [`Workspace::terminal_count_row`], into `self.tset`.
-    fn terminal_set_row<S: Stepper>(&mut self, st: &mut S, b: u8, q: u32) {
-        self.srcs.clear();
-        self.srcs.push(q);
-        let qq = q as usize;
-        if st.has_markers(qq) {
-            for &(_, r) in st.markers_from(qq) {
-                self.srcs.push(r as u32);
-            }
+        trow.sort_unstable_by_key(|&(p, _)| p);
+        merge_sorted_counts_saturating(trow);
+        if project {
+            self.sets.term.clear();
+            self.sets.term.extend(trow.iter().map(|&(p, _)| p));
         }
-        let cls = st.byte_class(b);
-        self.tset.clear();
-        for i in 0..self.srcs.len() {
-            if let Some(t) = st.step_class(self.srcs[i] as usize, cls) {
-                self.tset.push(t as u32);
-            }
-        }
-        self.tset.sort_unstable();
-        self.tset.dedup();
     }
 
     /// The final-`Capturing` weight of state `q`: how many mappings one
@@ -554,80 +686,44 @@ impl Workspace {
         w
     }
 
-    fn lookup_count(&self, key: (u64, u32, u32), shared: Option<&RowTables>) -> Option<RowRef> {
-        if let Some((a, b)) = self.memo.lookup_count(key) {
-            return Some(RowRef::Local(a, b));
+    /// The entries of the referenced row.
+    fn row<'a, E: Entry>(&'a self, rref: RowRef, shared: Option<&'a RowTables>) -> &'a [E] {
+        match rref {
+            RowRef::Term => &E::lane(self).term,
+            RowRef::Local(r) => E::table(&self.memo).row(r),
+            RowRef::Shared(r) => E::table(shared.expect("shared ref")).row(r),
         }
-        if let Some((a, b)) = shared.and_then(|sh| sh.lookup_count(key)) {
-            return Some(RowRef::Shared(a, b));
-        }
-        None
     }
 
-    fn lookup_set(&self, key: (u64, u32, u32), shared: Option<&RowTables>) -> Option<RowRef> {
-        if let Some((a, b)) = self.memo.lookup_set(key) {
-            return Some(RowRef::Local(a, b));
-        }
-        if let Some((a, b)) = shared.and_then(|sh| sh.lookup_set(key)) {
-            return Some(RowRef::Shared(a, b));
-        }
-        None
-    }
-
-    /// Memoizes a freshly computed count row, clearing the tables first if
-    /// the budget would be exceeded (clear-and-restart: memoized rows are
+    /// Memoizes a freshly computed row, clearing the tables first if the
+    /// budget would be exceeded (clear-and-restart: memoized rows are
     /// deterministic, so recomputation on demand is always correct). A
     /// budget clear counts against [`EvalLimits::max_cache_clears`], so
     /// persistent memo thrash surfaces as the same recoverable
     /// `BudgetExceeded` the degradation ladder keys on; the clear completes
     /// before the verdict propagates, leaving the tables consistent.
-    fn insert_count_row(
+    fn insert<E: Entry>(
         &mut self,
-        key: (u64, u32, u32),
-        row: &[(u32, u64)],
+        rules: &SlpRules,
+        sym: u32,
+        q: u32,
+        row: &[E],
     ) -> Result<(), SpannerError> {
         let cost = std::mem::size_of_val(row) + ROW_COST;
-        if self.memo.bytes + cost > self.budget && !self.memo.is_empty() {
+        if self.memo.bytes() + cost > self.budget && !self.memo.is_empty() {
             self.memo.clear();
             self.clears += 1;
             self.checker.note_clear()?;
         }
-        if self.memo.count_offsets.is_empty() {
-            self.memo.count_offsets.push(0);
-        }
-        let ri = (self.memo.count_offsets.len() - 1) as u32;
-        self.memo.count_arena.extend_from_slice(row);
-        self.memo.count_offsets.push(self.memo.count_arena.len() as u32);
-        self.memo.count_index.insert(key, ri);
-        self.memo.bytes += cost;
+        E::table_mut(&mut self.memo).push(rules, sym, q, row);
         self.rows_built += 1;
         Ok(())
     }
 
-    /// Set sibling of [`Workspace::insert_count_row`].
-    fn insert_set_row(&mut self, key: (u64, u32, u32), row: &[u32]) -> Result<(), SpannerError> {
-        let cost = std::mem::size_of_val(row) + ROW_COST;
-        if self.memo.bytes + cost > self.budget && !self.memo.is_empty() {
-            self.memo.clear();
-            self.clears += 1;
-            self.checker.note_clear()?;
-        }
-        if self.memo.set_offsets.is_empty() {
-            self.memo.set_offsets.push(0);
-        }
-        let ri = (self.memo.set_offsets.len() - 1) as u32;
-        self.memo.set_arena.extend_from_slice(row);
-        self.memo.set_offsets.push(self.memo.set_arena.len() as u32);
-        self.memo.set_index.insert(key, ri);
-        self.memo.bytes += cost;
-        self.rows_built += 1;
-        Ok(())
-    }
-
-    /// Resolves the count row of `(sym, q)` without descending: terminal
-    /// rows are computed inline (into `self.trow`), nonterminal rows come
-    /// from the local or shared memo. `None` means "not memoized yet".
-    fn quick_count_row<S: Stepper>(
+    /// Resolves the row of `(sym, q)` without descending: terminal rows are
+    /// computed inline (into the lane scratch), nonterminal rows come from
+    /// the local or shared memo. `None` means "not memoized yet".
+    fn quick_row<S: Stepper, E: Entry>(
         &mut self,
         st: &mut S,
         gid: u64,
@@ -636,332 +732,178 @@ impl Workspace {
         shared: Option<&RowTables>,
     ) -> Option<RowRef> {
         if sym < FIRST_NONTERMINAL {
-            self.terminal_count_row(st, sym as u8, q);
+            self.terminal_row(st, sym as u8, q, E::PROJECT);
             return Some(RowRef::Term);
         }
-        self.lookup_count((gid, sym, q), shared)
+        if let Some(r) = E::table(&self.memo).find(gid, sym, q) {
+            return Some(RowRef::Local(r));
+        }
+        shared.and_then(|sh| E::table(sh).find(gid, sym, q)).map(RowRef::Shared)
     }
 
-    /// Set sibling of [`Workspace::quick_count_row`].
-    fn quick_set_row<S: Stepper>(
+    /// The row of `(sym, q)`, memoizing nonterminals on first use.
+    fn ensure_row<S: Stepper, E: Entry>(
         &mut self,
         st: &mut S,
-        gid: u64,
+        rules: &SlpRules,
         sym: u32,
         q: u32,
         shared: Option<&RowTables>,
-    ) -> Option<RowRef> {
-        if sym < FIRST_NONTERMINAL {
-            self.terminal_set_row(st, sym as u8, q);
-            return Some(RowRef::Term);
+    ) -> Result<RowRef, SpannerError> {
+        let gid = rules.id();
+        if let Some(rref) = self.quick_row::<_, E>(st, gid, sym, q, shared) {
+            return Ok(rref);
         }
-        self.lookup_set((gid, sym, q), shared)
+        self.compute_row::<_, E>(st, rules, sym, q, shared)?;
+        let r = E::table(&self.memo).find(gid, sym, q).expect("row memoized by compute_row");
+        Ok(RowRef::Local(r))
     }
 
-    /// Copies the referenced count row into `out`.
-    fn copy_count_row(&self, rref: RowRef, shared: Option<&RowTables>, out: &mut Vec<(u32, u64)>) {
-        out.clear();
-        match rref {
-            RowRef::Term => out.extend_from_slice(&self.trow),
-            RowRef::Local(a, b) => out.extend_from_slice(&self.memo.count_arena[a..b]),
-            RowRef::Shared(a, b) => {
-                out.extend_from_slice(&shared.expect("shared ref").count_arena[a..b])
-            }
-        }
-    }
-
-    /// Copies the referenced set row into `out`.
-    fn copy_set_row(&self, rref: RowRef, shared: Option<&RowTables>, out: &mut Vec<u32>) {
-        out.clear();
-        match rref {
-            RowRef::Term => out.extend_from_slice(&self.tset),
-            RowRef::Local(a, b) => out.extend_from_slice(&self.memo.set_arena[a..b]),
-            RowRef::Shared(a, b) => {
-                out.extend_from_slice(&shared.expect("shared ref").set_arena[a..b])
-            }
-        }
-    }
-
-    /// Adds `c ×` the referenced count row into `acc` (checked arithmetic).
-    fn accumulate_count(
-        &self,
-        rref: RowRef,
-        c: u64,
-        shared: Option<&RowTables>,
-        acc: &mut Vec<(u32, u64)>,
-    ) -> Result<(), SpannerError> {
-        let row: &[(u32, u64)] = match rref {
-            RowRef::Term => &self.trow,
-            RowRef::Local(a, b) => &self.memo.count_arena[a..b],
-            RowRef::Shared(a, b) => &shared.expect("shared ref").count_arena[a..b],
-        };
-        for &(p, w) in row {
-            let v = c.checked_mul(w).ok_or(SpannerError::CountOverflow)?;
-            acc.push((p, v));
-        }
-        Ok(())
-    }
-
-    fn take_count_frame(&mut self, sym: u32, q: u32) -> CountFrame {
-        let mut f = self.free_frames.pop().unwrap_or_default();
-        f.sym = sym;
-        f.q = q;
-        f.left_ready = false;
-        f.idx = 0;
-        f.left.clear();
-        f.acc.clear();
-        f
-    }
-
-    fn take_set_frame(&mut self, sym: u32, q: u32) -> SetFrame {
-        let mut f = self.free_sframes.pop().unwrap_or_default();
-        f.sym = sym;
-        f.q = q;
-        f.left_ready = false;
-        f.idx = 0;
-        f.left.clear();
-        f.acc.clear();
-        f
-    }
-
-    /// Aborts an in-flight computation, recycling every frame (capacity
-    /// retained) so the evaluator is reusable after an error.
-    fn abort_count(&mut self, f: CountFrame) {
-        self.free_frames.push(f);
-        while let Some(g) = self.frames.pop() {
-            self.free_frames.push(g);
-        }
-    }
-
-    fn abort_set(&mut self, f: SetFrame) {
-        self.free_sframes.push(f);
-        while let Some(g) = self.sframes.pop() {
-            self.free_sframes.push(g);
-        }
-    }
-
-    /// Computes and memoizes the count row of nonterminal `(root_sym,
-    /// root_q)` with an explicit frame stack (Re-Pair grammars can be deep).
+    /// Computes and memoizes the row of nonterminal `(root_sym, root_q)`
+    /// with an explicit frame stack (Re-Pair grammars can be deep).
     /// Demand-driven: only rows reachable from live frontier states are
     /// computed, which also bounds every intermediate count by a count the
-    /// byte engine would hold at some document position.
-    fn compute_count_row<S: Stepper>(
+    /// byte engine would hold at some document position. On error every
+    /// frame is recycled (capacity retained), so the evaluator stays
+    /// reusable.
+    fn compute_row<S: Stepper, E: Entry>(
         &mut self,
         st: &mut S,
         rules: &SlpRules,
-        gid: u64,
         root_sym: u32,
         root_q: u32,
         shared: Option<&RowTables>,
     ) -> Result<(), SpannerError> {
-        debug_assert!(self.frames.is_empty());
-        let root = self.take_count_frame(root_sym, root_q);
-        self.frames.push(root);
-        'outer: while let Some(mut f) = self.frames.pop() {
-            if let Err(e) = self.checker.tick() {
-                self.abort_count(f);
-                return Err(e);
-            }
-            let (lsym, rsym) = rules.rule(f.sym);
-            if !f.left_ready {
-                match self.quick_count_row(st, gid, lsym, f.q, shared) {
-                    Some(rref) => {
-                        self.copy_count_row(rref, shared, &mut f.left);
-                        f.left_ready = true;
-                    }
-                    None => {
-                        let child = self.take_count_frame(lsym, f.q);
-                        self.frames.push(f);
-                        self.frames.push(child);
-                        continue 'outer;
-                    }
+        let lane = E::lane_mut(self);
+        debug_assert!(lane.frames.is_empty());
+        let root = lane.take_frame(root_sym, root_q);
+        lane.frames.push(root);
+        while let Some(mut f) = E::lane_mut(self).frames.pop() {
+            let step = self.advance(st, rules, shared, &mut f);
+            let lane = E::lane_mut(self);
+            match step {
+                Ok(None) => lane.free.push(f),
+                Ok(Some((sym, q))) => {
+                    let child = lane.take_frame(sym, q);
+                    lane.frames.push(f);
+                    lane.frames.push(child);
                 }
-            }
-            while f.idx < f.left.len() {
-                if let Err(e) = self.checker.tick() {
-                    self.abort_count(f);
+                Err(e) => {
+                    lane.free.push(f);
+                    lane.free.append(&mut lane.frames);
                     return Err(e);
                 }
-                let (p, c) = f.left[f.idx];
-                match self.quick_count_row(st, gid, rsym, p, shared) {
-                    Some(rref) => {
-                        if let Err(e) = self.accumulate_count(rref, c, shared, &mut f.acc) {
-                            self.abort_count(f);
-                            return Err(e);
-                        }
-                        f.idx += 1;
-                    }
-                    None => {
-                        let child = self.take_count_frame(rsym, p);
-                        self.frames.push(f);
-                        self.frames.push(child);
-                        continue 'outer;
-                    }
-                }
             }
-            // All right rows folded in: merge duplicate end states and
-            // memoize. The insert always lands (clear-and-restart first if
-            // over budget), so the parent's next lookup is a guaranteed hit.
-            f.acc.sort_unstable_by_key(|&(p, _)| p);
-            if let Err(e) = merge_sorted_counts(&mut f.acc) {
-                self.abort_count(f);
-                return Err(e);
-            }
-            if let Err(e) = self.insert_count_row((gid, f.sym, f.q), &f.acc) {
-                self.abort_count(f);
-                return Err(e);
-            }
-            self.free_frames.push(f);
         }
         Ok(())
     }
 
-    /// Set sibling of [`Workspace::compute_count_row`].
-    fn compute_set_row<S: Stepper>(
+    /// Advances frame `f` as far as memoized rows allow: `Ok(Some(child))`
+    /// names the `(symbol, state)` row it waits for, `Ok(None)` means its
+    /// own row is complete and memoized.
+    fn advance<S: Stepper, E: Entry>(
         &mut self,
         st: &mut S,
         rules: &SlpRules,
-        gid: u64,
-        root_sym: u32,
-        root_q: u32,
         shared: Option<&RowTables>,
+        f: &mut Frame<E>,
+    ) -> Result<Option<(u32, u32)>, SpannerError> {
+        self.checker.tick()?;
+        let gid = rules.id();
+        let (lsym, rsym) = rules.rule(f.sym);
+        if !f.left_ready {
+            let Some(rref) = self.quick_row::<_, E>(st, gid, lsym, f.q, shared) else {
+                return Ok(Some((lsym, f.q)));
+            };
+            f.left.extend_from_slice(self.row(rref, shared));
+            f.left_ready = true;
+        }
+        while f.idx < f.left.len() {
+            self.checker.tick()?;
+            let e = f.left[f.idx];
+            let Some(rref) = self.quick_row::<_, E>(st, gid, rsym, e.state(), shared) else {
+                return Ok(Some((rsym, e.state())));
+            };
+            e.fold(self.row(rref, shared), &mut f.acc)?;
+            f.idx += 1;
+        }
+        // All right rows folded in: merge duplicate end states and
+        // memoize. The insert always lands (clear-and-restart first if
+        // over budget), so the parent's next lookup is a guaranteed hit.
+        E::normalize(&mut f.acc)?;
+        self.insert(rules, f.sym, f.q, &f.acc)?;
+        Ok(None)
+    }
+
+    /// The document fold: starting from `start`, applies each sequence
+    /// symbol's memoized row to the lane's frontier — byte-identical to the
+    /// byte engines' per-position loop on the decompressed document
+    /// (`tests/slp.rs` pins this). Returns whether the frontier survived;
+    /// it is left in the lane, remapped past the last maintenance point.
+    fn compose<S: Stepper, E: Entry>(
+        &mut self,
+        st: &mut S,
+        slp: &Slp,
+        shared: Option<&RowTables>,
+        start: E,
+    ) -> Result<bool, SpannerError> {
+        // At least one tick per document, so zero deadlines and injected
+        // expirations trip even on empty sequences.
+        self.checker.tick()?;
+        let rules = slp.rules().clone();
+        let lane = E::lane_mut(self);
+        lane.front.clear();
+        lane.front.push(start);
+        for &sym in slp.sequence() {
+            self.maintain::<_, E>(st)?;
+            let mut next = std::mem::take(&mut E::lane_mut(self).next);
+            next.clear();
+            let res = self.apply(st, &rules, sym, shared, &mut next);
+            let lane = E::lane_mut(self);
+            lane.next = std::mem::replace(&mut lane.front, next);
+            res?;
+            if E::lane(self).front.is_empty() {
+                return Ok(false);
+            }
+        }
+        self.maintain::<_, E>(st)?;
+        Ok(true)
+    }
+
+    /// Folds the row of `(sym, q)` for every frontier entry into `next`.
+    fn apply<S: Stepper, E: Entry>(
+        &mut self,
+        st: &mut S,
+        rules: &SlpRules,
+        sym: u32,
+        shared: Option<&RowTables>,
+        next: &mut Vec<E>,
     ) -> Result<(), SpannerError> {
-        debug_assert!(self.sframes.is_empty());
-        let root = self.take_set_frame(root_sym, root_q);
-        self.sframes.push(root);
-        'outer: while let Some(mut f) = self.sframes.pop() {
-            if let Err(e) = self.checker.tick() {
-                self.abort_set(f);
-                return Err(e);
-            }
-            let (lsym, rsym) = rules.rule(f.sym);
-            if !f.left_ready {
-                match self.quick_set_row(st, gid, lsym, f.q, shared) {
-                    Some(rref) => {
-                        self.copy_set_row(rref, shared, &mut f.left);
-                        f.left_ready = true;
-                    }
-                    None => {
-                        let child = self.take_set_frame(lsym, f.q);
-                        self.sframes.push(f);
-                        self.sframes.push(child);
-                        continue 'outer;
-                    }
-                }
-            }
-            while f.idx < f.left.len() {
-                if let Err(e) = self.checker.tick() {
-                    self.abort_set(f);
-                    return Err(e);
-                }
-                let p = f.left[f.idx];
-                match self.quick_set_row(st, gid, rsym, p, shared) {
-                    Some(rref) => {
-                        match rref {
-                            RowRef::Term => f.acc.extend_from_slice(&self.tset),
-                            RowRef::Local(a, b) => {
-                                f.acc.extend_from_slice(&self.memo.set_arena[a..b])
-                            }
-                            RowRef::Shared(a, b) => f
-                                .acc
-                                .extend_from_slice(&shared.expect("shared ref").set_arena[a..b]),
-                        }
-                        f.idx += 1;
-                    }
-                    None => {
-                        let child = self.take_set_frame(rsym, p);
-                        self.sframes.push(f);
-                        self.sframes.push(child);
-                        continue 'outer;
-                    }
-                }
-            }
-            f.acc.sort_unstable();
-            f.acc.dedup();
-            if let Err(e) = self.insert_set_row((gid, f.sym, f.q), &f.acc) {
-                self.abort_set(f);
-                return Err(e);
-            }
-            self.free_sframes.push(f);
+        for i in 0..E::lane(self).front.len() {
+            self.checker.tick()?;
+            let e = E::lane(self).front[i];
+            let rref = self.ensure_row::<_, E>(st, rules, sym, e.state(), shared)?;
+            e.fold(self.row(rref, shared), next)?;
         }
-        Ok(())
+        E::normalize(next)
     }
 
-    /// The count row of `(sym, q)`, memoizing nonterminals on first use.
-    fn ensure_count_row<S: Stepper>(
-        &mut self,
-        st: &mut S,
-        rules: &SlpRules,
-        gid: u64,
-        sym: u32,
-        q: u32,
-        shared: Option<&RowTables>,
-    ) -> Result<RowRef, SpannerError> {
-        if let Some(rref) = self.quick_count_row(st, gid, sym, q, shared) {
-            return Ok(rref);
-        }
-        self.compute_count_row(st, rules, gid, sym, q, shared)?;
-        Ok(self.lookup_count((gid, sym, q), shared).expect("row memoized by compute_count_row"))
-    }
-
-    /// Set sibling of [`Workspace::ensure_count_row`].
-    fn ensure_set_row<S: Stepper>(
-        &mut self,
-        st: &mut S,
-        rules: &SlpRules,
-        gid: u64,
-        sym: u32,
-        q: u32,
-        shared: Option<&RowTables>,
-    ) -> Result<RowRef, SpannerError> {
-        if let Some(rref) = self.quick_set_row(st, gid, sym, q, shared) {
-            return Ok(rref);
-        }
-        self.compute_set_row(st, rules, gid, sym, q, shared)?;
-        Ok(self.lookup_set((gid, sym, q), shared).expect("row memoized by compute_set_row"))
-    }
-
-    /// The counting fold: start from `{initial: 1}`, apply each sequence
-    /// symbol's memoized row, then apply the final-capture weights —
-    /// byte-identical to `CountCache`'s per-byte loop on the decompressed
-    /// document (`tests/slp.rs` pins this).
+    /// The counting fold: partial-mapping count vectors from `{initial:
+    /// 1}`, then the final-capture weights — matches `CountCache` on the
+    /// decompressed document.
     fn count_run<S: Stepper>(
         &mut self,
         st: &mut S,
         slp: &Slp,
         shared: Option<&RowTables>,
     ) -> Result<u64, SpannerError> {
-        // At least one tick per document, so zero deadlines and injected
-        // expirations trip even on empty sequences.
-        self.checker.tick()?;
-        let rules = slp.rules().clone();
-        let gid = rules.id();
-        let start = st.start_state() as u32;
-        self.frontier.clear();
-        self.frontier.push((start, 1));
-        for &sym in slp.sequence() {
-            self.maintain_count_frontier(st)?;
-            self.next.clear();
-            for fi in 0..self.frontier.len() {
-                self.checker.tick()?;
-                let (q, c) = self.frontier[fi];
-                let rref = self.ensure_count_row(st, &rules, gid, sym, q, shared)?;
-                let mut next = std::mem::take(&mut self.next);
-                let res = self.accumulate_count(rref, c, shared, &mut next);
-                self.next = next;
-                res?;
-            }
-            self.next.sort_unstable_by_key(|&(p, _)| p);
-            std::mem::swap(&mut self.frontier, &mut self.next);
-            merge_sorted_counts(&mut self.frontier)?;
-            if self.frontier.is_empty() {
-                return Ok(0);
-            }
+        let start = (st.start_state() as u32, 1);
+        if !self.compose(st, slp, shared, start)? {
+            return Ok(0);
         }
-        self.maintain_count_frontier(st)?;
         let mut total = 0u64;
-        for fi in 0..self.frontier.len() {
-            let (q, c) = self.frontier[fi];
+        for fi in 0..self.counts.front.len() {
+            let (q, c) = self.counts.front[fi];
             let w = self.weight(st, q);
             let add = c.checked_mul(w).ok_or(SpannerError::CountOverflow)?;
             total = total.checked_add(add).ok_or(SpannerError::CountOverflow)?;
@@ -979,49 +921,17 @@ impl Workspace {
         slp: &Slp,
         shared: Option<&RowTables>,
     ) -> Result<bool, SpannerError> {
-        self.checker.tick()?;
-        let rules = slp.rules().clone();
-        let gid = rules.id();
         let start = st.start_state() as u32;
-        self.live.clear();
-        self.live.push(start);
-        for &sym in slp.sequence() {
-            self.maintain_live(st)?;
-            self.next_live.clear();
-            for li in 0..self.live.len() {
-                self.checker.tick()?;
-                let q = self.live[li];
-                let rref = self.ensure_set_row(st, &rules, gid, sym, q, shared)?;
-                let mut next = std::mem::take(&mut self.next_live);
-                self.copy_set_row_append(rref, shared, &mut next);
-                self.next_live = next;
-            }
-            self.next_live.sort_unstable();
-            self.next_live.dedup();
-            std::mem::swap(&mut self.live, &mut self.next_live);
-            if self.live.is_empty() {
-                return Ok(false);
-            }
+        if !self.compose(st, slp, shared, start)? {
+            return Ok(false);
         }
-        self.maintain_live(st)?;
-        for li in 0..self.live.len() {
-            let q = self.live[li];
+        for li in 0..self.sets.front.len() {
+            let q = self.sets.front[li];
             if self.weight(st, q) > 0 {
                 return Ok(true);
             }
         }
         Ok(false)
-    }
-
-    /// Appends the referenced set row to `out` (no clear — union building).
-    fn copy_set_row_append(&self, rref: RowRef, shared: Option<&RowTables>, out: &mut Vec<u32>) {
-        match rref {
-            RowRef::Term => out.extend_from_slice(&self.tset),
-            RowRef::Local(a, b) => out.extend_from_slice(&self.memo.set_arena[a..b]),
-            RowRef::Shared(a, b) => {
-                out.extend_from_slice(&shared.expect("shared ref").set_arena[a..b])
-            }
-        }
     }
 }
 
@@ -1118,9 +1028,10 @@ impl SlpEvaluator {
         self.memo_budget_override.unwrap_or(self.memo_budget)
     }
 
-    /// Approximate bytes currently held by the memo tables.
+    /// Approximate bytes currently held by the memo tables: row entries,
+    /// the per-row index, and the per-rule-set head tables.
     pub fn memo_bytes(&self) -> usize {
-        self.ws.memo.bytes
+        self.ws.memo.bytes()
     }
 
     /// Number of `(rule set, symbol, state)` rows currently memoized.
@@ -1143,22 +1054,23 @@ impl SlpEvaluator {
 
     /// Total bytes held: memo tables plus the embedded cache or delta.
     pub fn memory_bytes(&self) -> usize {
-        self.ws.memo.bytes + self.slot.governed_bytes()
+        self.ws.memo.bytes() + self.slot.governed_bytes()
     }
 
     /// Capacity snapshot for allocation-retention assertions: the embedded
     /// cache/delta buffers in the first eight slots (zeros when the
-    /// evaluator has only driven eager automata), the SLP memo arenas in the
-    /// last two — the E10b diagnostics see SLP memory through the same lens
-    /// as the determinization caches.
+    /// evaluator has only driven eager automata), the allocated bytes of the
+    /// SLP count and set memo tables (arena plus index) in the last two —
+    /// the E10b diagnostics see SLP memory through the same lens as the
+    /// determinization caches.
     pub fn capacity_signature(&self) -> CapacitySignature {
         let mut sig = match (self.slot.lazy_cache(), self.slot.frozen_delta()) {
             (Some(cache), _) => cache.capacity_signature(),
             (None, Some(delta)) => delta.capacity_signature(),
             (None, None) => CapacitySignature([0; 10]),
         };
-        sig.0[8] = self.ws.memo.count_arena.capacity();
-        sig.0[9] = self.ws.memo.set_arena.capacity();
+        sig.0[8] = self.ws.memo.counts.capacity_bytes();
+        sig.0[9] = self.ws.memo.sets.capacity_bytes();
         sig
     }
 
@@ -1180,14 +1092,14 @@ impl SlpEvaluator {
     }
 
     /// Sheds the SLP memo tables for the global governor (severity 2 of the
-    /// shedding ladder): every memoized row is dropped and recomputed on
-    /// demand, exactly as after a budget-driven clear — results stay
-    /// byte-identical. Returns the bytes freed. Unlike budget clears, a
+    /// shedding ladder): every memoized row and head table is freed and
+    /// rows are recomputed on demand, exactly as after a budget-driven
+    /// clear — results stay byte-identical. Returns the bytes freed. Unlike budget clears, a
     /// governor shed is **not** counted by [`SlpEvaluator::memo_clears`]
     /// and never trips the per-document thrash guard.
     pub fn shed_memos(&mut self) -> usize {
-        let freed = self.ws.memo.bytes;
-        self.ws.memo.clear();
+        let freed = self.ws.memo.bytes();
+        self.ws.memo = RowTables::default();
         freed
     }
 
@@ -1467,5 +1379,38 @@ mod tests {
         let _ = ev.count(&det, &slp).unwrap();
         assert_eq!(ev.memo_rows(), rows, "warm rerun must not rebuild rows");
         assert_eq!(ev.capacity_signature(), sig, "warm rerun reallocated memo buffers");
+        // The ledger counts the index: ROW_COST per row plus one head slot
+        // per rule in each of the two tables.
+        let m = &ev.ws.memo;
+        let arenas = std::mem::size_of_val(m.counts.arena.as_slice())
+            + std::mem::size_of_val(m.sets.arena.as_slice());
+        let heads = 2 * std::mem::size_of::<u32>() * slp.rules().num_rules();
+        assert_eq!(ev.memo_bytes(), arenas + rows * ROW_COST + heads, "index missing from ledger");
+        // A governor shed returns all of it.
+        let held = ev.memo_bytes();
+        assert_eq!(ev.shed_memos(), held);
+        assert_eq!((ev.memo_bytes(), ev.memo_rows()), (0, 0));
+        // Frozen runs clear the local memo on every document (no shared memo
+        // here, so every row is local); a warm rerun over the same documents
+        // must still reallocate nothing, index and delta included.
+        let spanner = CompiledSpanner::from_eva_with(&eva, EnginePolicy::Lazy).unwrap();
+        let lazy = spanner.lazy_automaton().unwrap();
+        let frozen = spanner.freeze_warm_slp(&[]).unwrap();
+        let top = slp.sequence()[0];
+        let docs =
+            [slp.clone(), Slp::new(slp.rules().clone(), vec![b'a' as u32, top, top]).unwrap()];
+        let mut worker = SlpEvaluator::new();
+        let mut run = |worker: &mut SlpEvaluator| {
+            for doc in &docs {
+                let expect = ev.count(&det, doc).unwrap();
+                assert_eq!(worker.count_frozen(lazy, &frozen, doc).unwrap(), expect);
+                assert_eq!(worker.accepts_frozen(lazy, &frozen, doc).unwrap(), expect > 0);
+            }
+        };
+        run(&mut worker);
+        assert!(worker.memo_rows() > 0, "frozen runs without a shared memo build local rows");
+        let sig = worker.capacity_signature();
+        run(&mut worker);
+        assert_eq!(worker.capacity_signature(), sig, "warm frozen rerun reallocated");
     }
 }

@@ -199,6 +199,53 @@ fn batch_counts_are_identical_at_every_thread_count() {
     }
 }
 
+/// One warm evaluator serving two separately compressed corpora,
+/// interleaved. Both rule sets number their rules from symbol 256 with
+/// different expansions, so a memo row is only reusable under the rule set
+/// it was built for — across eager, lazy and frozen engines (the frozen
+/// snapshot is warmed on one document of each corpus, so its shared memo
+/// holds both rule sets too) and the pooled batch path.
+#[test]
+fn one_evaluator_serves_interleaved_rule_sets() {
+    let corpus_a = w::repetitive_log_corpus(0x2A, 4, 200);
+    let corpus_b = w::log_corpus(0x2B, 4, 150);
+    let slps_a = w::SlpBuilder::new().build_corpus(&corpus_a).unwrap();
+    let slps_b = w::SlpBuilder::new().build_corpus(&corpus_b).unwrap();
+    let expand = |slp: &Slp, sym| Slp::new(slp.rules().clone(), vec![sym]).unwrap().decompress();
+    let common = slps_a[0].rules().num_rules().min(slps_b[0].rules().num_rules()) as u32;
+    let differing =
+        (256..256 + common).filter(|&sym| expand(&slps_a[0], sym) != expand(&slps_b[0], sym));
+    assert!(differing.count() > common as usize / 2, "symbol numbers must mostly differ");
+    let mixed: Vec<Slp> =
+        slps_a.iter().zip(&slps_b).flat_map(|(a, b)| [a.clone(), b.clone()]).collect();
+    for eva in [pattern_eva(w::digit_runs_pattern()), w::all_spans_eva()] {
+        for (e, spanner) in both_engines(&eva).iter().enumerate() {
+            let expected: Vec<u64> =
+                mixed.iter().map(|slp| spanner.count(&slp.decompress()).unwrap()).collect();
+            let frozen = spanner.freeze_warm_slp(&mixed[..2]);
+            let (mut ev, mut fev) = (SlpEvaluator::new(), SlpEvaluator::new());
+            // The second pass runs against memos warm for both rule sets.
+            for pass in 0..2 {
+                for (i, (slp, &want)) in mixed.iter().zip(&expected).enumerate() {
+                    let context = format!("engine {e} pass {pass} doc {i}");
+                    assert_eq!(spanner.count_slp_with(&mut ev, slp).unwrap(), want, "{context}");
+                    assert_eq!(spanner.is_match_slp_with(&mut ev, slp).unwrap(), want > 0);
+                    if let Some(frozen) = &frozen {
+                        let got = spanner.count_slp_frozen_with(&mut fev, frozen, slp).unwrap();
+                        assert_eq!(got, want, "{context} frozen");
+                        let got = spanner.is_match_slp_frozen_with(&mut fev, frozen, slp).unwrap();
+                        assert_eq!(got, want > 0, "{context} frozen is_match");
+                    }
+                }
+            }
+            let report = spanner.count_slp_batch_report(&mixed, &BatchOptions::threads(2)).unwrap();
+            assert!(report.is_fully_ok());
+            let counts: Vec<u64> = report.into_results().into_iter().map(Result::unwrap).collect();
+            assert_eq!(counts, expected, "engine {e} batch at 2 threads");
+        }
+    }
+}
+
 #[test]
 fn memo_eviction_thrash_is_slow_but_correct() {
     let docs = w::repetitive_log_corpus(0x7123, 4, 300);
