@@ -229,7 +229,8 @@ fn one_evaluator_serves_interleaved_rule_sets() {
                 for (i, (slp, &want)) in mixed.iter().zip(&expected).enumerate() {
                     let context = format!("engine {e} pass {pass} doc {i}");
                     assert_eq!(spanner.count_slp_with(&mut ev, slp).unwrap(), want, "{context}");
-                    assert_eq!(spanner.is_match_slp_with(&mut ev, slp).unwrap(), want > 0);
+                    let matched = spanner.is_match_slp_with(&mut ev, slp).unwrap();
+                    assert_eq!(matched, want > 0, "{context} is_match");
                     if let Some(frozen) = &frozen {
                         let got = spanner.count_slp_frozen_with(&mut fev, frozen, slp).unwrap();
                         assert_eq!(got, want, "{context} frozen");
