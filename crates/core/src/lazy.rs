@@ -2179,6 +2179,29 @@ mod tests {
         let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
         assert!(accepts_generic(&mut stepper, &doc));
         assert!(delta.num_overflow_states() > 0, "all states must live in the delta");
+        // A delta over an empty snapshot is a live cache: same answers, same
+        // interning, same evictions and the same byte accounting, at every
+        // budget (including ones that evict on every position).
+        for config in
+            [LazyConfig::default(), LazyConfig::with_budget(200), LazyConfig::with_budget(1)]
+        {
+            let lazy = LazyDetSeva::new(&eva, config).unwrap();
+            let frozen = lazy.create_cache().freeze(&lazy);
+            for text in ["agz", "agzagzagz", "zzzzzagqagq!!", "", "a!b"] {
+                let doc = Document::from(text);
+                let ctx = format!("budget {} on {text:?}", config.memory_budget);
+                let mut cache = lazy.create_cache();
+                let live = lazy.accepts(&mut cache, &doc);
+                let mut delta = frozen.create_delta(&lazy);
+                let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
+                assert_eq!(accepts_generic(&mut stepper, &doc), live, "acceptance, {ctx}");
+                assert_eq!(live, !eva.eval_naive(&doc).is_empty(), "oracle, {ctx}");
+                assert_eq!(delta.states_interned(), cache.states_interned(), "interned, {ctx}");
+                assert_eq!(delta.clear_count(), cache.clear_count(), "clears, {ctx}");
+                assert_eq!(delta.memory_bytes(), cache.memory_bytes(), "bytes, {ctx}");
+                assert_eq!(delta.num_overflow_states(), cache.num_states(), "states, {ctx}");
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 use spanners::runtime::{BatchOptions, BatchSpanner, EvaluatorPool, SpannerServer};
 use spanners::workloads as w;
 use spanners::{
-    CompiledSpanner, CountCache, Document, Evaluator, LazyConfig, Mapping, SpannerError,
+    CompiledSpanner, CountCache, Document, Evaluator, EvictionPolicy, LazyConfig, Mapping,
+    SpannerError,
 };
 
 /// Worker counts every differential runs at: the sequential fallback, a
@@ -130,52 +131,64 @@ fn eager_batch_order_identical_to_plain_sequential_engine() {
 /// The frozen-overflow torture case: a budget far below the working set
 /// forces every worker's delta to clear-and-restart mid-document, and the
 /// outputs must still match the sequential engines at every thread count.
+/// It runs under both eviction policies of the warming cache: a segmented
+/// snapshot (the multi-tenant default) is stepped by the same
+/// clear-and-restart deltas.
 #[test]
 fn tiny_budget_frozen_overflow_evicts_without_divergence() {
     let n = 10;
     let eva = w::exp_blowup_eva(n);
-    let spanner = CompiledSpanner::from_eva_lazy(&eva, LazyConfig::with_budget(256)).unwrap();
     let docs = w::text_corpus(0x7B, 24, 50, 300, b"ab");
+    for policy in [EvictionPolicy::ClearRestart, EvictionPolicy::Segmented] {
+        let config = LazyConfig::with_budget(256).with_eviction(policy);
+        let spanner = CompiledSpanner::from_eva_lazy(&eva, config).unwrap();
 
-    let mut counts = CountCache::<u64>::new();
-    let expected_counts: Vec<u64> =
-        docs.iter().map(|d| spanner.count_with(&mut counts, d).unwrap()).collect();
-    for (i, doc) in docs.iter().enumerate() {
+        let mut counts = CountCache::<u64>::new();
+        let expected_counts: Vec<u64> =
+            docs.iter().map(|d| spanner.count_with(&mut counts, d).unwrap()).collect();
+        for (i, doc) in docs.iter().enumerate() {
+            assert_eq!(
+                expected_counts[i] as usize,
+                w::exp_blowup_expected(n, doc),
+                "oracle mismatch on doc {i} under {policy:?}"
+            );
+        }
+        let sequential = spanner
+            .evaluate_batch(&docs, &BatchOptions::threads(1), |_, dag| dag.collect_mappings());
+        for &threads in THREAD_COUNTS {
+            let opts = BatchOptions::threads(threads);
+            assert_eq!(
+                spanner.count_batch::<u64>(&docs, &opts).unwrap(),
+                expected_counts,
+                "thrashing count_batch at {threads} threads under {policy:?}"
+            );
+            assert_eq!(
+                spanner.evaluate_batch(&docs, &opts, |_, dag| dag.collect_mappings()),
+                sequential,
+                "thrashing evaluate_batch at {threads} threads under {policy:?}"
+            );
+        }
+
+        // Direct core-seam check that the tiny budget actually bit: a long
+        // document through a barely-warmed frozen snapshot must evict the
+        // delta mid-document, and still agree with the plain lazy engine.
+        let frozen = spanner.freeze_warm(&docs[..1]).expect("lazy spanner freezes");
+        let lazy = spanner.lazy_automaton().expect("lazy engine");
+        let big = w::random_text(0x99, 2_000, b"ab");
+        let mut frosty = Evaluator::new();
+        let got = sorted(frosty.eval_frozen(lazy, &frozen, &big).collect_mappings());
+        let delta = frosty.frozen_delta().expect("frozen evaluation populated a delta");
+        assert!(
+            delta.clear_count() > 0,
+            "a 256-byte budget never evicted the overflow delta under {policy:?}"
+        );
+        let mut plain = Evaluator::new();
+        let expected = sorted(plain.eval_lazy(lazy, &big).collect_mappings());
         assert_eq!(
-            expected_counts[i] as usize,
-            w::exp_blowup_expected(n, doc),
-            "oracle mismatch on doc {i}"
+            got, expected,
+            "delta eviction corrupted the frozen evaluation under {policy:?}"
         );
     }
-    let sequential =
-        spanner.evaluate_batch(&docs, &BatchOptions::threads(1), |_, dag| dag.collect_mappings());
-    for &threads in THREAD_COUNTS {
-        let opts = BatchOptions::threads(threads);
-        assert_eq!(
-            spanner.count_batch::<u64>(&docs, &opts).unwrap(),
-            expected_counts,
-            "thrashing count_batch at {threads} threads"
-        );
-        assert_eq!(
-            spanner.evaluate_batch(&docs, &opts, |_, dag| dag.collect_mappings()),
-            sequential,
-            "thrashing evaluate_batch at {threads} threads"
-        );
-    }
-
-    // Direct core-seam check that the tiny budget actually bit: a long
-    // document through a barely-warmed frozen snapshot must evict the delta
-    // mid-document, and still agree with the plain lazy engine.
-    let frozen = spanner.freeze_warm(&docs[..1]).expect("lazy spanner freezes");
-    let lazy = spanner.lazy_automaton().expect("lazy engine");
-    let big = w::random_text(0x99, 2_000, b"ab");
-    let mut frosty = Evaluator::new();
-    let got = sorted(frosty.eval_frozen(lazy, &frozen, &big).collect_mappings());
-    let delta = frosty.frozen_delta().expect("frozen evaluation populated a delta");
-    assert!(delta.clear_count() > 0, "a 256-byte budget never evicted the overflow delta");
-    let mut plain = Evaluator::new();
-    let expected = sorted(plain.eval_lazy(lazy, &big).collect_mappings());
-    assert_eq!(got, expected, "delta eviction corrupted the frozen evaluation");
 }
 
 /// Pool-reuse contract: a checked-in engine comes back warm — same arena
