@@ -230,7 +230,7 @@ impl<C: Counter> CountCache<C> {
     /// Like [`CountCache::count`] but over a **lazily determinized**
     /// automaton, using (and retaining, warm) the embedded lazy cache.
     pub fn count_lazy(&mut self, aut: &LazyDetSeva, doc: &Document) -> Result<C, SpannerError> {
-        self.drive(Target::Lazy(aut), doc)
+        self.drive(Target::Lazy(aut, None), doc)
     }
 
     /// Like [`CountCache::count_lazy`] but stepping through a **shared
@@ -243,7 +243,7 @@ impl<C: Counter> CountCache<C> {
         frozen: &FrozenCache,
         doc: &Document,
     ) -> Result<C, SpannerError> {
-        self.drive(Target::Frozen(aut, frozen), doc)
+        self.drive(Target::Lazy(aut, Some(frozen)), doc)
     }
 
     /// Current capacity of the per-state count vector (diagnostics: a warm

@@ -323,12 +323,12 @@ impl DetSeva {
 }
 
 /// The transition interface the evaluation engines (Algorithms 1 and 3) are
-/// generic over — the seam between the *eager* [`DetSeva`], the *lazy*
-/// hybrid determinization cache ([`crate::lazy::LazyDetSeva`] +
-/// [`crate::lazy::LazyCache`]), and the *frozen/delta* split of the parallel
-/// batch runtime ([`crate::lazy::FrozenCache`] shared read-only across
-/// workers, each stepping a private [`crate::lazy::FrozenDelta`] through a
-/// [`crate::lazy::FrozenStepper`]).
+/// generic over — the seam between the *eager* [`DetSeva`] and the *lazy*
+/// hybrid determinization of [`crate::lazy::LazyDetSeva`], whose one
+/// [`crate::lazy::LazyStepper`] steps a [`crate::lazy::LazyCache`] either
+/// live or over a [`crate::lazy::FrozenCache`] snapshot shared read-only
+/// across the workers of the parallel batch runtime (each worker's store
+/// then holds only its private overflow, a [`crate::lazy::FrozenDelta`]).
 ///
 /// All stepping methods take `&mut self` because a lazy implementation fills
 /// transition-table rows (and interns freshly discovered subset states) the

@@ -27,7 +27,7 @@ use crate::det::{try_accepts_generic, DetSeva, SkipScanner, Stepper};
 use crate::document::Document;
 use crate::enumerate::Stage;
 use crate::error::SpannerError;
-use crate::lazy::{FrozenCache, FrozenDelta, FrozenStepper, LazyCache, LazyDetSeva, LazyStepper};
+use crate::lazy::{FrozenCache, FrozenDelta, LazyCache, LazyDetSeva, LazyStepper};
 use crate::limits::{EvalLimits, LimitChecker};
 use crate::sparse::SparseSet;
 
@@ -132,70 +132,58 @@ pub enum EngineMode {
 }
 
 /// The per-worker half of the lazy and frozen engines, shared by the
-/// [`Driver`] and [`crate::SlpEvaluator`]: the lazy determinization cache of
-/// the automaton last run live and the overflow delta of the frozen snapshot
-/// last run against, each tagged with the identity it belongs to, plus the
-/// one-off byte-budget override of the degradation ladder.
+/// [`Driver`] and [`crate::SlpEvaluator`]: two [`LazyCache`] stores — the
+/// live cache of the automaton last run live and the store over the frozen
+/// snapshot last run against — each tagged with the identity it belongs to,
+/// plus the one-off byte-budget override of the degradation ladder.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CacheSlot {
     lazy: Option<(u64, LazyCache)>,
-    /// Tagged with the *snapshot's* identity: delta state ids are relative
-    /// to one specific freeze.
+    /// Tagged with the *snapshot's* identity: its local state ids are
+    /// relative to one specific freeze.
     frozen: Option<(u64, FrozenDelta)>,
     /// `None` uses the automaton's configured budget.
     pub(crate) budget_override: Option<usize>,
 }
 
-/// The automaton a run steps through: eager tables, a lazy automaton with
-/// the engine's own warm cache, or the shared frozen snapshot of a lazy
-/// automaton with the engine's private overflow delta.
+/// The automaton a run steps through: eager tables, or a lazy automaton —
+/// live through the engine's own warm cache, or over a shared frozen
+/// snapshot through the engine's private overflow delta.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Target<'a> {
     Eager(&'a DetSeva),
-    Lazy(&'a LazyDetSeva),
-    Frozen(&'a LazyDetSeva, &'a FrozenCache),
+    Lazy(&'a LazyDetSeva, Option<&'a FrozenCache>),
 }
 
 impl CacheSlot {
-    /// Runs `f` with the cache of `aut` — the retained one if it belongs to
-    /// `aut`, a fresh one otherwise — bound to `aut` under the effective byte
-    /// budget. Binding first makes the budget deterministic per run: a
-    /// previous run's override never leaks into an un-overridden run. The
-    /// cache stays warm (and survives a tripped limit) for the next run.
-    pub(crate) fn with_lazy<R>(
+    /// Runs `f` with a stepper over `aut` — live through the retained cache
+    /// of `aut`, or over `base` through the retained store of that snapshot;
+    /// a fresh store replaces one that belongs elsewhere. The store is bound
+    /// under the effective byte budget first, which makes the budget
+    /// deterministic per run: a previous run's override never leaks into an
+    /// un-overridden run. A store over a snapshot is reset (capacity
+    /// retained), so every frozen run is a pure function of the snapshot and
+    /// the document. The store stays warm (and survives a tripped limit) for
+    /// the next run.
+    pub(crate) fn with_stepper<R>(
         &mut self,
         aut: &LazyDetSeva,
-        f: impl FnOnce(&mut LazyCache) -> R,
+        base: Option<&FrozenCache>,
+        f: impl FnOnce(&mut LazyStepper<'_>) -> R,
     ) -> R {
-        let mut cache = match self.lazy.take() {
-            Some((id, cache)) if id == aut.id() => cache,
-            _ => aut.create_cache(),
+        let budget = self.budget_override.unwrap_or(aut.config().memory_budget);
+        let (slot, id) = match base {
+            Some(frozen) => (&mut self.frozen, frozen.id()),
+            None => (&mut self.lazy, aut.id()),
         };
-        cache.bind(aut);
-        cache.set_budget(self.budget_override.unwrap_or(aut.config().memory_budget));
-        let out = f(&mut cache);
-        self.lazy = Some((aut.id(), cache));
-        out
-    }
-
-    /// Runs `f` with the overflow delta of `frozen` (see
-    /// [`CacheSlot::with_lazy`]). Binding resets the delta, capacity
-    /// retained, so every frozen run is a pure function of the snapshot and
-    /// the document.
-    pub(crate) fn with_frozen<R>(
-        &mut self,
-        aut: &LazyDetSeva,
-        frozen: &FrozenCache,
-        f: impl FnOnce(&mut FrozenDelta) -> R,
-    ) -> R {
-        let mut delta = match self.frozen.take() {
-            Some((id, delta)) if id == frozen.id() => delta,
-            _ => FrozenDelta::new(),
+        let mut store = match slot.take() {
+            Some((tag, store)) if tag == id => store,
+            _ => LazyCache::new(),
         };
-        delta.bind(frozen, aut);
-        delta.set_budget(self.budget_override.unwrap_or(aut.config().memory_budget));
-        let out = f(&mut delta);
-        self.frozen = Some((frozen.id(), delta));
+        store.bind_over(aut, base);
+        store.set_budget(budget);
+        let out = f(&mut LazyStepper::with_base(aut, base, &mut store));
+        *slot = Some((id, store));
         out
     }
 
@@ -212,26 +200,24 @@ impl CacheSlot {
         self.frozen.as_ref().map(|(_, d)| d)
     }
 
-    /// Bytes held by the lazy cache plus the frozen delta — the memory a
-    /// global [`crate::MemoryGovernor`] ledgers and can shed.
-    pub(crate) fn governed_bytes(&self) -> usize {
-        self.lazy_cache().map_or(0, LazyCache::memory_bytes)
-            + self.frozen_delta().map_or(0, FrozenDelta::memory_bytes)
+    /// The live cache, then the store over a snapshot, whichever exist.
+    pub(crate) fn stores(&self) -> impl Iterator<Item = &LazyCache> {
+        self.lazy_cache().into_iter().chain(self.frozen_delta())
     }
 
-    /// Severity 1 of the governor's shedding ladder: drops the lazy cache
-    /// outright and [`FrozenDelta::shed`]s the delta. Results stay
-    /// byte-identical — both are pure memoization, rebuilt on demand.
-    /// Returns the bytes freed.
+    /// Bytes held by both stores — the memory a global
+    /// [`crate::MemoryGovernor`] ledgers and can shed.
+    pub(crate) fn governed_bytes(&self) -> usize {
+        self.stores().map(LazyCache::memory_bytes).sum()
+    }
+
+    /// Severity 1 of the governor's shedding ladder: drops the live cache
+    /// outright and [`LazyCache::shed`]s the store over a snapshot (it stays
+    /// bound to it). Results stay byte-identical — both are pure
+    /// memoization, rebuilt on demand. Returns the bytes freed.
     pub(crate) fn shed(&mut self) -> usize {
-        let mut freed = 0;
-        if let Some((_, cache)) = self.lazy.take() {
-            freed += cache.memory_bytes();
-        }
-        if let Some((_, delta)) = self.frozen.as_mut() {
-            freed += delta.shed();
-        }
-        freed
+        let dropped = self.lazy.take().map_or(0, |(_, cache)| cache.memory_bytes());
+        dropped + self.frozen.as_mut().map_or(0, |(_, delta)| delta.shed())
     }
 }
 
@@ -242,9 +228,10 @@ impl CacheSlot {
 /// A driver owns every piece of mutable state a run needs and keeps its
 /// capacity across documents, so in steady state (same automaton,
 /// comparable document sizes) evaluation performs **zero heap allocation**.
-/// Lazily determinized automata are stepped through the driver's own warm
-/// [`LazyCache`] (or, against a shared [`FrozenCache`], its private
-/// [`FrozenDelta`]); per-document [`EvalLimits`] apply to every run.
+/// Lazily determinized automata are stepped through one of the driver's two
+/// [`LazyCache`] stores: its own warm live cache, or, against a shared
+/// [`FrozenCache`], its private per-document overflow delta
+/// ([`FrozenDelta`]). Per-document [`EvalLimits`] apply to every run.
 #[derive(Clone, Default)]
 pub struct Driver<A: Accumulator> {
     pub(crate) slot: CacheSlot,
@@ -364,9 +351,9 @@ impl<A: Accumulator> Driver<A> {
         self.slot.budget_override
     }
 
-    /// The embedded lazy determinization cache, if a lazy automaton has been
-    /// run (diagnostics: subset-state count, eviction count, capacity
-    /// signature for allocation-retention assertions).
+    /// The embedded live lazy determinization cache, if a lazy automaton has
+    /// been run live (diagnostics: subset-state count, eviction count,
+    /// capacity signature for allocation-retention assertions).
     pub fn lazy_cache(&self) -> Option<&LazyCache> {
         self.slot.lazy_cache()
     }
@@ -382,17 +369,17 @@ impl<A: Accumulator> Driver<A> {
         self.slot.install_lazy(aut, cache);
     }
 
-    /// The embedded frozen-overflow delta, if a frozen snapshot has been run
-    /// against (diagnostics: overflow-state count, eviction count, capacity
-    /// signature).
+    /// The embedded store over the frozen snapshot last run against, if any
+    /// (diagnostics: overflow-state count, eviction count, capacity
+    /// signature). It is the same [`LazyCache`] type as the live cache.
     pub fn frozen_delta(&self) -> Option<&FrozenDelta> {
         self.slot.frozen_delta()
     }
 
-    /// Bytes currently held by this engine's **governed** memory: the
-    /// embedded lazy cache plus the frozen-overflow delta. (The per-state
-    /// buffers and the DAG arenas are per-document working memory, not
-    /// governed.)
+    /// Bytes currently held by this engine's **governed** memory: its two
+    /// subset stores, the live lazy cache plus the frozen-overflow delta.
+    /// (The per-state buffers and the DAG arenas are per-document working
+    /// memory, not governed.)
     pub fn governed_bytes(&self) -> usize {
         self.slot.governed_bytes()
     }
@@ -426,12 +413,8 @@ impl<A: Accumulator> Driver<A> {
         let run = &mut self.run;
         match target {
             Target::Eager(det) => run.drive(&mut &*det, doc, None::<NoTrace<A::Value>>),
-            Target::Lazy(aut) => self.slot.with_lazy(aut, |cache| {
-                run.drive(&mut LazyStepper::new(aut, cache), doc, None::<NoTrace<A::Value>>)
-            }),
-            Target::Frozen(aut, frozen) => self.slot.with_frozen(aut, frozen, |delta| {
-                let mut stepper = FrozenStepper::new(aut, frozen, delta);
-                run.drive(&mut stepper, doc, None::<NoTrace<A::Value>>)
+            Target::Lazy(aut, base) => self.slot.with_stepper(aut, base, |stepper| {
+                run.drive(stepper, doc, None::<NoTrace<A::Value>>)
             }),
         }
     }
@@ -459,12 +442,9 @@ impl<A: Accumulator> Driver<A> {
     ) -> Result<bool, SpannerError> {
         match target {
             Target::Eager(det) => try_accepts_generic(&mut &*det, doc, &limits),
-            Target::Lazy(aut) => self.slot.with_lazy(aut, |cache| {
-                try_accepts_generic(&mut LazyStepper::new(aut, cache), doc, &limits)
-            }),
-            Target::Frozen(aut, frozen) => self.slot.with_frozen(aut, frozen, |delta| {
-                try_accepts_generic(&mut FrozenStepper::new(aut, frozen, delta), doc, &limits)
-            }),
+            Target::Lazy(aut, base) => self
+                .slot
+                .with_stepper(aut, base, |stepper| try_accepts_generic(stepper, doc, &limits)),
         }
     }
 }

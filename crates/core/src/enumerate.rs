@@ -362,13 +362,13 @@ impl Evaluator {
         aut: &'a LazyDetSeva,
         doc: &Document,
     ) -> Result<DagView<'a>, SpannerError> {
-        self.try_view(Target::Lazy(aut), aut.registry(), doc)
+        self.try_view(Target::Lazy(aut, None), aut.registry(), doc)
     }
 
     /// Like [`Evaluator::eval_lazy`] but moving the finished DAG out as an
     /// owned [`EnumerationDag`] (see [`Evaluator::eval_owned`]).
     pub fn eval_lazy_owned(&mut self, aut: &LazyDetSeva, doc: &Document) -> EnumerationDag {
-        self.owned(Target::Lazy(aut), aut.registry(), doc)
+        self.owned(Target::Lazy(aut, None), aut.registry(), doc)
     }
 
     /// Whether the lazily determinized automaton accepts `doc`, using (and
@@ -376,7 +376,7 @@ impl Evaluator {
     /// unlike a one-shot `accepts` with a fresh cache, repeated calls reuse
     /// all previously discovered subset states and transition rows.
     pub fn accepts_lazy(&mut self, aut: &LazyDetSeva, doc: &Document) -> bool {
-        infallible(self.accepts(Target::Lazy(aut), doc, EvalLimits::none()))
+        infallible(self.accepts(Target::Lazy(aut, None), doc, EvalLimits::none()))
     }
 
     /// [`Evaluator::accepts_lazy`] under the configured limits: the match
@@ -386,7 +386,7 @@ impl Evaluator {
         aut: &LazyDetSeva,
         doc: &Document,
     ) -> Result<bool, SpannerError> {
-        self.accepts(Target::Lazy(aut), doc, self.limits())
+        self.accepts(Target::Lazy(aut, None), doc, self.limits())
     }
 
     /// Runs Algorithm 1 against a **shared frozen snapshot** of a lazy
@@ -416,7 +416,7 @@ impl Evaluator {
         frozen: &FrozenCache,
         doc: &Document,
     ) -> Result<DagView<'a>, SpannerError> {
-        self.try_view(Target::Frozen(aut, frozen), aut.registry(), doc)
+        self.try_view(Target::Lazy(aut, Some(frozen)), aut.registry(), doc)
     }
 
     /// Whether the automaton accepts `doc`, stepping through the shared
@@ -428,7 +428,7 @@ impl Evaluator {
         frozen: &FrozenCache,
         doc: &Document,
     ) -> bool {
-        infallible(self.accepts(Target::Frozen(aut, frozen), doc, EvalLimits::none()))
+        infallible(self.accepts(Target::Lazy(aut, Some(frozen)), doc, EvalLimits::none()))
     }
 
     /// [`Evaluator::accepts_frozen`] under the configured limits.
@@ -438,7 +438,7 @@ impl Evaluator {
         frozen: &FrozenCache,
         doc: &Document,
     ) -> Result<bool, SpannerError> {
-        self.accepts(Target::Frozen(aut, frozen), doc, self.limits())
+        self.accepts(Target::Lazy(aut, Some(frozen)), doc, self.limits())
     }
 
     /// Current capacity of the node arena (diagnostics: a warmed-up evaluator

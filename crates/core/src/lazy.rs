@@ -18,8 +18,8 @@
 //!   compiler precomputes and this cache derives lazily;
 //! * everything mutable lives in a [`LazyCache`] governed by a configurable
 //!   byte budget ([`LazyConfig`]); when the budget is exceeded the cache is
-//!   **cleared and restarted**: the evaluation engine's live states are
-//!   re-interned into the fresh cache and every other state is forgotten,
+//!   **evicted**: the evaluation engine's live states are kept (re-interned
+//!   or compacted, per [`EvictionPolicy`]) and other states are forgotten,
 //!   so memory stays bounded no matter how adversarial the automaton is.
 //!
 //! The cache plugs into the existing evaluation engines
@@ -31,29 +31,37 @@
 //! semantics, and subset states make Algorithm 1 duplicate-free even though
 //! the source automaton is nondeterministic.
 //!
-//! # Sharing a warm cache across threads: the frozen/delta split
+//! # One subset store over an optional frozen base
 //!
-//! A [`LazyCache`] is inherently single-threaded — every step may mutate it.
-//! For batch/serving workloads where N workers evaluate the *same* spanner
-//! over many documents, that would mean N caches each re-determinizing the
-//! same subsets: exactly the waste the lazy engine exists to avoid. The
-//! frozen/delta split amortizes the work instead:
+//! A [`LazyCache`] is single-threaded — every step may mutate it. For
+//! batch/serving workloads where N workers evaluate the *same* spanner over
+//! many documents, N live caches would each re-determinize the same subsets:
+//! exactly the waste the lazy engine exists to avoid. The frozen/delta split
+//! amortizes the work without a second engine:
 //!
-//! * [`LazyCache::freeze`] snapshots a warm cache into a [`FrozenCache`] — an
-//!   immutable CSR table of every subset state, transition row and skip entry
-//!   discovered so far. A `FrozenCache` is `Send + Sync` (it has no interior
-//!   mutability) and is meant to be shared by reference or `Arc` across
-//!   worker threads;
-//! * each worker owns a small mutable [`FrozenDelta`] holding the *overflow*:
-//!   states and rows first stepped after the freeze. Deltas are scratch — they
-//!   reset (retaining capacity) at the start of each document, so every
-//!   evaluation result is a pure function of `(frozen cache, document)`,
-//!   independent of which worker ran it or what it processed before. This is
-//!   what makes parallel batch output deterministic and byte-for-byte equal
-//!   to a single-threaded run over the same frozen snapshot;
-//! * a [`FrozenStepper`] pairs the shared frozen half with one worker's delta
-//!   behind the same [`crate::det::Stepper`] seam the other engines use, so
-//!   frozen evaluation reuses the per-byte and class-run loops unchanged.
+//! * [`LazyCache::freeze`] clones a warm cache's state arena into a
+//!   [`FrozenCache`] — an immutable table of every subset state, transition
+//!   row and skip entry discovered so far. A `FrozenCache` is `Send + Sync`
+//!   (it has no interior mutability) and is meant to be shared by reference
+//!   or `Arc` across worker threads;
+//! * each worker steps the snapshot through its own `LazyCache` bound *over*
+//!   it ([`FrozenDelta`] names that use of the type). Ids below the
+//!   snapshot's state count resolve to the shared arena, read-only; the
+//!   store's local arena holds only the overflow — subsets first discovered
+//!   after the freeze — and small override maps hold the rows of snapshot
+//!   states that were still unknown at freeze time. A live cache is the same
+//!   store over an empty base, so interning, row filling, skip metadata, byte
+//!   accounting and eviction are each written once;
+//! * a store over a snapshot resets (retaining capacity) at the start of each
+//!   document, so every evaluation result is a pure function of
+//!   `(frozen cache, document)`, independent of which worker ran it or what
+//!   it processed before. This is what makes parallel batch output
+//!   deterministic and byte-for-byte equal to a single-threaded run over the
+//!   same frozen snapshot;
+//! * one [`LazyStepper`] drives either use behind the same
+//!   [`crate::det::Stepper`] seam the other engines use ([`FrozenStepper`]
+//!   is the same type), so frozen evaluation reuses the per-byte and
+//!   class-run loops unchanged.
 //!
 //! A well-chosen freeze point (after warming on representative documents)
 //! leaves the delta empty in steady state: stepping is then pure shared-table
@@ -71,6 +79,7 @@ use crate::variable::VarRegistry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Sentinel for "no transition" in a lazy letter-table row.
 const NO_TARGET: u32 = u32::MAX;
@@ -85,9 +94,9 @@ const SKIP_NO: u8 = 2;
 
 /// Monotone source of identities tying a [`LazyCache`] to the [`LazyDetSeva`]
 /// whose subset ids it holds (ids from different automata must never mix).
-/// [`FrozenCache`] snapshots draw from the same counter: a [`FrozenDelta`]
-/// holds state ids relative to one specific freeze, so snapshots need
-/// identities of their own.
+/// [`FrozenCache`] snapshots draw from the same counter: a store bound over a
+/// snapshot holds state ids relative to one specific freeze, so snapshots
+/// need identities of their own.
 static NEXT_SEVA_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Draws a fresh process-unique engine/grammar identity from the shared
@@ -98,11 +107,10 @@ pub(crate) fn next_engine_id() -> u64 {
     NEXT_SEVA_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Capacity snapshot of a [`LazyCache`]'s (or [`FrozenDelta`]'s) internal
-/// buffers, used by allocation-retention assertions: in steady state — warm
-/// cache, no evictions — repeated evaluation must leave the signature
-/// unchanged. The `Display` form labels each buffer for bench/diagnostic
-/// output.
+/// Capacity snapshot of a [`LazyCache`]'s internal buffers, used by
+/// allocation-retention assertions: in steady state — warm cache, no
+/// evictions — repeated evaluation must leave the signature unchanged. The
+/// `Display` form labels each buffer for bench/diagnostic output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CapacitySignature(pub [usize; 10]);
 
@@ -119,7 +127,9 @@ impl fmt::Display for CapacitySignature {
     }
 }
 
-/// How a [`LazyCache`] reclaims memory once it exceeds its byte budget.
+/// How a live [`LazyCache`] reclaims memory once it exceeds its byte budget.
+/// A store bound over a frozen snapshot always clears and restarts (see
+/// [`LazyCache`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionPolicy {
     /// Clear-and-restart: forget every interned state except the evaluation
@@ -280,7 +290,7 @@ impl LazyDetSeva {
             var_offsets.push(var_pairs.len() as u32);
         }
         Ok(LazyDetSeva {
-            id: NEXT_SEVA_ID.fetch_add(1, Ordering::Relaxed),
+            id: next_engine_id(),
             registry: eva.registry().clone(),
             partition,
             config,
@@ -368,21 +378,12 @@ impl LazyDetSeva {
     }
 }
 
-/// The mutable half of the hybrid engine: interned subset states, lazily
-/// filled transition rows, and the byte budget governing them.
-///
-/// A cache belongs to exactly one [`LazyDetSeva`] at a time (it rebinds —
-/// discarding its contents — when used with a different automaton). All
-/// storage is retained across documents and across evictions, so a **warm
-/// cache performs no heap allocation on hits**: stepping an already-filled
-/// row is one flat load, exactly like the eager tables.
+/// The CSR arena of interned subset states: the one layout shared by a
+/// [`LazyCache`]'s local states and a [`FrozenCache`] snapshot (freezing is a
+/// clone of it).
 #[derive(Debug, Clone)]
-pub struct LazyCache {
-    seva_id: u64,
-    ncls: usize,
-    budget: usize,
-    policy: EvictionPolicy,
-    /// Subset key of det state `q`: `keys[key_offsets[q]..key_offsets[q+1]]`
+struct Arena {
+    /// Subset key of state `q`: `keys[key_offsets[q]..key_offsets[q+1]]`
     /// (sorted NFA state ids).
     key_offsets: Vec<u32>,
     keys: Vec<u32>,
@@ -401,18 +402,234 @@ pub struct LazyCache {
     /// The scanning engine intersects these across the live states; keeping
     /// only memoized-yes bits means the mask never triggers a computation the
     /// class-run engine would not also perform, so subset interning order is
-    /// identical across engine modes. Cleared with their states on eviction.
+    /// identical across engine modes.
     skip_masks: Vec<ClassMask>,
     /// Flat arena of materialized det marker rows, sorted by marker set
     /// within each row (deterministic capture order).
     var_pairs: Vec<(MarkerSet, StateId)>,
-    /// Subset key → det state id.
+    /// Subset key → absolute state id.
     index: HashMap<Box<[u32]>, u32>,
-    /// Second-chance reference bits: `hot[q]` is set when `q` is stepped and
-    /// cleared on eviction, so [`EvictionPolicy::Segmented`] keeps exactly
-    /// the states referenced since the previous eviction.
+}
+
+impl Default for Arena {
+    fn default() -> Self {
+        Arena {
+            key_offsets: vec![0],
+            keys: Vec::new(),
+            finals: Vec::new(),
+            var_starts: Vec::new(),
+            var_lens: Vec::new(),
+            letter_rows: Vec::new(),
+            skip_rows: Vec::new(),
+            skip_masks: Vec::new(),
+            var_pairs: Vec::new(),
+            index: HashMap::new(),
+        }
+    }
+}
+
+impl Arena {
+    #[inline]
+    fn num_states(&self) -> usize {
+        self.finals.len()
+    }
+
+    #[inline]
+    fn key(&self, q: usize) -> &[u32] {
+        &self.keys[self.key_offsets[q] as usize..self.key_offsets[q + 1] as usize]
+    }
+
+    /// The materialized marker row of `q`, if any.
+    #[inline]
+    fn marker_row(&self, q: usize) -> Option<&[(MarkerSet, StateId)]> {
+        let start = self.var_starts[q];
+        (start != VARS_UNMATERIALIZED)
+            .then(|| &self.var_pairs[start as usize..(start + self.var_lens[q]) as usize])
+    }
+
+    /// Appends a fresh state with absolute id `id`: rows unknown, marker row
+    /// unmaterialized, mask empty.
+    fn push(&mut self, key: &[u32], id: u32, is_final: bool, ncls: usize) {
+        self.keys.extend_from_slice(key);
+        self.key_offsets.push(self.keys.len() as u32);
+        self.finals.push(is_final);
+        self.var_starts.push(VARS_UNMATERIALIZED);
+        self.var_lens.push(0);
+        self.letter_rows.resize(self.letter_rows.len() + ncls, UNKNOWN);
+        self.skip_rows.resize(self.skip_rows.len() + ncls, SKIP_UNKNOWN);
+        self.skip_masks.push(ClassMask::empty());
+        self.index.insert(key.into(), id);
+    }
+
+    /// Appends the states of `other`, whose absolute ids already continue
+    /// this arena's (a store's local states over this snapshot), so rows and
+    /// index entries stay valid without rewriting.
+    fn append(&mut self, other: &Arena) {
+        let (keys, pairs) = (self.keys.len() as u32, self.var_pairs.len() as u32);
+        self.key_offsets.extend(other.key_offsets[1..].iter().map(|&o| o + keys));
+        self.keys.extend_from_slice(&other.keys);
+        self.finals.extend_from_slice(&other.finals);
+        self.var_starts.extend(other.var_starts.iter().map(|&s| {
+            if s == VARS_UNMATERIALIZED {
+                s
+            } else {
+                s + pairs
+            }
+        }));
+        self.var_lens.extend_from_slice(&other.var_lens);
+        self.letter_rows.extend_from_slice(&other.letter_rows);
+        self.skip_rows.extend_from_slice(&other.skip_rows);
+        self.skip_masks.extend_from_slice(&other.skip_masks);
+        self.var_pairs.extend_from_slice(&other.var_pairs);
+        self.index.extend(other.index.iter().map(|(key, &id)| (key.clone(), id)));
+    }
+
+    /// Drops every state and row, keeping allocated capacity.
+    fn clear(&mut self) {
+        self.key_offsets.clear();
+        self.key_offsets.push(0);
+        self.keys.clear();
+        self.finals.clear();
+        self.var_starts.clear();
+        self.var_lens.clear();
+        self.letter_rows.clear();
+        self.skip_rows.clear();
+        self.skip_masks.clear();
+        self.var_pairs.clear();
+        self.index.clear();
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.key_offsets.shrink_to_fit();
+        self.keys.shrink_to_fit();
+        self.finals.shrink_to_fit();
+        self.var_starts.shrink_to_fit();
+        self.var_lens.shrink_to_fit();
+        self.letter_rows.shrink_to_fit();
+        self.skip_rows.shrink_to_fit();
+        self.skip_masks.shrink_to_fit();
+        self.var_pairs.shrink_to_fit();
+        self.index.shrink_to_fit();
+    }
+}
+
+/// The empty base a live cache is stepped over.
+fn empty_arena() -> &'static Arena {
+    static EMPTY: OnceLock<Arena> = OnceLock::new();
+    EMPTY.get_or_init(Arena::default)
+}
+
+/// The subset key of state `q` of a store whose first `nb` ids live in `base`.
+#[inline]
+fn key_of<'s>(local: &'s Arena, base: &'s Arena, nb: usize, q: usize) -> &'s [u32] {
+    if q < nb {
+        base.key(q)
+    } else {
+        local.key(q - nb)
+    }
+}
+
+/// Approximate bytes of one hash-map override entry of a store over a
+/// snapshot (key + value + bucket overhead) — the override analogue of the
+/// index-entry share of [`LazyCache::state_cost`].
+const OVERRIDE_COST: usize = 24;
+
+/// Entries a store over a snapshot computed for *base* states whose slot was
+/// still unknown at freeze time (the shared snapshot is immutable). Always
+/// empty on a live cache.
+#[derive(Debug, Clone, Default)]
+struct Overrides {
+    /// Letter-row slot `q*ncls+cls` → target id or `NO_TARGET`.
+    letter: HashMap<u32, u32>,
+    /// Skip slot `q*ncls+cls` → skippable.
+    skip: HashMap<u32, bool>,
+    /// Base state → `(start, len)` of its marker row in the local arena.
+    var: HashMap<u32, (u32, u32)>,
+    /// Base states whose skippable-class mask grew after the freeze, seeded
+    /// from the snapshot's mask.
+    mask: HashMap<u32, ClassMask>,
+}
+
+impl Overrides {
+    fn clear(&mut self) {
+        self.letter.clear();
+        self.skip.clear();
+        self.var.clear();
+        self.mask.clear();
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.letter.shrink_to_fit();
+        self.skip.shrink_to_fit();
+        self.var.shrink_to_fit();
+        self.mask.shrink_to_fit();
+    }
+
+    /// Folds the overrides into `arena`, a copy of the snapshot they were
+    /// computed over, ahead of appending the store's local arena to it.
+    fn fold_into(&self, arena: &mut Arena) {
+        let pairs = arena.var_pairs.len() as u32;
+        for (&slot, &t) in &self.letter {
+            arena.letter_rows[slot as usize] = t;
+        }
+        for (&slot, &s) in &self.skip {
+            arena.skip_rows[slot as usize] = if s { SKIP_YES } else { SKIP_NO };
+        }
+        // Mask overrides were seeded from the frozen mask, so replacing (not
+        // or-ing) carries every memoized bit forward.
+        for (&q, &m) in &self.mask {
+            arena.skip_masks[q as usize] = m;
+        }
+        for (&q, &(start, len)) in &self.var {
+            arena.var_starts[q as usize] = start + pairs;
+            arena.var_lens[q as usize] = len;
+        }
+    }
+}
+
+/// The mutable half of the hybrid engine — the one subset store: interned
+/// subset states, lazily filled transition rows, and the byte budget
+/// governing them, stepped over an optional read-only [`FrozenCache`] base.
+///
+/// * **Live** (bound with [`LazyCache::bind`], stepped by
+///   [`LazyStepper::new`]): the base is empty and every state is local. The
+///   cache is retained across documents and evicts per the automaton's
+///   [`EvictionPolicy`].
+/// * **Over a snapshot** (a [`FrozenDelta`], from
+///   [`FrozenCache::create_delta`], stepped by [`LazyStepper::over`]): ids
+///   below [`FrozenCache::num_states`] resolve to the shared snapshot, local
+///   states — subsets absent from it — take ids from there on, and unknown
+///   snapshot slots (letter, skip, marker row, mask) are filled into small
+///   override maps. The store resets at the start of every document
+///   (capacity retained), so a result — enumeration order included — is a
+///   pure function of the snapshot and the document; its budget evictions
+///   clear and restart the local states only, so frozen ids never move.
+///
+/// A store belongs to exactly one automaton (and snapshot) at a time; it
+/// rebinds — discarding its contents — when used with another. All storage
+/// is retained across documents and evictions, so a **warm store performs
+/// no heap allocation on hits**: stepping an already-filled row is one flat
+/// load, exactly like the eager tables.
+#[derive(Debug, Clone, Default)]
+pub struct LazyCache {
+    /// The automaton the store is bound to (zero when unbound).
+    seva_id: u64,
+    /// The snapshot the store is bound over (zero for a live cache).
+    snapshot_id: u64,
+    /// Number of base states: local state `l` has the absolute id `base + l`.
+    base: u32,
+    ncls: usize,
+    budget: usize,
+    policy: EvictionPolicy,
+    local: Arena,
+    overrides: Overrides,
+    /// Second-chance reference bits of the local states: `hot[q]` is set
+    /// when `q` is stepped and cleared on eviction, so
+    /// [`EvictionPolicy::Segmented`] keeps exactly the states referenced
+    /// since the previous eviction.
     hot: Vec<bool>,
-    /// Approximate bytes held by states, rows and index entries.
+    /// Approximate bytes held by local states, rows, index entries and
+    /// overrides.
     bytes: usize,
     clears: u64,
     states_interned: u64,
@@ -428,68 +645,57 @@ pub struct LazyCache {
     evict_rows: Vec<(MarkerSet, StateId)>,
 }
 
-impl Default for LazyCache {
-    fn default() -> Self {
-        LazyCache {
-            seva_id: 0,
-            ncls: 0,
-            budget: usize::MAX,
-            policy: EvictionPolicy::ClearRestart,
-            key_offsets: Vec::new(),
-            keys: Vec::new(),
-            finals: Vec::new(),
-            var_starts: Vec::new(),
-            var_lens: Vec::new(),
-            letter_rows: Vec::new(),
-            skip_rows: Vec::new(),
-            skip_masks: Vec::new(),
-            var_pairs: Vec::new(),
-            index: HashMap::new(),
-            hot: Vec::new(),
-            bytes: 0,
-            clears: 0,
-            states_interned: 0,
-            set_scratch: SparseSet::new(0),
-            key_scratch: Vec::new(),
-            group_scratch: Vec::new(),
-            row_scratch: Vec::new(),
-            target_scratch: Vec::new(),
-            evict_keys: Vec::new(),
-            evict_offsets: Vec::new(),
-            evict_remap: Vec::new(),
-            evict_rows: Vec::new(),
-        }
-    }
-}
+/// A [`LazyCache`] bound over a shared [`FrozenCache`]: one worker's
+/// overflow states and row overrides (see [`LazyCache`]).
+pub type FrozenDelta = LazyCache;
 
 impl LazyCache {
-    /// An unbound cache; it binds to the first automaton it is used with.
+    /// An unbound store; it binds to the first automaton it is used with.
     pub fn new() -> LazyCache {
         LazyCache::default()
     }
 
-    /// Number of deterministic subset states currently interned.
+    /// Number of local subset states: every state of a live cache, the
+    /// overflow states of a store over a snapshot.
     #[inline]
     pub fn num_states(&self) -> usize {
-        self.finals.len()
+        self.local.num_states()
     }
 
-    /// Approximate bytes currently held (states + rows + index entries).
+    /// Number of *overflow* states of a store over a snapshot (subsets the
+    /// snapshot does not cover) — [`LazyCache::num_states`] under the
+    /// delta's name. Zero in the steady state of a well-warmed snapshot.
+    #[inline]
+    pub fn num_overflow_states(&self) -> usize {
+        self.num_states()
+    }
+
+    /// Identity of the [`FrozenCache`] the store is bound over (zero for a
+    /// live or unbound store) — the guard the re-freeze path checks before
+    /// merging delta evidence into a new generation.
+    #[inline]
+    pub fn snapshot_id(&self) -> u64 {
+        self.snapshot_id
+    }
+
+    /// Approximate bytes currently held by local states, rows, index entries
+    /// and overrides.
     #[inline]
     pub fn memory_bytes(&self) -> usize {
         self.bytes
     }
 
-    /// How many clear-and-restart evictions have happened over the cache's
-    /// lifetime (across rebinds it resets to zero).
+    /// How many budget-driven evictions have happened since the store was
+    /// bound (per-document resets over a snapshot are not counted).
     #[inline]
     pub fn clear_count(&self) -> u64 {
         self.clears
     }
 
-    /// Total subset states interned over the cache's lifetime, including
-    /// states re-created after evictions — `states_interned() - num_states()`
-    /// measures determinization work wasted to thrashing.
+    /// Total local subset states interned since the store was bound,
+    /// including states re-created after evictions and per-document resets —
+    /// `states_interned() - num_states()` measures determinization work
+    /// wasted to thrashing (or, over a snapshot, left unamortized by it).
     #[inline]
     pub fn states_interned(&self) -> u64 {
         self.states_interned
@@ -503,101 +709,94 @@ impl LazyCache {
 
     /// Capacity snapshot of every internal buffer, for allocation-retention
     /// assertions (the lazy analogue of the E1b arena-capacity checks): in
-    /// steady state — warm cache, no evictions — repeated evaluation must
+    /// steady state — warm store, no evictions — repeated evaluation must
     /// leave this signature unchanged.
     pub fn capacity_signature(&self) -> CapacitySignature {
+        let a = &self.local;
         CapacitySignature([
-            self.keys.capacity(),
-            self.key_offsets.capacity(),
-            self.finals.capacity(),
-            self.letter_rows.capacity(),
-            self.skip_rows.capacity(),
-            self.skip_masks.capacity(),
-            self.var_pairs.capacity(),
-            self.index.capacity(),
+            a.keys.capacity(),
+            a.key_offsets.capacity(),
+            a.finals.capacity(),
+            a.letter_rows.capacity(),
+            a.skip_rows.capacity(),
+            a.skip_masks.capacity(),
+            a.var_pairs.capacity(),
+            a.index.capacity(),
             0,
             0,
         ])
     }
 
-    /// Determinization work wasted to clear-and-restart eviction:
-    /// `states_interned() - num_states()`, i.e. how many subset states were
-    /// built more than once over the cache's lifetime. Zero on a cache whose
-    /// budget covers its working set; large values mean the budget is below
-    /// the working-set size and eviction tuning is warranted.
+    /// Determinization work wasted to eviction: `states_interned() -
+    /// num_states()`, i.e. how many subset states were built more than once
+    /// since the store was bound. Zero on a cache whose budget covers its
+    /// working set; large values mean the budget is below the working-set
+    /// size and eviction tuning is warranted.
     #[inline]
     pub fn wasted_states(&self) -> u64 {
         self.states_interned - self.num_states() as u64
     }
 
-    /// Snapshots this cache into an immutable, shareable [`FrozenCache`].
-    ///
-    /// The snapshot captures every subset state, every filled transition row
-    /// (entries not yet stepped stay "unknown" and are computed by each
-    /// worker's [`FrozenDelta`] on demand), the skip metadata, and the
-    /// interning index. `seva` must be the automaton this cache is bound to;
-    /// an unbound (never used) cache freezes into an empty snapshot, which is
-    /// valid — every state then lives in the deltas.
+    /// Snapshots this live cache into an immutable, shareable
+    /// [`FrozenCache`]: a clone of its state arena — every subset state,
+    /// every filled transition row (entries not yet stepped stay "unknown"
+    /// and are computed by each worker's store over the snapshot on demand),
+    /// the skip metadata and the interning index. `seva` must be the
+    /// automaton this cache is bound to; an unbound (never used) cache
+    /// freezes into an empty snapshot, which is valid — every state then
+    /// lives in the deltas.
     ///
     /// # Panics
     ///
-    /// Panics if the cache is bound to a *different* automaton.
+    /// Panics if the cache is bound to a *different* automaton, or over a
+    /// snapshot (merge it with [`FrozenCache::thaw_merged`] first).
     pub fn freeze(&self, seva: &LazyDetSeva) -> FrozenCache {
         assert!(
             self.seva_id == seva.id || self.seva_id == 0,
             "LazyCache::freeze: cache is bound to a different automaton"
         );
-        let ncls = seva.ncls;
-        if self.seva_id == 0 {
-            return FrozenCache {
-                id: NEXT_SEVA_ID.fetch_add(1, Ordering::Relaxed),
-                seva_id: seva.id,
-                ncls,
-                key_offsets: vec![0],
-                keys: Vec::new(),
-                finals: Vec::new(),
-                var_starts: Vec::new(),
-                var_lens: Vec::new(),
-                letter_rows: Vec::new(),
-                skip_rows: Vec::new(),
-                skip_masks: Vec::new(),
-                var_pairs: Vec::new(),
-                index: HashMap::new(),
-                slp_memo: None,
-            };
-        }
+        assert_eq!(self.snapshot_id, 0, "LazyCache::freeze: store is bound over a snapshot");
         FrozenCache {
-            id: NEXT_SEVA_ID.fetch_add(1, Ordering::Relaxed),
-            seva_id: self.seva_id,
-            ncls: self.ncls,
-            key_offsets: self.key_offsets.clone(),
-            keys: self.keys.clone(),
-            finals: self.finals.clone(),
-            var_starts: self.var_starts.clone(),
-            var_lens: self.var_lens.clone(),
-            letter_rows: self.letter_rows.clone(),
-            skip_rows: self.skip_rows.clone(),
-            skip_masks: self.skip_masks.clone(),
-            var_pairs: self.var_pairs.clone(),
-            index: self.index.clone(),
+            id: next_engine_id(),
+            seva_id: seva.id,
+            arena: self.local.clone(),
             slp_memo: None,
         }
     }
 
-    /// Binds the cache to `seva`, resetting it if it was bound to a
-    /// different automaton.
+    /// Binds the cache live to `seva`, resetting it unless it is already
+    /// bound live to that automaton.
     pub fn bind(&mut self, seva: &LazyDetSeva) {
-        if self.seva_id == seva.id {
+        self.bind_over(seva, None);
+    }
+
+    /// Binds the store to `seva` over the snapshot `base` (live when
+    /// `None`), resetting it unless it is already bound to exactly that pair.
+    pub(crate) fn bind_over(&mut self, seva: &LazyDetSeva, base: Option<&FrozenCache>) {
+        let snapshot_id = base.map_or(0, |frozen| {
+            assert_eq!(
+                frozen.seva_id, seva.id,
+                "FrozenStepper: snapshot belongs to a different automaton"
+            );
+            frozen.id
+        });
+        if self.seva_id == seva.id && self.snapshot_id == snapshot_id {
             return;
         }
         self.seva_id = seva.id;
+        self.snapshot_id = snapshot_id;
+        self.base = base.map_or(0, |frozen| frozen.num_states() as u32);
         self.ncls = seva.ncls;
         self.budget = seva.config.memory_budget;
-        self.policy = seva.config.eviction;
+        // Over a snapshot the policy is plain clear-and-restart: the base
+        // states live in the immutable snapshot, so the per-worker overflow
+        // is cheap to rebuild.
+        self.policy =
+            if base.is_some() { EvictionPolicy::ClearRestart } else { seva.config.eviction };
         self.clears = 0;
         self.states_interned = 0;
         self.set_scratch.reset(seva.num_nfa_states);
-        self.clear_states();
+        self.clear_local();
     }
 
     /// Overrides the byte budget for subsequent maintenance checks (one-off
@@ -611,19 +810,30 @@ impl LazyCache {
         self.budget = budget;
     }
 
-    /// Drops every interned state and row, keeping allocated capacity.
-    fn clear_states(&mut self) {
-        self.key_offsets.clear();
-        self.key_offsets.push(0);
-        self.keys.clear();
-        self.finals.clear();
-        self.var_starts.clear();
-        self.var_lens.clear();
-        self.letter_rows.clear();
-        self.skip_rows.clear();
-        self.skip_masks.clear();
-        self.var_pairs.clear();
-        self.index.clear();
+    /// Sheds the store for the global memory governor: drops every local
+    /// state and override **and releases the backing allocations** (unlike
+    /// the internal evictions, which keep capacity for reuse). Returns the
+    /// bytes freed. The store stays bound and fully usable — subsequent
+    /// documents re-intern states on demand, exactly as after a budget
+    /// eviction.
+    ///
+    /// Lifetime counters ([`LazyCache::states_interned`],
+    /// [`LazyCache::clear_count`]) are untouched: a governor shed is not a
+    /// budget-driven eviction, so it never trips the per-document thrash
+    /// guard.
+    pub fn shed(&mut self) -> usize {
+        let freed = self.bytes;
+        self.clear_local();
+        self.local.shrink_to_fit();
+        self.overrides.shrink_to_fit();
+        self.hot.shrink_to_fit();
+        freed
+    }
+
+    /// Drops every local state and override, keeping allocated capacity.
+    fn clear_local(&mut self) {
+        self.local.clear();
+        self.overrides.clear();
         self.hot.clear();
         self.bytes = 0;
     }
@@ -637,96 +847,135 @@ impl LazyCache {
         key_len * 8 + self.ncls * 5 + std::mem::size_of::<ClassMask>() + 64
     }
 
-    #[inline]
-    fn key_range(&self, q: usize) -> (usize, usize) {
-        (self.key_offsets[q] as usize, self.key_offsets[q + 1] as usize)
-    }
-
-    /// Looks up or creates the det state for the (sorted) subset `key`.
-    fn intern(&mut self, key: &[u32], seva: &LazyDetSeva) -> u32 {
-        if let Some(&id) = self.index.get(key) {
+    /// Looks up or creates the state for the (sorted) subset `key`: base
+    /// states are found in the snapshot's index, local states in the
+    /// store's.
+    fn intern(&mut self, base: &Arena, key: &[u32], seva: &LazyDetSeva) -> u32 {
+        if let Some(&id) = base.index.get(key).or_else(|| self.local.index.get(key)) {
             return id;
         }
-        let id = self.finals.len();
+        let id = self.base as usize + self.local.num_states();
         assert!(id < (UNKNOWN as usize) - 1, "lazy determinizer exhausted the u32 id space");
-        self.keys.extend_from_slice(key);
-        self.key_offsets.push(self.keys.len() as u32);
-        self.finals.push(key.iter().any(|&q| seva.nfa_finals[q as usize]));
-        self.var_starts.push(VARS_UNMATERIALIZED);
-        self.var_lens.push(0);
-        self.letter_rows.resize(self.letter_rows.len() + self.ncls, UNKNOWN);
-        self.skip_rows.resize(self.skip_rows.len() + self.ncls, SKIP_UNKNOWN);
-        self.skip_masks.push(ClassMask::empty());
+        let is_final = key.iter().any(|&q| seva.nfa_finals[q as usize]);
+        self.local.push(key, id as u32, is_final, self.ncls);
         self.hot.push(false);
-        self.index.insert(key.into(), id as u32);
         self.bytes += self.state_cost(key.len());
         self.states_interned += 1;
         id as u32
     }
 
-    /// The det state of the subset `{initial}` (interning it on first use).
-    fn start_state(&mut self, seva: &LazyDetSeva) -> StateId {
-        let id = self.intern(&[seva.initial], seva) as StateId;
-        self.hot[id] = true;
+    /// The state of the subset `{initial}` (interning it on first use).
+    fn start_state(&mut self, base: &Arena, seva: &LazyDetSeva) -> StateId {
+        let id = self.intern(base, &[seva.initial], seva) as StateId;
+        if let Some(lq) = id.checked_sub(self.base as usize) {
+            self.hot[lq] = true;
+        }
         id
     }
 
     /// The memoized skippable-class bitset of `q`: exactly the `SKIP_YES`
-    /// entries computed so far (a pure read — see [`Stepper::skip_mask`]).
+    /// entries computed so far — the snapshot's mask (or its local override)
+    /// for a base state, the local mask otherwise. A pure read (see
+    /// [`Stepper::skip_mask`]).
     #[inline]
-    fn skip_mask(&self, q: StateId) -> ClassMask {
-        self.skip_masks[q]
+    fn skip_mask(&self, base: &Arena, q: StateId) -> ClassMask {
+        let nb = self.base as usize;
+        if q < nb {
+            match self.overrides.mask.get(&(q as u32)) {
+                Some(&m) => m,
+                None => base.skip_masks[q],
+            }
+        } else {
+            self.local.skip_masks[q - nb]
+        }
     }
 
-    /// Lazy `δ(q, cls)`: fills the letter-row entry on first use.
-    fn step_class(&mut self, seva: &LazyDetSeva, q: StateId, cls: usize) -> Option<StateId> {
-        self.hot[q] = true;
-        let slot = q * self.ncls + cls;
-        let t = self.letter_rows[slot];
-        if t == NO_TARGET {
-            return None;
+    /// Lazy `δ(q, cls)`: known entries are flat loads — from the local row,
+    /// or for a base state from the snapshot row, then its override.
+    #[inline]
+    fn step_class(
+        &mut self,
+        base: &Arena,
+        seva: &LazyDetSeva,
+        q: StateId,
+        cls: usize,
+    ) -> Option<StateId> {
+        let nb = self.base as usize;
+        let known = if q < nb {
+            let slot = q * self.ncls + cls;
+            match base.letter_rows[slot] {
+                UNKNOWN => self.overrides.letter.get(&(slot as u32)).copied().unwrap_or(UNKNOWN),
+                t => t,
+            }
+        } else {
+            self.hot[q - nb] = true;
+            self.local.letter_rows[(q - nb) * self.ncls + cls]
+        };
+        match known {
+            NO_TARGET => None,
+            UNKNOWN => self.fill_letter(base, seva, q, cls),
+            t => Some(t as StateId),
         }
-        if t != UNKNOWN {
-            return Some(t as StateId);
-        }
-        // First step of this (state, class): union the NFA targets of every
-        // subset member, intern the resulting subset, memoize.
+    }
+
+    /// The first step of a `(state, class)`: unions the NFA targets of every
+    /// subset member, interns the resulting subset and memoizes it — in the
+    /// local row, or in an override for a base state.
+    fn fill_letter(
+        &mut self,
+        base: &Arena,
+        seva: &LazyDetSeva,
+        q: StateId,
+        cls: usize,
+    ) -> Option<StateId> {
+        let nb = self.base as usize;
         self.set_scratch.clear();
-        let (a, b) = self.key_range(q);
-        for i in a..b {
-            let nq = self.keys[i] as usize;
-            for &t in seva.letter_targets(nq, cls) {
+        for &nq in key_of(&self.local, base, nb, q) {
+            for &t in seva.letter_targets(nq as usize, cls) {
                 self.set_scratch.insert(t as usize);
             }
         }
-        if self.set_scratch.is_empty() {
-            self.letter_rows[slot] = NO_TARGET;
-            return None;
+        let target = if self.set_scratch.is_empty() {
+            NO_TARGET
+        } else {
+            let mut ks = std::mem::take(&mut self.key_scratch);
+            ks.clear();
+            ks.extend_from_slice(self.set_scratch.as_slice());
+            ks.sort_unstable();
+            let id = self.intern(base, &ks, seva);
+            self.key_scratch = ks;
+            id
+        };
+        if q < nb {
+            self.overrides.letter.insert((q * self.ncls + cls) as u32, target);
+            self.bytes += OVERRIDE_COST;
+        } else {
+            self.local.letter_rows[(q - nb) * self.ncls + cls] = target;
         }
-        let mut ks = std::mem::take(&mut self.key_scratch);
-        ks.clear();
-        ks.extend_from_slice(self.set_scratch.as_slice());
-        ks.sort_unstable();
-        let id = self.intern(&ks, seva);
-        self.key_scratch = ks;
-        self.letter_rows[slot] = id;
-        Some(id as StateId)
+        (target != NO_TARGET).then_some(target as StateId)
     }
 
-    /// Materializes the marker row of `q` (grouping the subset members'
-    /// variable transitions by marker set, interning each target subset) and
-    /// returns its `(start, len)` extent in the row arena.
-    fn materialize_vars(&mut self, seva: &LazyDetSeva, q: StateId) -> (u32, u32) {
-        let start = self.var_starts[q];
-        if start != VARS_UNMATERIALIZED {
-            return (start, self.var_lens[q]);
+    /// Materializes the marker row of `q` into the local arena (grouping the
+    /// subset members' variable transitions by marker set, interning each
+    /// target subset) and returns its `(start, len)` extent there. Base
+    /// states with a snapshot row never reach here — see
+    /// [`LazyCache::markers_row`].
+    fn materialize_vars(&mut self, base: &Arena, seva: &LazyDetSeva, q: StateId) -> (u32, u32) {
+        let nb = self.base as usize;
+        let known = if q < nb {
+            debug_assert_eq!(base.var_starts[q], VARS_UNMATERIALIZED);
+            self.overrides.var.get(&(q as u32)).copied()
+        } else {
+            let start = self.local.var_starts[q - nb];
+            (start != VARS_UNMATERIALIZED).then(|| (start, self.local.var_lens[q - nb]))
+        };
+        if let Some(extent) = known {
+            return extent;
         }
         let mut groups = std::mem::take(&mut self.group_scratch);
         groups.clear();
-        let (a, b) = self.key_range(q);
-        for i in a..b {
-            let nq = self.keys[i] as usize;
-            groups.extend_from_slice(seva.var_pairs_of(nq));
+        for &nq in key_of(&self.local, base, nb, q) {
+            groups.extend_from_slice(seva.var_pairs_of(nq as usize));
         }
         // Group by marker set; targets of one group become one subset state.
         // The sort also fixes a deterministic (marker-set-ordered) capture
@@ -745,14 +994,19 @@ impl LazyCache {
                 i += 1;
             }
             // Sorted and deduplicated already (inherited from `groups`).
-            let id = self.intern(&ks, seva);
+            let id = self.intern(base, &ks, seva);
             row.push((markers, id as StateId));
         }
-        let start = self.var_pairs.len() as u32;
+        let start = self.local.var_pairs.len() as u32;
         let len = row.len() as u32;
-        self.var_pairs.extend_from_slice(&row);
-        self.var_starts[q] = start;
-        self.var_lens[q] = len;
+        self.local.var_pairs.extend_from_slice(&row);
+        if q < nb {
+            self.overrides.var.insert(q as u32, (start, len));
+            self.bytes += OVERRIDE_COST;
+        } else {
+            self.local.var_starts[q - nb] = start;
+            self.local.var_lens[q - nb] = len;
+        }
         self.bytes += row.len() * std::mem::size_of::<(MarkerSet, StateId)>();
         self.group_scratch = groups;
         self.row_scratch = row;
@@ -760,87 +1014,131 @@ impl LazyCache {
         (start, len)
     }
 
-    /// Lazy `Markers_δ(q)` with targets.
-    fn markers_from(&mut self, seva: &LazyDetSeva, q: StateId) -> &[(MarkerSet, StateId)] {
-        let (start, len) = self.materialize_vars(seva, q);
-        &self.var_pairs[start as usize..(start + len) as usize]
+    /// Lazy `Markers_δ(q)` with targets: the snapshot row when it exists,
+    /// the local row (materializing it first) otherwise.
+    fn markers_row<'s>(
+        &'s mut self,
+        base: &'s Arena,
+        seva: &LazyDetSeva,
+        q: StateId,
+    ) -> &'s [(MarkerSet, StateId)] {
+        if q < self.base as usize {
+            if let Some(row) = base.marker_row(q) {
+                return row;
+            }
+        }
+        let (start, len) = self.materialize_vars(base, seva, q);
+        &self.local.var_pairs[start as usize..(start + len) as usize]
     }
 
     /// Lazy `has_markers(q)` — materializes the row on first use.
-    fn has_markers(&mut self, seva: &LazyDetSeva, q: StateId) -> bool {
-        self.materialize_vars(seva, q).1 != 0
+    fn has_markers(&mut self, base: &Arena, seva: &LazyDetSeva, q: StateId) -> bool {
+        if q < self.base as usize && base.var_starts[q] != VARS_UNMATERIALIZED {
+            return base.var_lens[q] != 0;
+        }
+        self.materialize_vars(base, seva, q).1 != 0
     }
 
     /// Lazy `run_skippable(q, cls)` — derives (and memoizes) the same
     /// per-(state, class) predicate the eager compiler precomputes: `q`
     /// self-loops on `cls` and every marker target of `q` dies on `cls`.
-    fn run_skippable(&mut self, seva: &LazyDetSeva, q: StateId, cls: usize) -> bool {
-        match self.skip_rows[q * self.ncls + cls] {
+    fn run_skippable(&mut self, base: &Arena, seva: &LazyDetSeva, q: StateId, cls: usize) -> bool {
+        let nb = self.base as usize;
+        let slot = q * self.ncls + cls;
+        let memo = if q < nb {
+            match base.skip_rows[slot] {
+                SKIP_UNKNOWN => match self.overrides.skip.get(&(slot as u32)) {
+                    Some(&skip) => return skip,
+                    None => SKIP_UNKNOWN,
+                },
+                memo => memo,
+            }
+        } else {
+            self.local.skip_rows[slot - nb * self.ncls]
+        };
+        match memo {
             SKIP_YES => return true,
             SKIP_NO => return false,
             _ => {}
         }
-        let skip = self.compute_skippable(seva, q, cls);
-        // Note: `compute_skippable` may intern states, growing `skip_rows`
-        // at the end — the slot index for `q` is unaffected.
-        self.skip_rows[q * self.ncls + cls] = if skip { SKIP_YES } else { SKIP_NO };
-        if skip {
-            // Keep the per-state mask in lockstep with the SKIP_YES memo so
-            // the scanning engine sees every learned entry.
-            self.skip_masks[q].insert(cls);
+        let skip = self.compute_skippable(base, seva, q, cls);
+        if q < nb {
+            self.overrides.skip.insert(slot as u32, skip);
+            self.bytes += OVERRIDE_COST;
+            if skip {
+                // The snapshot's mask is immutable and shared; record the
+                // newly learned bit in a local override seeded from it.
+                let mut mask = self.skip_mask(base, q);
+                mask.insert(cls);
+                if self.overrides.mask.insert(q as u32, mask).is_none() {
+                    self.bytes += OVERRIDE_COST + std::mem::size_of::<ClassMask>();
+                }
+            }
+        } else {
+            // `compute_skippable` may intern states, growing `skip_rows` at
+            // the end — the slot of `q` is unaffected. The mask stays in
+            // lockstep with the SKIP_YES memo so the scanning engine sees
+            // every learned entry.
+            self.local.skip_rows[slot - nb * self.ncls] = if skip { SKIP_YES } else { SKIP_NO };
+            if skip {
+                self.local.skip_masks[q - nb].insert(cls);
+            }
         }
         skip
     }
 
-    fn compute_skippable(&mut self, seva: &LazyDetSeva, q: StateId, cls: usize) -> bool {
-        if self.step_class(seva, q, cls) != Some(q) {
+    fn compute_skippable(
+        &mut self,
+        base: &Arena,
+        seva: &LazyDetSeva,
+        q: StateId,
+        cls: usize,
+    ) -> bool {
+        if self.step_class(base, seva, q, cls) != Some(q) {
             return false;
         }
-        let (start, len) = self.materialize_vars(seva, q);
         let mut targets = std::mem::take(&mut self.target_scratch);
         targets.clear();
-        targets.extend(
-            self.var_pairs[start as usize..(start + len) as usize].iter().map(|&(_, p)| p as u32),
-        );
-        let mut skip = true;
-        for &p in &targets {
-            if self.step_class(seva, p as StateId, cls).is_some() {
-                skip = false;
-                break;
-            }
-        }
+        targets.extend(self.markers_row(base, seva, q).iter().map(|&(_, p)| p as u32));
+        let skip =
+            targets.iter().all(|&p| self.step_class(base, seva, p as StateId, cls).is_none());
         self.target_scratch = targets;
         skip
     }
 
-    /// Evicts per the configured [`EvictionPolicy`], rewriting the engine's
-    /// `live` ids in place. Always returns `true` (an eviction happened).
-    fn evict(&mut self, seva: &LazyDetSeva, live: &mut [u32]) -> bool {
+    /// Evicts per the bound [`EvictionPolicy`], rewriting the engine's `live`
+    /// ids in place. Always returns `true` (an eviction happened).
+    fn evict(&mut self, base: &Arena, seva: &LazyDetSeva, live: &mut [u32]) -> bool {
         match self.policy {
-            EvictionPolicy::ClearRestart => self.evict_clear_restart(seva, live),
+            EvictionPolicy::ClearRestart => self.evict_clear_restart(base, seva, live),
             EvictionPolicy::Segmented => self.evict_segmented(live),
         }
     }
 
-    /// Clear-and-restart eviction: forget everything, re-intern exactly the
-    /// `live` states (their subset keys survive the clear via a scratch
-    /// snapshot) and rewrite each live id in place. Row contents — including
-    /// skip metadata — are recomputed on demand after the restart.
-    fn evict_clear_restart(&mut self, seva: &LazyDetSeva, live: &mut [u32]) -> bool {
+    /// Clear-and-restart eviction: forget every local state and override,
+    /// re-intern exactly the `live` local states (their subset keys survive
+    /// the clear via a scratch snapshot) and rewrite each such id in place.
+    /// Base ids — immutable by construction — are left untouched, so a
+    /// shared snapshot never churns. Row contents, skip metadata included,
+    /// are recomputed on demand after the restart.
+    fn evict_clear_restart(&mut self, base: &Arena, seva: &LazyDetSeva, live: &mut [u32]) -> bool {
+        let nb = self.base;
         let mut ek = std::mem::take(&mut self.evict_keys);
         let mut eo = std::mem::take(&mut self.evict_offsets);
         ek.clear();
         eo.clear();
         eo.push(0);
         for &q in live.iter() {
-            let (a, b) = self.key_range(q as usize);
-            ek.extend_from_slice(&self.keys[a..b]);
+            if q >= nb {
+                ek.extend_from_slice(self.local.key((q - nb) as usize));
+            }
             eo.push(ek.len() as u32);
         }
-        self.clear_states();
+        self.clear_local();
         for (k, q) in live.iter_mut().enumerate() {
-            let key = &ek[eo[k] as usize..eo[k + 1] as usize];
-            *q = self.intern(key, seva);
+            if *q >= nb {
+                *q = self.intern(base, &ek[eo[k] as usize..eo[k + 1] as usize], seva);
+            }
         }
         self.clears += 1;
         self.evict_keys = ek;
@@ -864,14 +1162,12 @@ impl LazyCache {
     /// admitted unconditionally, so budgets below one position's working set
     /// merely thrash (the engines' clear guard still applies, via the same
     /// `maintain → note_clear` path).
-    ///
-    /// [`FrozenDelta`] keeps plain clear-and-restart: its base states live in
-    /// the immutable snapshot, so per-worker overflow is cheap to rebuild.
     fn evict_segmented(&mut self, live: &mut [u32]) -> bool {
         // Remap-table sentinels; real ids are `< UNKNOWN - 1` (see `intern`).
         const DROPPED: u32 = u32::MAX;
         const KEEP: u32 = u32::MAX - 1;
-        let n = self.finals.len();
+        debug_assert_eq!(self.base, 0, "stores over a snapshot clear and restart");
+        let n = self.local.num_states();
         let pair = std::mem::size_of::<(MarkerSet, StateId)>();
         let mut remap = std::mem::take(&mut self.evict_remap);
         remap.clear();
@@ -881,8 +1177,7 @@ impl LazyCache {
             let q = q as usize;
             if remap[q] == DROPPED {
                 remap[q] = KEEP;
-                let (a, b) = self.key_range(q);
-                retained += self.state_cost(b - a);
+                retained += self.state_cost(self.local.key(q).len());
             }
         }
         let target = self.budget / 2;
@@ -890,8 +1185,8 @@ impl LazyCache {
             if *slot != DROPPED || !self.hot[q] {
                 continue;
             }
-            let (a, b) = self.key_range(q);
-            let cost = self.state_cost(b - a) + self.var_lens[q] as usize * pair;
+            let cost =
+                self.state_cost(self.local.key(q).len()) + self.local.var_lens[q] as usize * pair;
             if retained + cost > target {
                 continue;
             }
@@ -918,66 +1213,68 @@ impl LazyCache {
                 continue;
             }
             let nq = remap[q] as usize;
-            let (a, b) = self.key_range(q);
-            self.keys.copy_within(a..b, w_key);
+            let (a, b) =
+                (self.local.key_offsets[q] as usize, self.local.key_offsets[q + 1] as usize);
+            self.local.keys.copy_within(a..b, w_key);
             w_key += b - a;
-            self.key_offsets[nq + 1] = w_key as u32;
-            self.finals[nq] = self.finals[q];
+            self.local.key_offsets[nq + 1] = w_key as u32;
+            self.local.finals[nq] = self.local.finals[q];
             // Skip metadata is a property of the subset's *contents* (does it
             // self-loop, do its marker targets die), independent of state
             // ids, so memoized entries and the mirror mask carry over
             // verbatim and stay in lockstep.
-            self.skip_masks[nq] = self.skip_masks[q];
+            self.local.skip_masks[nq] = self.local.skip_masks[q];
             self.hot[nq] = false;
             for cls in 0..self.ncls {
-                let t = self.letter_rows[q * self.ncls + cls];
-                self.letter_rows[nq * self.ncls + cls] = if t == NO_TARGET {
+                let t = self.local.letter_rows[q * self.ncls + cls];
+                self.local.letter_rows[nq * self.ncls + cls] = if t == NO_TARGET {
                     NO_TARGET
                 } else if t == UNKNOWN || remap[t as usize] == DROPPED {
                     UNKNOWN
                 } else {
                     remap[t as usize]
                 };
-                self.skip_rows[nq * self.ncls + cls] = self.skip_rows[q * self.ncls + cls];
+                self.local.skip_rows[nq * self.ncls + cls] =
+                    self.local.skip_rows[q * self.ncls + cls];
             }
-            let start = self.var_starts[q];
-            let len = self.var_lens[q] as usize;
+            let start = self.local.var_starts[q];
+            let len = self.local.var_lens[q] as usize;
             if start != VARS_UNMATERIALIZED
-                && self.var_pairs[start as usize..start as usize + len]
+                && self.local.var_pairs[start as usize..start as usize + len]
                     .iter()
                     .all(|&(_, p)| remap[p] != DROPPED)
             {
                 let rs = rows.len() as u32;
                 rows.extend(
-                    self.var_pairs[start as usize..start as usize + len]
+                    self.local.var_pairs[start as usize..start as usize + len]
                         .iter()
                         .map(|&(m, p)| (m, remap[p] as StateId)),
                 );
-                self.var_starts[nq] = rs;
-                self.var_lens[nq] = len as u32;
+                self.local.var_starts[nq] = rs;
+                self.local.var_lens[nq] = len as u32;
                 bytes += len * pair;
             } else {
                 // Not yet materialized, or some target was dropped: the whole
                 // row is recomputed on demand (rows are all-or-nothing).
-                self.var_starts[nq] = VARS_UNMATERIALIZED;
-                self.var_lens[nq] = 0;
+                self.local.var_starts[nq] = VARS_UNMATERIALIZED;
+                self.local.var_lens[nq] = 0;
             }
             bytes += self.state_cost(b - a);
         }
-        self.keys.truncate(w_key);
-        self.key_offsets.truncate(kept + 1);
-        self.finals.truncate(kept);
-        self.var_starts.truncate(kept);
-        self.var_lens.truncate(kept);
-        self.letter_rows.truncate(kept * self.ncls);
-        self.skip_rows.truncate(kept * self.ncls);
-        self.skip_masks.truncate(kept);
+        self.local.keys.truncate(w_key);
+        self.local.key_offsets.truncate(kept + 1);
+        self.local.finals.truncate(kept);
+        self.local.var_starts.truncate(kept);
+        self.local.var_lens.truncate(kept);
+        self.local.letter_rows.truncate(kept * self.ncls);
+        self.local.skip_rows.truncate(kept * self.ncls);
+        self.local.skip_masks.truncate(kept);
         self.hot.truncate(kept);
-        std::mem::swap(&mut self.var_pairs, &mut rows);
+        std::mem::swap(&mut self.local.var_pairs, &mut rows);
         // The old arena becomes the next eviction's scratch (capacity kept).
         self.evict_rows = rows;
-        self.index.retain(|_, v| remap[*v as usize] != DROPPED);
-        for v in self.index.values_mut() {
+        self.local.index.retain(|_, v| remap[*v as usize] != DROPPED);
+        for v in self.local.index.values_mut() {
             *v = remap[*v as usize];
         }
         self.bytes = bytes;
@@ -990,130 +1287,27 @@ impl LazyCache {
     }
 }
 
-/// The pairing of a [`LazyDetSeva`] with a [`LazyCache`] that implements
-/// [`Stepper`] — what the evaluation engines actually drive.
-///
-/// Constructing one binds (and if necessary resets) the cache to the
-/// automaton. The stepper borrows both halves for the duration of one
-/// evaluation; ids it hands out index the cache.
-#[derive(Debug)]
-pub struct LazyStepper<'a> {
-    seva: &'a LazyDetSeva,
-    cache: &'a mut LazyCache,
-}
-
-impl<'a> LazyStepper<'a> {
-    /// Pairs an automaton with a cache, binding the cache first.
-    pub fn new(seva: &'a LazyDetSeva, cache: &'a mut LazyCache) -> Self {
-        cache.bind(seva);
-        LazyStepper { seva, cache }
-    }
-}
-
-impl Stepper for LazyStepper<'_> {
-    #[inline]
-    fn state_bound(&self) -> usize {
-        self.cache.num_states()
-    }
-
-    #[inline]
-    fn start_state(&mut self) -> StateId {
-        self.cache.start_state(self.seva)
-    }
-
-    #[inline]
-    fn is_final(&self, q: StateId) -> bool {
-        self.cache.finals[q]
-    }
-
-    #[inline]
-    fn byte_class(&self, byte: u8) -> usize {
-        self.seva.partition.class_of(byte)
-    }
-
-    #[inline]
-    fn partition(&self) -> &AlphabetPartition {
-        &self.seva.partition
-    }
-
-    #[inline]
-    fn classify_document(&self, doc: &Document, out: &mut Vec<u8>) {
-        self.seva.partition.classify_into(doc.bytes(), out);
-    }
-
-    #[inline]
-    fn step_class(&mut self, q: StateId, cls: usize) -> Option<StateId> {
-        self.cache.step_class(self.seva, q, cls)
-    }
-
-    #[inline]
-    fn has_markers(&mut self, q: StateId) -> bool {
-        self.cache.has_markers(self.seva, q)
-    }
-
-    #[inline]
-    fn markers_from(&mut self, q: StateId) -> &[(MarkerSet, StateId)] {
-        self.cache.markers_from(self.seva, q)
-    }
-
-    #[inline]
-    fn run_skippable(&mut self, q: StateId, cls: usize) -> bool {
-        self.cache.run_skippable(self.seva, q, cls)
-    }
-
-    #[inline]
-    fn skip_mask(&mut self, q: StateId) -> ClassMask {
-        self.cache.skip_mask(q)
-    }
-
-    #[inline]
-    fn wants_maintenance(&self) -> bool {
-        self.cache.bytes > self.cache.budget
-    }
-
-    #[inline]
-    fn maintain(&mut self, live: &mut [u32]) -> bool {
-        self.cache.evict(self.seva, live)
-    }
-}
-
-/// Approximate bytes of one hash-map override entry in a [`FrozenDelta`]
-/// (key + value + bucket overhead) — the frozen analogue of the index-entry
-/// share of [`LazyCache::state_cost`].
-const OVERRIDE_COST: usize = 24;
-
-/// An immutable snapshot of a warm [`LazyCache`]: every subset state,
-/// transition row and skip entry discovered up to the freeze point, in the
-/// same CSR layout, with the interning index retained for key lookups.
+/// An immutable snapshot of a warm live [`LazyCache`]: its state arena —
+/// every subset state, transition row and skip entry discovered up to the
+/// freeze point, interning index included — cloned verbatim.
 ///
 /// A `FrozenCache` has no interior mutability, so it is `Send + Sync` and can
 /// be shared by plain reference (e.g. across [`std::thread::scope`] workers)
 /// or `std::sync::Arc`. Rows the warm cache had not yet filled stay *unknown*
 /// in the snapshot; each worker computes those — and any subset state first
-/// discovered after the freeze — inside its own private [`FrozenDelta`].
-/// Create snapshots with [`LazyCache::freeze`]; drive them through
-/// [`FrozenStepper`].
+/// discovered after the freeze — inside its own store over the snapshot (a
+/// [`FrozenDelta`]). Create snapshots with [`LazyCache::freeze`]; drive them
+/// through [`LazyStepper::over`].
 #[derive(Debug, Clone)]
 pub struct FrozenCache {
-    /// Identity of this snapshot (deltas bind to it: state ids above the
+    /// Identity of this snapshot (stores bind over it: state ids above the
     /// frozen range are meaningful only relative to one specific freeze).
     id: u64,
     /// Identity of the [`LazyDetSeva`] the snapshotted cache was bound to.
     seva_id: u64,
-    ncls: usize,
-    key_offsets: Vec<u32>,
-    keys: Vec<u32>,
-    finals: Vec<bool>,
-    var_starts: Vec<u32>,
-    var_lens: Vec<u32>,
-    letter_rows: Vec<u32>,
-    skip_rows: Vec<u8>,
-    /// Immutable per-state skippable-class masks (the memoized `SKIP_YES`
-    /// bits at freeze time), shared read-only by every worker exactly like
-    /// the rows — `Send + Sync` because nothing here mutates.
-    skip_masks: Vec<ClassMask>,
-    var_pairs: Vec<(MarkerSet, StateId)>,
-    index: HashMap<Box<[u32]>, u32>,
+    /// The snapshotted states, shared read-only by every worker — skippable
+    /// class masks included, so workers share skip coverage.
+    arena: Arena,
     /// Warm SLP memo rows computed against the pre-freeze cache (state ids
     /// are preserved by freezing, so the rows remain valid here), shared
     /// read-only by every worker's [`crate::SlpEvaluator`]. Attached by
@@ -1134,24 +1328,25 @@ impl FrozenCache {
         self.seva_id
     }
 
-    /// Number of frozen subset states. Worker deltas hand out ids starting
-    /// here.
+    /// Number of frozen subset states. Stores over the snapshot hand out
+    /// local ids starting here.
     #[inline]
     pub fn num_states(&self) -> usize {
-        self.finals.len()
+        self.arena.num_states()
     }
 
     /// Approximate bytes held by the snapshot (states, rows, index).
     pub fn memory_bytes(&self) -> usize {
-        self.keys.len() * 8
-            + self.key_offsets.len() * 4
-            + self.finals.len()
-            + self.letter_rows.len() * 4
-            + self.skip_rows.len()
-            + self.skip_masks.len() * std::mem::size_of::<ClassMask>()
-            + self.var_starts.len() * 8
-            + self.var_pairs.len() * std::mem::size_of::<(MarkerSet, StateId)>()
-            + self.index.len() * 48
+        let a = &self.arena;
+        a.keys.len() * 8
+            + a.key_offsets.len() * 4
+            + a.finals.len()
+            + a.letter_rows.len() * 4
+            + a.skip_rows.len()
+            + a.skip_masks.len() * std::mem::size_of::<ClassMask>()
+            + a.var_starts.len() * 8
+            + a.var_pairs.len() * std::mem::size_of::<(MarkerSet, StateId)>()
+            + a.index.len() * 48
             + self.slp_memo.as_ref().map_or(0, |m| m.memory_bytes())
     }
 
@@ -1166,36 +1361,35 @@ impl FrozenCache {
         self.slp_memo.as_ref()
     }
 
-    /// A fresh per-worker overflow delta bound to this snapshot.
+    /// A fresh per-worker store bound over this snapshot.
     pub fn create_delta(&self, seva: &LazyDetSeva) -> FrozenDelta {
-        let mut delta = FrozenDelta::default();
-        delta.bind(self, seva);
+        let mut delta = LazyCache::new();
+        delta.bind_over(seva, Some(self));
         delta
     }
 
-    /// Thaws the snapshot back into a mutable [`LazyCache`] holding exactly
-    /// the frozen states and rows — the starting point of a re-freeze
-    /// generation when no delta evidence is available.
+    /// Thaws the snapshot back into a live [`LazyCache`] holding exactly the
+    /// frozen states and rows — the starting point of a re-freeze generation
+    /// when no delta evidence is available.
     pub fn thaw(&self, seva: &LazyDetSeva) -> LazyCache {
         self.thaw_with(None, seva)
     }
 
-    /// Thaws the snapshot **merged with one worker's overflow delta** into a
-    /// mutable [`LazyCache`]: the generational re-freeze path. The merged
-    /// cache holds every frozen state plus every delta overflow state (ids
-    /// preserved — delta-local states already carry absolute ids), with the
-    /// delta's row/skip/marker overrides folded into the flat rows and the
-    /// delta's skippable-class mask overrides replacing the frozen masks, so
-    /// scan coverage learned since the freeze is carried forward into the
-    /// next generation instead of being rediscovered from scratch.
+    /// Thaws the snapshot **merged with one worker's store over it** into a
+    /// live [`LazyCache`]: the generational re-freeze path. The merged cache
+    /// holds every frozen state plus every overflow state (ids preserved —
+    /// local states already carry absolute ids), with the store's row, skip,
+    /// marker and skippable-class mask overrides folded into the snapshot's
+    /// rows, so scan coverage learned since the freeze is carried forward
+    /// into the next generation instead of being rediscovered from scratch.
     ///
     /// # Panics
     ///
-    /// Panics if `delta` is bound to a different snapshot, or `seva` is not
+    /// Panics if `delta` is bound over a different snapshot, or `seva` is not
     /// the automaton this snapshot was frozen from.
     pub fn thaw_merged(&self, delta: &FrozenDelta, seva: &LazyDetSeva) -> LazyCache {
         assert_eq!(
-            delta.frozen_id, self.id,
+            delta.snapshot_id, self.id,
             "FrozenCache::thaw_merged: delta is bound to a different snapshot"
         );
         self.thaw_with(Some(delta), seva)
@@ -1206,704 +1400,110 @@ impl FrozenCache {
             self.seva_id, seva.id,
             "FrozenCache::thaw: snapshot belongs to a different automaton"
         );
-        let ncls = self.ncls;
-        let frozen_keys = self.keys.len() as u32;
-        let frozen_pairs = self.var_pairs.len() as u32;
-
-        let mut key_offsets = self.key_offsets.clone();
-        let mut keys = self.keys.clone();
-        let mut finals = self.finals.clone();
-        let mut var_starts = self.var_starts.clone();
-        let mut var_lens = self.var_lens.clone();
-        let mut letter_rows = self.letter_rows.clone();
-        let mut skip_rows = self.skip_rows.clone();
-        let mut skip_masks = self.skip_masks.clone();
-        let mut var_pairs = self.var_pairs.clone();
-        let mut index = self.index.clone();
-
-        if let Some(d) = delta {
-            // Overrides of frozen states' unknown slots fold into the rows.
-            for (&slot, &t) in &d.letter_overrides {
-                letter_rows[slot as usize] = t;
-            }
-            for (&slot, &s) in &d.skip_overrides {
-                skip_rows[slot as usize] = if s { SKIP_YES } else { SKIP_NO };
-            }
-            // Mask overrides were seeded from the frozen mask, so replacing
-            // (not or-ing) carries every memoized bit forward.
-            for (&q, &m) in &d.mask_overrides {
-                skip_masks[q as usize] = m;
-            }
-            for (&q, &(start, len)) in &d.var_overrides {
-                var_starts[q as usize] = start + frozen_pairs;
-                var_lens[q as usize] = len;
-            }
-            // Overflow states append verbatim: their ids are already absolute
-            // (base = frozen state count), so rows and index entries are
-            // valid in the merged numbering without rewriting.
-            key_offsets.extend(d.key_offsets.iter().skip(1).map(|&o| o + frozen_keys));
-            keys.extend_from_slice(&d.keys);
-            finals.extend_from_slice(&d.finals);
-            var_starts.extend(d.var_starts.iter().map(|&s| {
-                if s == VARS_UNMATERIALIZED {
-                    s
-                } else {
-                    s + frozen_pairs
-                }
-            }));
-            var_lens.extend_from_slice(&d.var_lens);
-            letter_rows.extend_from_slice(&d.letter_rows);
-            skip_rows.extend_from_slice(&d.skip_rows);
-            skip_masks.extend_from_slice(&d.skip_masks);
-            var_pairs.extend_from_slice(&d.var_pairs);
-            for (key, &id) in &d.index {
-                index.insert(key.clone(), id);
-            }
+        let mut cache = seva.create_cache();
+        cache.local = self.arena.clone();
+        if let Some(delta) = delta {
+            delta.overrides.fold_into(&mut cache.local);
+            cache.local.append(&delta.local);
         }
-
-        let mut cache = LazyCache {
-            seva_id: self.seva_id,
-            ncls,
-            budget: seva.config.memory_budget,
-            key_offsets,
-            keys,
-            finals,
-            var_starts,
-            var_lens,
-            letter_rows,
-            skip_rows,
-            skip_masks,
-            var_pairs,
-            index,
-            bytes: 0,
-            clears: 0,
-            states_interned: 0,
-            ..LazyCache::default()
-        };
-        cache.states_interned = cache.num_states() as u64;
-        cache.policy = seva.config.eviction;
-        // Thawed states start cold: they must be referenced to survive a
-        // segmented eviction, exactly like freshly interned states.
-        cache.hot.resize(cache.num_states(), false);
-        cache.set_scratch.reset(seva.num_nfa_states);
-        // Rebuild the byte accounting the way interning + materialization
-        // would have: per-state cost plus the materialized marker rows.
-        let mut bytes = 0;
-        for q in 0..cache.num_states() {
-            let (a, b) = cache.key_range(q);
-            bytes += cache.state_cost(b - a);
-            if cache.var_starts[q] != VARS_UNMATERIALIZED {
-                bytes += cache.var_lens[q] as usize * std::mem::size_of::<(MarkerSet, StateId)>();
-            }
-        }
-        cache.bytes = bytes;
+        // Thawed states count as interned and start cold: they must be
+        // referenced to survive a segmented eviction, exactly like freshly
+        // interned states. The byte accounting is rebuilt the way interning
+        // and materialization would have: per-state cost plus marker rows.
+        let n = cache.num_states();
+        cache.states_interned = n as u64;
+        cache.hot.resize(n, false);
+        cache.bytes = (0..n)
+            .map(|q| {
+                let rows = cache.local.marker_row(q).map_or(0, <[_]>::len);
+                cache.state_cost(cache.local.key(q).len())
+                    + rows * std::mem::size_of::<(MarkerSet, StateId)>()
+            })
+            .sum();
         cache
     }
 }
 
-/// The per-worker mutable half of the frozen/delta split: subset states and
-/// transition rows first needed *after* the freeze.
+/// The pairing of a [`LazyDetSeva`] with one [`LazyCache`] — live, or bound
+/// over a shared [`FrozenCache`] — that implements [`Stepper`]: what the
+/// evaluation engines actually drive.
 ///
-/// A delta owns three kinds of overflow, all retained-capacity buffers:
-///
-/// * **local states** — subsets absent from the frozen snapshot, with ids
-///   `frozen.num_states()..` and the same lazily filled row layout as a
-///   [`LazyCache`];
-/// * **row overrides** — letter/skip/marker entries of *frozen* states whose
-///   slot was still unknown at freeze time (small hash maps keyed by slot);
-/// * **scratch** — the reusable buffers of the subset construction.
-///
-/// Deltas are scratch state: [`FrozenStepper::new`] resets the contents
-/// (keeping capacity) at the start of every document, so an evaluation's
-/// result — including enumeration order — is a pure function of the frozen
-/// snapshot and the document, independent of worker scheduling. A byte budget
-/// (inherited from the automaton's [`LazyConfig`]) bounds the delta exactly
-/// like a [`LazyCache`]: on overflow the local states are cleared and the
-/// engine's live states re-interned, frozen ids staying untouched.
-///
-/// The subset-construction methods below deliberately mirror [`LazyCache`]'s
-/// (they differ in how a state id resolves to its key/row — frozen-then-local
-/// with override maps vs. a single arena). **Algorithmic fixes to one must be
-/// mirrored in the other**; `tests/batch_runtime.rs` pins the two paths
-/// against each other byte for byte.
-#[derive(Debug, Clone)]
-pub struct FrozenDelta {
-    frozen_id: u64,
-    base: u32,
-    ncls: usize,
-    budget: usize,
-    // Local states (absolute id = base + local index), LazyCache layout.
-    key_offsets: Vec<u32>,
-    keys: Vec<u32>,
-    finals: Vec<bool>,
-    var_starts: Vec<u32>,
-    var_lens: Vec<u32>,
-    letter_rows: Vec<u32>,
-    skip_rows: Vec<u8>,
-    /// Per-local-state skippable-class masks, mirroring `skip_rows` exactly
-    /// like [`LazyCache::skip_masks`] — rebuilt on eviction with their states.
-    skip_masks: Vec<ClassMask>,
-    var_pairs: Vec<(MarkerSet, StateId)>,
-    index: HashMap<Box<[u32]>, u32>,
-    // Overrides for frozen states' unknown slots.
-    letter_overrides: HashMap<u32, u32>,
-    skip_overrides: HashMap<u32, bool>,
-    var_overrides: HashMap<u32, (u32, u32)>,
-    /// Frozen states whose skippable-class mask grew after the freeze: the
-    /// frozen masks themselves are immutable and shared, so newly memoized
-    /// `SKIP_YES` entries land here (keyed by frozen state id, seeded from
-    /// the frozen mask). Cleared with the other overrides.
-    mask_overrides: HashMap<u32, ClassMask>,
-    bytes: usize,
-    clears: u64,
-    states_interned: u64,
-    // Reusable scratch (retained like everything else).
-    set_scratch: SparseSet,
-    key_scratch: Vec<u32>,
-    group_scratch: Vec<(MarkerSet, u32)>,
-    row_scratch: Vec<(MarkerSet, StateId)>,
-    target_scratch: Vec<u32>,
-    evict_keys: Vec<u32>,
-    evict_offsets: Vec<u32>,
-}
-
-impl Default for FrozenDelta {
-    fn default() -> Self {
-        FrozenDelta {
-            frozen_id: 0,
-            base: 0,
-            ncls: 0,
-            budget: usize::MAX,
-            key_offsets: vec![0],
-            keys: Vec::new(),
-            finals: Vec::new(),
-            var_starts: Vec::new(),
-            var_lens: Vec::new(),
-            letter_rows: Vec::new(),
-            skip_rows: Vec::new(),
-            skip_masks: Vec::new(),
-            var_pairs: Vec::new(),
-            index: HashMap::new(),
-            letter_overrides: HashMap::new(),
-            skip_overrides: HashMap::new(),
-            var_overrides: HashMap::new(),
-            mask_overrides: HashMap::new(),
-            bytes: 0,
-            clears: 0,
-            states_interned: 0,
-            set_scratch: SparseSet::new(0),
-            key_scratch: Vec::new(),
-            group_scratch: Vec::new(),
-            row_scratch: Vec::new(),
-            target_scratch: Vec::new(),
-            evict_keys: Vec::new(),
-            evict_offsets: Vec::new(),
-        }
-    }
-}
-
-impl FrozenDelta {
-    /// An unbound delta; it binds to the first frozen snapshot it is used
-    /// with (see [`FrozenStepper::new`]).
-    pub fn new() -> FrozenDelta {
-        FrozenDelta::default()
-    }
-
-    /// Identity of the [`FrozenCache`] this delta is bound to (zero when
-    /// unbound) — the guard the re-freeze path checks before merging delta
-    /// evidence into a new generation.
-    #[inline]
-    pub fn snapshot_id(&self) -> u64 {
-        self.frozen_id
-    }
-
-    /// Number of *overflow* states currently held (subsets the frozen
-    /// snapshot does not cover). Zero in the steady state of a well-warmed
-    /// snapshot.
-    #[inline]
-    pub fn num_overflow_states(&self) -> usize {
-        self.finals.len()
-    }
-
-    /// Overflow states interned over the delta's lifetime, including states
-    /// re-created after per-document resets and evictions — the measure of
-    /// determinization work the freeze failed to amortize.
-    #[inline]
-    pub fn states_interned(&self) -> u64 {
-        self.states_interned
-    }
-
-    /// How many budget-driven clear-and-restart evictions have happened
-    /// (per-document resets are not counted).
-    #[inline]
-    pub fn clear_count(&self) -> u64 {
-        self.clears
-    }
-
-    /// Approximate bytes currently held by overflow states and overrides.
-    #[inline]
-    pub fn memory_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Capacity snapshot of the delta's buffers, for allocation-retention
-    /// assertions (mirrors [`LazyCache::capacity_signature`]).
-    pub fn capacity_signature(&self) -> CapacitySignature {
-        CapacitySignature([
-            self.keys.capacity(),
-            self.key_offsets.capacity(),
-            self.finals.capacity(),
-            self.letter_rows.capacity(),
-            self.skip_rows.capacity(),
-            self.skip_masks.capacity(),
-            self.var_pairs.capacity(),
-            self.index.capacity(),
-            0,
-            0,
-        ])
-    }
-
-    /// Overrides the byte budget for subsequent maintenance checks (see
-    /// [`LazyCache::set_budget`]).
-    pub(crate) fn set_budget(&mut self, budget: usize) {
-        self.budget = budget;
-    }
-
-    /// Binds the delta to `frozen`, resetting it if it was bound to a
-    /// different snapshot.
-    pub(crate) fn bind(&mut self, frozen: &FrozenCache, seva: &LazyDetSeva) {
-        assert_eq!(
-            frozen.seva_id, seva.id,
-            "FrozenStepper: snapshot belongs to a different automaton"
-        );
-        if self.frozen_id == frozen.id {
-            return;
-        }
-        self.frozen_id = frozen.id;
-        self.base = frozen.num_states() as u32;
-        self.ncls = frozen.ncls;
-        self.budget = seva.config.memory_budget;
-        self.clears = 0;
-        self.states_interned = 0;
-        self.set_scratch.reset(seva.num_nfa_states);
-        self.clear_local();
-    }
-
-    /// Sheds the delta for the global memory governor: drops every overflow
-    /// state and override **and releases the backing allocations** (unlike
-    /// the internal evictions, which keep capacity for reuse). Returns the
-    /// bytes freed. The delta stays bound to its snapshot and remains fully
-    /// usable — subsequent documents re-intern overflow states on demand,
-    /// exactly as after a budget eviction.
-    ///
-    /// Lifetime counters ([`FrozenDelta::states_interned`],
-    /// [`FrozenDelta::clear_count`]) are untouched: a governor shed is not a
-    /// budget-driven eviction, so it never trips the per-document thrash
-    /// guard.
-    pub fn shed(&mut self) -> usize {
-        let freed = self.bytes;
-        self.clear_local();
-        self.keys.shrink_to_fit();
-        self.key_offsets.shrink_to_fit();
-        self.finals.shrink_to_fit();
-        self.var_starts.shrink_to_fit();
-        self.var_lens.shrink_to_fit();
-        self.letter_rows.shrink_to_fit();
-        self.skip_rows.shrink_to_fit();
-        self.skip_masks.shrink_to_fit();
-        self.var_pairs.shrink_to_fit();
-        self.index.shrink_to_fit();
-        self.letter_overrides.shrink_to_fit();
-        self.skip_overrides.shrink_to_fit();
-        self.var_overrides.shrink_to_fit();
-        self.mask_overrides.shrink_to_fit();
-        freed
-    }
-
-    /// Drops every overflow state and override, keeping allocated capacity.
-    fn clear_local(&mut self) {
-        self.key_offsets.clear();
-        self.key_offsets.push(0);
-        self.keys.clear();
-        self.finals.clear();
-        self.var_starts.clear();
-        self.var_lens.clear();
-        self.letter_rows.clear();
-        self.skip_rows.clear();
-        self.skip_masks.clear();
-        self.var_pairs.clear();
-        self.index.clear();
-        self.letter_overrides.clear();
-        self.skip_overrides.clear();
-        self.var_overrides.clear();
-        self.mask_overrides.clear();
-        self.bytes = 0;
-    }
-
-    /// Key extent of state `q`: `(lives_in_frozen, start, end)` into the
-    /// owning arena's `keys`.
-    #[inline]
-    fn key_extent(&self, frozen: &FrozenCache, q: usize) -> (bool, usize, usize) {
-        let base = self.base as usize;
-        if q < base {
-            (true, frozen.key_offsets[q] as usize, frozen.key_offsets[q + 1] as usize)
-        } else {
-            let lq = q - base;
-            (false, self.key_offsets[lq] as usize, self.key_offsets[lq + 1] as usize)
-        }
-    }
-
-    /// Looks up or creates the state for the (sorted) subset `key`: frozen
-    /// states are found in the shared index, overflow states in the delta's.
-    fn intern(&mut self, key: &[u32], frozen: &FrozenCache, seva: &LazyDetSeva) -> u32 {
-        if let Some(&id) = frozen.index.get(key) {
-            return id;
-        }
-        if let Some(&id) = self.index.get(key) {
-            return id;
-        }
-        let id = self.base as usize + self.finals.len();
-        assert!(
-            id < (UNKNOWN as usize) - 1,
-            "frozen-delta determinizer exhausted the u32 id space"
-        );
-        self.keys.extend_from_slice(key);
-        self.key_offsets.push(self.keys.len() as u32);
-        self.finals.push(key.iter().any(|&q| seva.nfa_finals[q as usize]));
-        self.var_starts.push(VARS_UNMATERIALIZED);
-        self.var_lens.push(0);
-        self.letter_rows.resize(self.letter_rows.len() + self.ncls, UNKNOWN);
-        self.skip_rows.resize(self.skip_rows.len() + self.ncls, SKIP_UNKNOWN);
-        self.skip_masks.push(ClassMask::empty());
-        self.index.insert(key.into(), id as u32);
-        self.bytes += key.len() * 8 + self.ncls * 5 + std::mem::size_of::<ClassMask>() + 64;
-        self.states_interned += 1;
-        id as u32
-    }
-
-    /// The skippable-class bitset of `q` over the frozen/delta split: the
-    /// shared frozen mask (plus any delta-local override) for frozen states,
-    /// the delta-local mask for overflow states. A pure read, like
-    /// [`LazyCache::skip_mask`].
-    #[inline]
-    fn skip_mask(&self, frozen: &FrozenCache, q: StateId) -> ClassMask {
-        let base = self.base as usize;
-        if q < base {
-            match self.mask_overrides.get(&(q as u32)) {
-                Some(&m) => m,
-                None => frozen.skip_masks[q],
-            }
-        } else {
-            self.skip_masks[q - base]
-        }
-    }
-
-    /// Lazy `δ(q, cls)` over the frozen/delta split: frozen rows are flat
-    /// loads; unknown frozen slots memoize into the override map; overflow
-    /// states use delta-local rows.
-    fn step_class(
-        &mut self,
-        frozen: &FrozenCache,
-        seva: &LazyDetSeva,
-        q: StateId,
-        cls: usize,
-    ) -> Option<StateId> {
-        let base = self.base as usize;
-        let cached = if q < base {
-            frozen.letter_rows[q * self.ncls + cls]
-        } else {
-            self.letter_rows[(q - base) * self.ncls + cls]
-        };
-        match cached {
-            NO_TARGET => return None,
-            t if t != UNKNOWN => return Some(t as StateId),
-            _ => {}
-        }
-        if q < base {
-            if let Some(&t) = self.letter_overrides.get(&((q * self.ncls + cls) as u32)) {
-                return if t == NO_TARGET { None } else { Some(t as StateId) };
-            }
-        }
-        // First step of this (state, class) since the freeze: union the NFA
-        // targets of every subset member, intern, memoize.
-        self.set_scratch.clear();
-        let (in_frozen, a, b) = self.key_extent(frozen, q);
-        for i in a..b {
-            let nq = (if in_frozen { frozen.keys[i] } else { self.keys[i] }) as usize;
-            for &t in seva.letter_targets(nq, cls) {
-                self.set_scratch.insert(t as usize);
-            }
-        }
-        let target = if self.set_scratch.is_empty() {
-            NO_TARGET
-        } else {
-            let mut ks = std::mem::take(&mut self.key_scratch);
-            ks.clear();
-            ks.extend_from_slice(self.set_scratch.as_slice());
-            ks.sort_unstable();
-            let id = self.intern(&ks, frozen, seva);
-            self.key_scratch = ks;
-            id
-        };
-        if q < base {
-            self.letter_overrides.insert((q * self.ncls + cls) as u32, target);
-            self.bytes += OVERRIDE_COST;
-        } else {
-            self.letter_rows[(q - base) * self.ncls + cls] = target;
-        }
-        if target == NO_TARGET {
-            None
-        } else {
-            Some(target as StateId)
-        }
-    }
-
-    /// Materializes the marker row of `q` into the delta arena (frozen states
-    /// with a frozen row never reach here — see [`FrozenDelta::markers_row`]),
-    /// returning its `(start, len)` extent.
-    fn materialize_vars(
-        &mut self,
-        frozen: &FrozenCache,
-        seva: &LazyDetSeva,
-        q: StateId,
-    ) -> (u32, u32) {
-        let base = self.base as usize;
-        if q < base {
-            if let Some(&ext) = self.var_overrides.get(&(q as u32)) {
-                return ext;
-            }
-            debug_assert_eq!(frozen.var_starts[q], VARS_UNMATERIALIZED);
-        } else {
-            let lq = q - base;
-            if self.var_starts[lq] != VARS_UNMATERIALIZED {
-                return (self.var_starts[lq], self.var_lens[lq]);
-            }
-        }
-        let mut groups = std::mem::take(&mut self.group_scratch);
-        groups.clear();
-        let (in_frozen, a, b) = self.key_extent(frozen, q);
-        for i in a..b {
-            let nq = (if in_frozen { frozen.keys[i] } else { self.keys[i] }) as usize;
-            groups.extend_from_slice(seva.var_pairs_of(nq));
-        }
-        groups.sort_unstable();
-        groups.dedup();
-        let mut row = std::mem::take(&mut self.row_scratch);
-        let mut ks = std::mem::take(&mut self.key_scratch);
-        row.clear();
-        let mut i = 0;
-        while i < groups.len() {
-            let markers = groups[i].0;
-            ks.clear();
-            while i < groups.len() && groups[i].0 == markers {
-                ks.push(groups[i].1);
-                i += 1;
-            }
-            let id = self.intern(&ks, frozen, seva);
-            row.push((markers, id as StateId));
-        }
-        let start = self.var_pairs.len() as u32;
-        let len = row.len() as u32;
-        self.var_pairs.extend_from_slice(&row);
-        if q < base {
-            self.var_overrides.insert(q as u32, (start, len));
-            self.bytes += OVERRIDE_COST;
-        } else {
-            let lq = q - base;
-            self.var_starts[lq] = start;
-            self.var_lens[lq] = len;
-        }
-        self.bytes += row.len() * std::mem::size_of::<(MarkerSet, StateId)>();
-        self.group_scratch = groups;
-        self.row_scratch = row;
-        self.key_scratch = ks;
-        (start, len)
-    }
-
-    /// `Markers_δ(q)` with targets, reading the frozen row when it exists and
-    /// the delta row (materializing it first) otherwise.
-    fn markers_row<'s>(
-        &'s mut self,
-        frozen: &'s FrozenCache,
-        seva: &LazyDetSeva,
-        q: StateId,
-    ) -> &'s [(MarkerSet, StateId)] {
-        let base = self.base as usize;
-        if q < base && frozen.var_starts[q] != VARS_UNMATERIALIZED {
-            let start = frozen.var_starts[q] as usize;
-            return &frozen.var_pairs[start..start + frozen.var_lens[q] as usize];
-        }
-        let (start, len) = self.materialize_vars(frozen, seva, q);
-        &self.var_pairs[start as usize..(start + len) as usize]
-    }
-
-    /// Lazy `has_markers(q)` over the split.
-    fn has_markers(&mut self, frozen: &FrozenCache, seva: &LazyDetSeva, q: StateId) -> bool {
-        let base = self.base as usize;
-        if q < base && frozen.var_starts[q] != VARS_UNMATERIALIZED {
-            return frozen.var_lens[q] != 0;
-        }
-        self.materialize_vars(frozen, seva, q).1 != 0
-    }
-
-    /// Lazy `run_skippable(q, cls)` over the split (frozen skip entries are
-    /// flat loads; unknown ones memoize into the override map).
-    fn run_skippable(
-        &mut self,
-        frozen: &FrozenCache,
-        seva: &LazyDetSeva,
-        q: StateId,
-        cls: usize,
-    ) -> bool {
-        let base = self.base as usize;
-        let local = if q < base {
-            match frozen.skip_rows[q * self.ncls + cls] {
-                SKIP_YES => return true,
-                SKIP_NO => return false,
-                _ => {}
-            }
-            if let Some(&s) = self.skip_overrides.get(&((q * self.ncls + cls) as u32)) {
-                return s;
-            }
-            None
-        } else {
-            match self.skip_rows[(q - base) * self.ncls + cls] {
-                SKIP_YES => return true,
-                SKIP_NO => return false,
-                _ => {}
-            }
-            Some(q - base)
-        };
-        let skip = self.compute_skippable(frozen, seva, q, cls);
-        match local {
-            None => {
-                self.skip_overrides.insert((q * self.ncls + cls) as u32, skip);
-                self.bytes += OVERRIDE_COST;
-                if skip {
-                    // The frozen per-state mask is immutable; record the newly
-                    // learned bit in a delta-local override seeded from it.
-                    let mut mask = self
-                        .mask_overrides
-                        .get(&(q as u32))
-                        .copied()
-                        .unwrap_or(frozen.skip_masks[q]);
-                    mask.insert(cls);
-                    if self.mask_overrides.insert(q as u32, mask).is_none() {
-                        self.bytes += OVERRIDE_COST + std::mem::size_of::<ClassMask>();
-                    }
-                }
-            }
-            Some(lq) => {
-                // `compute_skippable` may intern states, growing `skip_rows`
-                // at the end — the slot index for `lq` is unaffected.
-                self.skip_rows[lq * self.ncls + cls] = if skip { SKIP_YES } else { SKIP_NO };
-                if skip {
-                    self.skip_masks[lq].insert(cls);
-                }
-            }
-        }
-        skip
-    }
-
-    fn compute_skippable(
-        &mut self,
-        frozen: &FrozenCache,
-        seva: &LazyDetSeva,
-        q: StateId,
-        cls: usize,
-    ) -> bool {
-        if self.step_class(frozen, seva, q, cls) != Some(q) {
-            return false;
-        }
-        let mut targets = std::mem::take(&mut self.target_scratch);
-        targets.clear();
-        targets.extend(self.markers_row(frozen, seva, q).iter().map(|&(_, p)| p as u32));
-        let mut skip = true;
-        for &p in &targets {
-            if self.step_class(frozen, seva, p as StateId, cls).is_some() {
-                skip = false;
-                break;
-            }
-        }
-        self.target_scratch = targets;
-        skip
-    }
-
-    /// Clear-and-restart eviction of the *delta only*: overflow states and
-    /// overrides are forgotten, live overflow states re-interned (their ids
-    /// rewritten in place); frozen ids — immutable by construction — are left
-    /// untouched, so the shared snapshot never churns.
-    fn evict(&mut self, frozen: &FrozenCache, seva: &LazyDetSeva, live: &mut [u32]) -> bool {
-        let base = self.base;
-        let mut ek = std::mem::take(&mut self.evict_keys);
-        let mut eo = std::mem::take(&mut self.evict_offsets);
-        ek.clear();
-        eo.clear();
-        eo.push(0);
-        for &q in live.iter() {
-            if q >= base {
-                let lq = (q - base) as usize;
-                let (a, b) = (self.key_offsets[lq] as usize, self.key_offsets[lq + 1] as usize);
-                ek.extend_from_slice(&self.keys[a..b]);
-            }
-            eo.push(ek.len() as u32);
-        }
-        self.clear_local();
-        for (k, q) in live.iter_mut().enumerate() {
-            if *q >= base {
-                let key = &ek[eo[k] as usize..eo[k + 1] as usize];
-                *q = self.intern(key, frozen, seva);
-            }
-        }
-        self.clears += 1;
-        self.evict_keys = ek;
-        self.evict_offsets = eo;
-        true
-    }
-}
-
-/// The pairing of a shared [`FrozenCache`] with one worker's private
-/// [`FrozenDelta`] (plus the immutable [`LazyDetSeva`]) that implements
-/// [`Stepper`] — the parallel-serving counterpart of [`LazyStepper`].
-///
-/// Constructing one binds the delta to the snapshot (resetting it if it was
-/// bound elsewhere) and then **resets the delta's contents** — capacity
-/// retained — so the evaluation about to run depends only on the snapshot
-/// and the document, never on what this worker processed before.
+/// Constructing one binds (and if necessary resets) the store; a store over
+/// a snapshot is additionally **reset** — capacity retained — so the
+/// evaluation about to run depends only on the snapshot and the document,
+/// never on what this worker processed before. The stepper borrows every
+/// half for the duration of one evaluation; ids below the snapshot's state
+/// count index the snapshot, the rest the store.
 #[derive(Debug)]
-pub struct FrozenStepper<'a> {
+pub struct LazyStepper<'a> {
     seva: &'a LazyDetSeva,
-    frozen: &'a FrozenCache,
-    delta: &'a mut FrozenDelta,
+    /// The snapshot's arena, or an empty one for a live cache.
+    base: &'a Arena,
+    cache: &'a mut LazyCache,
 }
 
-impl<'a> FrozenStepper<'a> {
-    /// Pairs the three halves, binding and resetting the delta first.
-    pub fn new(seva: &'a LazyDetSeva, frozen: &'a FrozenCache, delta: &'a mut FrozenDelta) -> Self {
-        delta.bind(frozen, seva);
-        delta.clear_local();
-        FrozenStepper { seva, frozen, delta }
+/// The stepper over a frozen snapshot — the same type as [`LazyStepper`],
+/// built with [`LazyStepper::over`].
+pub type FrozenStepper<'a> = LazyStepper<'a>;
+
+impl<'a> LazyStepper<'a> {
+    /// Steps `seva` live through `cache`, binding the cache first.
+    pub fn new(seva: &'a LazyDetSeva, cache: &'a mut LazyCache) -> Self {
+        Self::with_base(seva, None, cache)
+    }
+
+    /// Steps `seva` through the shared `frozen` snapshot with one worker's
+    /// private `delta`, binding and resetting the delta first.
+    pub fn over(
+        seva: &'a LazyDetSeva,
+        frozen: &'a FrozenCache,
+        delta: &'a mut FrozenDelta,
+    ) -> Self {
+        Self::with_base(seva, Some(frozen), delta)
+    }
+
+    /// [`LazyStepper::new`] when `base` is `None`, [`LazyStepper::over`]
+    /// otherwise.
+    pub(crate) fn with_base(
+        seva: &'a LazyDetSeva,
+        base: Option<&'a FrozenCache>,
+        cache: &'a mut LazyCache,
+    ) -> Self {
+        cache.bind_over(seva, base);
+        let base = match base {
+            Some(frozen) => {
+                cache.clear_local();
+                &frozen.arena
+            }
+            None => empty_arena(),
+        };
+        LazyStepper { seva, base, cache }
+    }
+
+    /// The store this stepper extends.
+    pub(crate) fn store(&self) -> &LazyCache {
+        self.cache
     }
 }
 
-impl Stepper for FrozenStepper<'_> {
+impl Stepper for LazyStepper<'_> {
     #[inline]
     fn state_bound(&self) -> usize {
-        self.frozen.num_states() + self.delta.num_overflow_states()
+        self.cache.base as usize + self.cache.num_states()
     }
 
     #[inline]
     fn start_state(&mut self) -> StateId {
-        self.delta.intern(&[self.seva.initial], self.frozen, self.seva) as StateId
+        self.cache.start_state(self.base, self.seva)
     }
 
     #[inline]
     fn is_final(&self, q: StateId) -> bool {
-        let base = self.delta.base as usize;
-        if q < base {
-            self.frozen.finals[q]
+        let nb = self.cache.base as usize;
+        if q < nb {
+            self.base.finals[q]
         } else {
-            self.delta.finals[q - base]
+            self.cache.local.finals[q - nb]
         }
     }
 
@@ -1924,37 +1524,37 @@ impl Stepper for FrozenStepper<'_> {
 
     #[inline]
     fn step_class(&mut self, q: StateId, cls: usize) -> Option<StateId> {
-        self.delta.step_class(self.frozen, self.seva, q, cls)
+        self.cache.step_class(self.base, self.seva, q, cls)
     }
 
     #[inline]
     fn has_markers(&mut self, q: StateId) -> bool {
-        self.delta.has_markers(self.frozen, self.seva, q)
+        self.cache.has_markers(self.base, self.seva, q)
     }
 
     #[inline]
     fn markers_from(&mut self, q: StateId) -> &[(MarkerSet, StateId)] {
-        self.delta.markers_row(self.frozen, self.seva, q)
+        self.cache.markers_row(self.base, self.seva, q)
     }
 
     #[inline]
     fn run_skippable(&mut self, q: StateId, cls: usize) -> bool {
-        self.delta.run_skippable(self.frozen, self.seva, q, cls)
+        self.cache.run_skippable(self.base, self.seva, q, cls)
     }
 
     #[inline]
     fn skip_mask(&mut self, q: StateId) -> ClassMask {
-        self.delta.skip_mask(self.frozen, q)
+        self.cache.skip_mask(self.base, q)
     }
 
     #[inline]
     fn wants_maintenance(&self) -> bool {
-        self.delta.bytes > self.delta.budget
+        self.cache.bytes > self.cache.budget
     }
 
     #[inline]
     fn maintain(&mut self, live: &mut [u32]) -> bool {
-        self.delta.evict(self.frozen, self.seva, live)
+        self.cache.evict(self.base, self.seva, live)
     }
 }
 
@@ -2079,7 +1679,7 @@ mod tests {
         let mut delta = frozen.create_delta(&lazy);
         for text in ["", "a", "g", "z", "ag", "gz", "abcxyz", "A", "a!b", "zzzagq"] {
             let doc = Document::from(text);
-            let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
+            let mut stepper = FrozenStepper::over(&lazy, &frozen, &mut delta);
             assert_eq!(
                 accepts_generic(&mut stepper, &doc),
                 !eva.eval_naive(&doc).is_empty(),
@@ -2123,12 +1723,12 @@ mod tests {
         let frozen = cache.freeze(&lazy);
         let mut delta = frozen.create_delta(&lazy);
         let texts = ["az", "gz", "abcxyz", "zzzagq", "a!b"];
-        // Drive one document so the per-document reset of FrozenStepper::new
+        // Drive one document so the per-document reset of FrozenStepper::over
         // does not wipe the evidence we are about to merge.
-        let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
+        let mut stepper = FrozenStepper::over(&lazy, &frozen, &mut delta);
         let _ = accepts_generic(&mut stepper, &Document::from("abcxyz"));
         assert!(
-            delta.num_overflow_states() > 0 || !delta.letter_overrides.is_empty(),
+            delta.num_overflow_states() > 0 || !delta.overrides.letter.is_empty(),
             "test premise: the delta must hold evidence to merge"
         );
         assert_eq!(delta.snapshot_id(), frozen.id());
@@ -2143,7 +1743,7 @@ mod tests {
         let mut d2 = gen2.create_delta(&lazy);
         for text in texts.iter().chain(["", "g", "A"].iter()) {
             let doc = Document::from(*text);
-            let mut stepper = FrozenStepper::new(&lazy, &gen2, &mut d2);
+            let mut stepper = FrozenStepper::over(&lazy, &gen2, &mut d2);
             assert_eq!(
                 accepts_generic(&mut stepper, &doc),
                 !eva.eval_naive(&doc).is_empty(),
@@ -2153,7 +1753,7 @@ mod tests {
         // The warmed snapshot covers the replayed document: re-running it
         // creates no overflow states in a fresh delta.
         let mut d3 = gen2.create_delta(&lazy);
-        let mut stepper = FrozenStepper::new(&lazy, &gen2, &mut d3);
+        let mut stepper = FrozenStepper::over(&lazy, &gen2, &mut d3);
         let _ = accepts_generic(&mut stepper, &Document::from("abcxyz"));
         assert_eq!(d3.num_overflow_states(), 0, "merged generation must absorb the delta");
     }
@@ -2176,7 +1776,7 @@ mod tests {
         assert_eq!(frozen.num_states(), 0);
         let mut delta = FrozenDelta::new();
         let doc = Document::from("agz");
-        let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
+        let mut stepper = FrozenStepper::over(&lazy, &frozen, &mut delta);
         assert!(accepts_generic(&mut stepper, &doc));
         assert!(delta.num_overflow_states() > 0, "all states must live in the delta");
         // A delta over an empty snapshot is a live cache: same answers, same
@@ -2193,7 +1793,7 @@ mod tests {
                 let mut cache = lazy.create_cache();
                 let live = lazy.accepts(&mut cache, &doc);
                 let mut delta = frozen.create_delta(&lazy);
-                let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
+                let mut stepper = FrozenStepper::over(&lazy, &frozen, &mut delta);
                 assert_eq!(accepts_generic(&mut stepper, &doc), live, "acceptance, {ctx}");
                 assert_eq!(live, !eva.eval_naive(&doc).is_empty(), "oracle, {ctx}");
                 assert_eq!(delta.states_interned(), cache.states_interned(), "interned, {ctx}");
@@ -2212,7 +1812,7 @@ mod tests {
         let mut delta = FrozenDelta::new();
         let doc = Document::from("agzagz");
         for round in 0..3 {
-            let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
+            let mut stepper = FrozenStepper::over(&lazy, &frozen, &mut delta);
             assert!(accepts_generic(&mut stepper, &doc), "round {round}");
         }
         // Three identical documents: the per-document reset makes the third
@@ -2220,7 +1820,7 @@ mod tests {
         let sig = delta.capacity_signature();
         let per_doc = delta.states_interned() / 3;
         assert_eq!(delta.states_interned(), per_doc * 3, "interning is not per-document stable");
-        let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
+        let mut stepper = FrozenStepper::over(&lazy, &frozen, &mut delta);
         assert!(accepts_generic(&mut stepper, &doc));
         assert_eq!(delta.capacity_signature(), sig, "warm delta reallocated");
     }
@@ -2232,10 +1832,10 @@ mod tests {
         let frozen = lazy.create_cache().freeze(&lazy);
         let mut delta = FrozenDelta::new();
         let doc = Document::from("agzagzagz");
-        let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
+        let mut stepper = FrozenStepper::over(&lazy, &frozen, &mut delta);
         assert!(accepts_generic(&mut stepper, &doc));
         assert!(delta.clear_count() > 0, "a 1-byte budget must force delta evictions");
-        let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
+        let mut stepper = FrozenStepper::over(&lazy, &frozen, &mut delta);
         assert!(!accepts_generic(&mut stepper, &Document::from("!!!")));
     }
 
@@ -2277,9 +1877,9 @@ mod tests {
         let ncls = lazy.num_alphabet_classes();
         let mut memoized_yes = 0;
         for q in 0..cache.num_states() {
-            let mask = cache.skip_mask(q);
+            let mask = cache.local.skip_masks[q];
             for cls in 0..ncls {
-                let memo = cache.skip_rows[q * ncls + cls];
+                let memo = cache.local.skip_rows[q * ncls + cls];
                 assert_eq!(
                     mask.contains(cls),
                     memo == SKIP_YES,
@@ -2291,10 +1891,10 @@ mod tests {
         assert!(memoized_yes > 0, "the documents above must memoize at least one skip entry");
         // Freezing carries the masks verbatim into the shared snapshot.
         let frozen = cache.freeze(&lazy);
-        assert_eq!(frozen.skip_masks, cache.skip_masks);
+        assert_eq!(frozen.arena.skip_masks, cache.local.skip_masks);
         // A delta-local state's mask starts empty and fills with its memos.
         let delta = frozen.create_delta(&lazy);
-        assert_eq!(delta.skip_mask(&frozen, 0), frozen.skip_masks[0]);
+        assert_eq!(delta.skip_mask(&frozen.arena, 0), frozen.arena.skip_masks[0]);
     }
 
     #[test]
@@ -2380,7 +1980,7 @@ mod tests {
         let mut delta = frozen.create_delta(&lazy);
         for text in ["", "a", "g", "z", "ag", "gz", "abcxyz", "A", "a!b", "agzagzagz"] {
             let doc = Document::from(text);
-            let mut stepper = FrozenStepper::new(&lazy, &frozen, &mut delta);
+            let mut stepper = FrozenStepper::over(&lazy, &frozen, &mut delta);
             assert_eq!(
                 accepts_generic(&mut stepper, &doc),
                 !eva.eval_naive(&doc).is_empty(),

@@ -15,7 +15,8 @@
 //! * the **deterministic sequential eVA** representation [`DetSeva`] used by the
 //!   evaluation algorithms, and its **lazy hybrid** counterpart
 //!   ([`LazyDetSeva`] + budgeted [`LazyCache`], module [`lazy`]) that
-//!   determinizes nondeterministic eVA on demand behind the [`Stepper`] seam;
+//!   determinizes nondeterministic eVA on demand behind the [`Stepper`] seam,
+//!   live or over a shared [`FrozenCache`] snapshot;
 //! * **Algorithm 1 + 2**: linear-time preprocessing and constant-delay enumeration of
 //!   all output mappings ([`enumerate`]), exposed both as the one-shot
 //!   [`EnumerationDag`] and as the reusable, allocation-free-after-warm-up
@@ -83,7 +84,8 @@ pub use variable::{Marker, VarId, VarRegistry, MAX_VARIABLES};
 /// Compile-time thread-safety audit of the batch/serving runtime's sharing
 /// model: the compiled automata and frozen snapshots are shared *read-only*
 /// across worker threads (`Send + Sync`), while every mutable engine — the
-/// evaluators, count caches, lazy caches and frozen-overflow deltas — is
+/// evaluators, count caches and the lazy subset stores (live caches and
+/// frozen-overflow deltas are one type) — is
 /// per-worker state that only needs to move between threads (`Send`).
 /// A field that silently introduced interior mutability or a thread-bound
 /// type would fail this function's bounds and break the build.
@@ -100,7 +102,6 @@ fn assert_runtime_thread_safety() {
     per_worker::<Evaluator>();
     per_worker::<CountCache<u64>>();
     per_worker::<LazyCache>();
-    per_worker::<FrozenDelta>();
     shared::<Slp>();
     shared::<SlpRules>();
     shared::<SlpSharedMemo>();

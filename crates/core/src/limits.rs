@@ -300,8 +300,9 @@ impl LimitChecker {
 /// A process-level memory budget shared by every serving component, with a
 /// single atomic byte ledger.
 ///
-/// The per-component accounting already exists — `LazyCache`, `FrozenDelta`
-/// and the SLP memo arenas each report their live bytes (the
+/// The per-component accounting already exists — the `LazyCache` subset
+/// stores (live caches and frozen deltas alike) and the SLP memo arenas
+/// each report their live bytes (the
 /// capacity-signature slots) — but each cache previously enforced only its
 /// *own* budget, so N components × per-component budget bounded nothing
 /// globally. A `MemoryGovernor` aggregates those bytes behind one ledger:

@@ -35,9 +35,10 @@
 //!
 //! [`SlpEvaluator`] drives the eager [`DetSeva`], the live lazy engine, and
 //! the frozen/delta split of the batch runtime through the same per-worker
-//! cache slot as the byte engines' [`crate::driver::Driver`] (its [`LazyCache`] /
-//! [`FrozenDelta`]), plus its own memo tables. A warm memo can be
-//! snapshotted into an immutable [`SlpSharedMemo`] and attached to a
+//! cache slot as the byte engines' [`crate::driver::Driver`] (its two
+//! [`LazyCache`] stores: live, and over a frozen snapshot), plus its own memo
+//! tables. A warm memo can be snapshotted into an immutable [`SlpSharedMemo`]
+//! and attached to a
 //! [`FrozenCache`] (see [`crate::CompiledSpanner::freeze_warm_slp`]), so N
 //! workers compose documents off one shared bottom-up pass instead of
 //! recomputing it N times.
@@ -49,8 +50,7 @@ use crate::document::Document;
 use crate::driver::CacheSlot;
 use crate::error::SpannerError;
 use crate::lazy::{
-    next_engine_id, CapacitySignature, FrozenCache, FrozenDelta, FrozenStepper, LazyCache,
-    LazyDetSeva, LazyStepper,
+    next_engine_id, CapacitySignature, FrozenCache, FrozenDelta, LazyCache, LazyDetSeva,
 };
 use crate::limits::{EvalLimits, LimitChecker};
 
@@ -974,12 +974,12 @@ fn merge_sorted_counts_saturating(row: &mut Vec<(u32, u64)>) {
 /// is warm.
 ///
 /// The evaluator owns the per-worker halves of whichever engine it is driven
-/// against in the [`crate::driver::Driver`]'s cache slot — a [`LazyCache`] for live
-/// lazy automata, a [`FrozenDelta`] for the shared frozen snapshots of the
-/// batch runtime — plus the memo tables and scratch, all retained-capacity
-/// across documents. Counts are `u64` (the batch
-/// runtime's counting type); wider counts can always fall back to the byte
-/// engines on the decompressed document.
+/// against in the [`crate::driver::Driver`]'s cache slot — a [`LazyCache`]
+/// stepped live for lazy automata, or over one of the shared frozen
+/// snapshots of the batch runtime (a [`FrozenDelta`]) — plus the memo tables
+/// and scratch, all retained-capacity across documents. Counts are `u64`
+/// (the batch runtime's counting type); wider counts can always fall back to
+/// the byte engines on the decompressed document.
 #[derive(Debug, Default)]
 pub struct SlpEvaluator {
     ws: Workspace,
@@ -1064,11 +1064,11 @@ impl SlpEvaluator {
     /// the E10b diagnostics see SLP memory through the same lens as the
     /// determinization caches.
     pub fn capacity_signature(&self) -> CapacitySignature {
-        let mut sig = match (self.slot.lazy_cache(), self.slot.frozen_delta()) {
-            (Some(cache), _) => cache.capacity_signature(),
-            (None, Some(delta)) => delta.capacity_signature(),
-            (None, None) => CapacitySignature([0; 10]),
-        };
+        let mut sig = self
+            .slot
+            .stores()
+            .next()
+            .map_or(CapacitySignature([0; 10]), LazyCache::capacity_signature);
         sig.0[8] = self.ws.memo.counts.capacity_bytes();
         sig.0[9] = self.ws.memo.sets.capacity_bytes();
         sig
@@ -1084,7 +1084,7 @@ impl SlpEvaluator {
 
     /// Sheds the determinization-side memory for the global governor
     /// (severity 1, as [`crate::driver::Driver::shed_cold_memory`]): drops the
-    /// embedded lazy cache and [`FrozenDelta::shed`]s the overflow delta.
+    /// embedded lazy cache and [`LazyCache::shed`]s the overflow delta.
     /// The memo tables are untouched — they are severity 2, see
     /// [`SlpEvaluator::shed_memos`]. Returns the bytes freed.
     pub fn shed_cold_memory(&mut self) -> usize {
@@ -1153,18 +1153,18 @@ impl SlpEvaluator {
     /// ids, so they drop the memo alongside the evicted states.
     pub fn count_lazy(&mut self, aut: &LazyDetSeva, slp: &Slp) -> Result<u64, SpannerError> {
         let (limits, budget, ws) = (self.limits, self.memo_budget(), &mut self.ws);
-        self.slot.with_lazy(aut, |cache| {
-            ws.begin(&limits, aut.id(), cache.clear_count(), budget);
-            ws.count_run(&mut LazyStepper::new(aut, cache), slp, None)
+        self.slot.with_stepper(aut, None, |stepper| {
+            ws.begin(&limits, aut.id(), stepper.store().clear_count(), budget);
+            ws.count_run(stepper, slp, None)
         })
     }
 
     /// [`SlpEvaluator::accepts`] against a live lazy automaton.
     pub fn accepts_lazy(&mut self, aut: &LazyDetSeva, slp: &Slp) -> Result<bool, SpannerError> {
         let (limits, budget, ws) = (self.limits, self.memo_budget(), &mut self.ws);
-        self.slot.with_lazy(aut, |cache| {
-            ws.begin(&limits, aut.id(), cache.clear_count(), budget);
-            ws.accepts_run(&mut LazyStepper::new(aut, cache), slp, None)
+        self.slot.with_stepper(aut, None, |stepper| {
+            ws.begin(&limits, aut.id(), stepper.store().clear_count(), budget);
+            ws.accepts_run(stepper, slp, None)
         })
     }
 
@@ -1183,9 +1183,7 @@ impl SlpEvaluator {
     ) -> Result<u64, SpannerError> {
         self.begin_frozen(frozen);
         let (ws, shared) = (&mut self.ws, frozen.slp_memo().map(|m| &m.tables));
-        self.slot.with_frozen(aut, frozen, |delta| {
-            ws.count_run(&mut FrozenStepper::new(aut, frozen, delta), slp, shared)
-        })
+        self.slot.with_stepper(aut, Some(frozen), |stepper| ws.count_run(stepper, slp, shared))
     }
 
     /// [`SlpEvaluator::accepts`] through a shared frozen snapshot.
@@ -1197,9 +1195,7 @@ impl SlpEvaluator {
     ) -> Result<bool, SpannerError> {
         self.begin_frozen(frozen);
         let (ws, shared) = (&mut self.ws, frozen.slp_memo().map(|m| &m.tables));
-        self.slot.with_frozen(aut, frozen, |delta| {
-            ws.accepts_run(&mut FrozenStepper::new(aut, frozen, delta), slp, shared)
-        })
+        self.slot.with_stepper(aut, Some(frozen), |stepper| ws.accepts_run(stepper, slp, shared))
     }
 
     /// Starts a frozen run under a fresh memo epoch: delta-local state ids

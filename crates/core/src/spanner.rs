@@ -189,8 +189,7 @@ impl CompiledSpanner {
     fn target<'a>(&'a self, frozen: Option<&'a FrozenCache>) -> Target<'a> {
         match (&self.engine, frozen) {
             (Engine::Eager(det), _) => Target::Eager(det),
-            (Engine::Lazy(lazy), None) => Target::Lazy(lazy),
-            (Engine::Lazy(lazy), Some(frozen)) => Target::Frozen(lazy, frozen),
+            (Engine::Lazy(lazy), frozen) => Target::Lazy(lazy, frozen),
         }
     }
 
