@@ -8,7 +8,7 @@
 //! * [`translate`] — VA ↔ extended VA (Theorem 3.1), sequentialization
 //!   (Proposition 4.1) and the full compilation pipeline to a deterministic
 //!   sequential eVA ([`compile_va`]);
-//! * [`determinize`] — the subset construction of Proposition 3.2 and trimming;
+//! * [`determinize`](mod@determinize) — the subset construction of Proposition 3.2 and trimming;
 //! * [`ops`] — join, union, deterministic union and projection on extended VA
 //!   (Proposition 4.4 and Lemma B.2);
 //! * [`nfa`] / [`census`] — the SpanL-hardness reduction of Theorem 5.2.

@@ -13,7 +13,7 @@
 //!   Proposition 4.1).
 //! * [`compile_va`] — the full pipeline VA → deterministic sequential eVA →
 //!   [`DetSeva`], combining the steps above with the subset construction of
-//!   [`crate::determinize`].
+//!   [`crate::determinize()`].
 
 use crate::determinize::{determinize, trim};
 use crate::va::{Va, VaBuilder, VaLabel};

@@ -12,7 +12,7 @@
 //! * [`PolyDelayEnumerator`] — enumeration over the trimmed
 //!   automaton × position product with reachability pruning, giving
 //!   **polynomial delay** per output in the spirit of
-//!   Freydenberger–Kimelfeld–Peterfreund ([13] in the paper).
+//!   Freydenberger–Kimelfeld–Peterfreund (\[13\] in the paper).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,5 +1,5 @@
 //! A polynomial-delay enumeration baseline, in the spirit of
-//! Freydenberger–Kimelfeld–Peterfreund ([13] in the paper).
+//! Freydenberger–Kimelfeld–Peterfreund (\[13\] in the paper).
 //!
 //! The enumerator works directly on the product of the automaton and the
 //! document positions, **without** building the reverse-dual DAG of

@@ -89,7 +89,8 @@ fn bench_frozen_cache_sharing(c: &mut Criterion) {
                 // The naive serving shape: a fresh evaluator — and thus a
                 // cold private determinization cache — per document.
                 nodes += Evaluator::new()
-                    .eval_lazy(spanner.lazy_automaton().expect("lazy engine"), doc)
+                    .eval(spanner.lazy_automaton().expect("lazy engine"), doc)
+                    .unwrap()
                     .num_nodes();
             }
             nodes

@@ -53,6 +53,7 @@ fn bench_preprocessing(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("figure3_automaton", n), &ab_doc, |b, doc| {
             b.iter(|| {
                 EnumerationDag::build(figure3.try_automaton().expect("eager engine"), doc)
+                    .view()
                     .num_nodes()
             })
         });
@@ -60,6 +61,7 @@ fn bench_preprocessing(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("digit_runs_regex", n), &text_doc, |b, doc| {
             b.iter(|| {
                 EnumerationDag::build(digits.try_automaton().expect("eager engine"), doc)
+                    .view()
                     .num_nodes()
             })
         });
@@ -68,6 +70,7 @@ fn bench_preprocessing(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("contact_directory", n), &dir, |b, doc| {
             b.iter(|| {
                 EnumerationDag::build(contacts.try_automaton().expect("eager engine"), doc)
+                    .view()
                     .num_nodes()
             })
         });
@@ -89,12 +92,15 @@ fn bench_preprocessing_reuse(c: &mut Criterion) {
         group.throughput(Throughput::Bytes(n as u64));
         let doc = random_text(2, n, b"abc0123456789 ");
         // Warm the arenas, then record the capacity the steady state must keep.
-        drain(evaluator.eval(digits.try_automaton().expect("eager engine"), &doc).iter());
+        drain(evaluator.eval(digits.try_automaton().expect("eager engine"), &doc).unwrap().iter());
         let warm =
             (evaluator.node_capacity(), evaluator.cell_capacity(), evaluator.class_buf_capacity());
         group.bench_with_input(BenchmarkId::new("digit_runs_reused", n), &doc, |b, doc| {
             b.iter(|| {
-                evaluator.eval(digits.try_automaton().expect("eager engine"), doc).num_nodes()
+                evaluator
+                    .eval(digits.try_automaton().expect("eager engine"), doc)
+                    .unwrap()
+                    .num_nodes()
             })
         });
         assert_eq!(
@@ -200,10 +206,20 @@ fn bench_run_skipping_density(c: &mut Criterion) {
         let doc = random_text(9, n, alphabet);
         group.throughput(Throughput::Bytes(n as u64));
         group.bench_with_input(BenchmarkId::new("class_runs", label), &doc, |b, doc| {
-            b.iter(|| skipping.eval(digits.try_automaton().expect("eager engine"), doc).num_nodes())
+            b.iter(|| {
+                skipping
+                    .eval(digits.try_automaton().expect("eager engine"), doc)
+                    .unwrap()
+                    .num_nodes()
+            })
         });
         group.bench_with_input(BenchmarkId::new("per_byte", label), &doc, |b, doc| {
-            b.iter(|| per_byte.eval(digits.try_automaton().expect("eager engine"), doc).num_nodes())
+            b.iter(|| {
+                per_byte
+                    .eval(digits.try_automaton().expect("eager engine"), doc)
+                    .unwrap()
+                    .num_nodes()
+            })
         });
     }
     group.finish();
@@ -229,14 +245,14 @@ fn bench_lazy_vs_eager_compile_eval(c: &mut Criterion) {
                 b.iter(|| {
                     let det = determinize(&eva, 1 << 20).expect("within budget at this size");
                     let aut = DetSeva::compile_trusted(&det).expect("determinized input");
-                    Evaluator::new().eval(&aut, d).num_nodes()
+                    Evaluator::new().eval(&aut, d).unwrap().num_nodes()
                 })
             });
         }
         group.bench_with_input(BenchmarkId::new("lazy_compile_plus_eval", n), &doc, |b, d| {
             b.iter(|| {
                 let lazy = LazyDetSeva::new(&eva, LazyConfig::default()).expect("sequential");
-                Evaluator::new().eval_lazy(&lazy, d).num_nodes()
+                Evaluator::new().eval(&lazy, d).unwrap().num_nodes()
             })
         });
     }
@@ -266,13 +282,13 @@ fn bench_lazy_warm_density(c: &mut Criterion) {
         let doc = random_text(13, size, alphabet);
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::new("lazy_warm_eval", label), &doc, |b, d| {
-            b.iter(|| lazy_eval.eval_lazy(&lazy, d).num_nodes())
+            b.iter(|| lazy_eval.eval(&lazy, d).unwrap().num_nodes())
         });
         group.bench_with_input(BenchmarkId::new("eager_eval", label), &doc, |b, d| {
-            b.iter(|| eager_eval.eval(&eager, d).num_nodes())
+            b.iter(|| eager_eval.eval(&eager, d).unwrap().num_nodes())
         });
         group.bench_with_input(BenchmarkId::new("lazy_warm_count", label), &doc, |b, d| {
-            b.iter(|| lazy_counts.count_lazy(&lazy, d).unwrap())
+            b.iter(|| lazy_counts.count(&lazy, d).unwrap())
         });
     }
     // Cache-waste diagnostics (the eviction-tuning metric from the ROADMAP):
@@ -329,21 +345,21 @@ fn bench_skip_scan_density(c: &mut Criterion) {
         let doc = sparse_match_text(12, n, per_10k);
         group.throughput(Throughput::Bytes(n as u64));
         group.bench_with_input(BenchmarkId::new("skip_scan", label), &doc, |b, d| {
-            b.iter(|| scan.eval(eager, d).num_nodes())
+            b.iter(|| scan.eval(eager, d).unwrap().num_nodes())
         });
         group.bench_with_input(BenchmarkId::new("class_runs", label), &doc, |b, d| {
-            b.iter(|| runs.eval(eager, d).num_nodes())
+            b.iter(|| runs.eval(eager, d).unwrap().num_nodes())
         });
         group.bench_with_input(BenchmarkId::new("per_byte", label), &doc, |b, d| {
-            b.iter(|| bytes.eval(eager, d).num_nodes())
+            b.iter(|| bytes.eval(eager, d).unwrap().num_nodes())
         });
         // Warm-lazy rows: the first iteration of each bench warms the
         // embedded cache; steady state is what the sampling measures.
         group.bench_with_input(BenchmarkId::new("lazy_warm_skip_scan", label), &doc, |b, d| {
-            b.iter(|| lazy_scan.eval_lazy(&lazy, d).num_nodes())
+            b.iter(|| lazy_scan.eval(&lazy, d).unwrap().num_nodes())
         });
         group.bench_with_input(BenchmarkId::new("lazy_warm_class_runs", label), &doc, |b, d| {
-            b.iter(|| lazy_runs.eval_lazy(&lazy, d).num_nodes())
+            b.iter(|| lazy_runs.eval(&lazy, d).unwrap().num_nodes())
         });
     }
     group.finish();
@@ -378,15 +394,15 @@ fn bench_limits_overhead(c: &mut Criterion) {
         group.throughput(Throughput::Bytes(n as u64));
         group.bench_with_input(BenchmarkId::new("limits_off", label), &doc, |b, d| {
             ev.set_limits(EvalLimits::none());
-            b.iter(|| ev.try_eval(eager, d).unwrap().num_nodes())
+            b.iter(|| ev.eval(eager, d).unwrap().num_nodes())
         });
         group.bench_with_input(BenchmarkId::new("step_budget_on", label), &doc, |b, d| {
             ev.set_limits(fuel);
-            b.iter(|| ev.try_eval(eager, d).unwrap().num_nodes())
+            b.iter(|| ev.eval(eager, d).unwrap().num_nodes())
         });
         group.bench_with_input(BenchmarkId::new("all_limits_on", label), &doc, |b, d| {
             ev.set_limits(full);
-            b.iter(|| ev.try_eval(eager, d).unwrap().num_nodes())
+            b.iter(|| ev.eval(eager, d).unwrap().num_nodes())
         });
     }
     ev.set_limits(EvalLimits::none());

@@ -22,7 +22,6 @@ use crate::det::DetSeva;
 use crate::document::Document;
 use crate::driver::{sealed::Accumulate, Driver, Target};
 use crate::error::SpannerError;
-use crate::lazy::{FrozenCache, LazyDetSeva};
 use crate::markerset::MarkerSet;
 use std::marker::PhantomData;
 
@@ -188,10 +187,13 @@ impl<C: Counter> Accumulate for Counts<C> {
 /// accumulator.
 ///
 /// A `CountCache` owns the per-state count vectors, the sparse active sets,
-/// and the byte-class buffer of the class-run fast path, all retained across
-/// [`CountCache::count`] calls: in steady state (same automaton, comparable
-/// document sizes) counting performs **zero heap allocation**. The one-shot
-/// [`count_mappings`] wrapper creates a fresh cache per call.
+/// the byte-class buffer of the class-run fast path and the subset stores of
+/// lazy automata, all retained across calls of its one task method,
+/// [`CountCache::count`], which takes the engine as a [`Target`] (`&DetSeva`,
+/// `&LazyDetSeva`, or `(&LazyDetSeva, &FrozenCache)`): in steady state (same
+/// automaton, comparable document sizes) counting performs **zero heap
+/// allocation**. The one-shot [`count_mappings`] wrapper creates a fresh
+/// cache per call.
 ///
 /// ```
 /// # use spanners_core::{EvaBuilder, DetSeva, ByteClass, MarkerSet, VarRegistry, Document};
@@ -220,30 +222,18 @@ impl<C: Counter> Accumulate for Counts<C> {
 pub type CountCache<C> = Driver<Counts<C>>;
 
 impl<C: Counter> CountCache<C> {
-    /// Counts `|⟦A⟧(d)|` (Algorithm 3 / Theorem 5.1), reusing all previously
-    /// allocated capacity. Returns [`SpannerError::CountOverflow`] if the
-    /// counter type overflows.
-    pub fn count(&mut self, aut: &DetSeva, doc: &Document) -> Result<C, SpannerError> {
-        self.drive(Target::Eager(aut), doc)
-    }
-
-    /// Like [`CountCache::count`] but over a **lazily determinized**
-    /// automaton, using (and retaining, warm) the embedded lazy cache.
-    pub fn count_lazy(&mut self, aut: &LazyDetSeva, doc: &Document) -> Result<C, SpannerError> {
-        self.drive(Target::Lazy(aut, None), doc)
-    }
-
-    /// Like [`CountCache::count_lazy`] but stepping through a **shared
-    /// frozen snapshot** with this cache's private, per-document overflow
-    /// delta. The count is a pure function of `(frozen, doc)`, identical
-    /// across workers and thread counts.
-    pub fn count_frozen(
+    /// Counts `|⟦A⟧(d)|` (Algorithm 3 / Theorem 5.1) through `target`,
+    /// under the configured limits, reusing all previously allocated
+    /// capacity — and, for a lazy target, the warm determinization cache or
+    /// the private overflow delta over a frozen snapshot (a frozen count is
+    /// a pure function of the snapshot and the document). Returns
+    /// [`SpannerError::CountOverflow`] if the counter type overflows.
+    pub fn count<'t>(
         &mut self,
-        aut: &LazyDetSeva,
-        frozen: &FrozenCache,
+        target: impl Into<Target<'t>>,
         doc: &Document,
     ) -> Result<C, SpannerError> {
-        self.drive(Target::Lazy(aut, Some(frozen)), doc)
+        self.drive(target.into(), doc)
     }
 
     /// Current capacity of the per-state count vector (diagnostics: a warm
@@ -259,6 +249,7 @@ mod tests {
     use crate::byteclass::ByteClass;
     use crate::enumerate::EnumerationDag;
     use crate::eva::{Eva, EvaBuilder};
+    use crate::lazy::LazyDetSeva;
     use crate::markerset::MarkerSet;
     use crate::variable::VarRegistry;
 
@@ -438,7 +429,7 @@ mod tests {
         let wide: Result<u128, _> = count_mappings(&aut, &doc);
         assert!(matches!(wide, Err(SpannerError::CountOverflow)));
         let lazy = LazyDetSeva::new(&eva, crate::lazy::LazyConfig::default()).unwrap();
-        let driven = CountCache::<u128>::new().count_lazy(&lazy, &doc);
+        let driven = CountCache::<u128>::new().count(&lazy, &doc);
         assert!(matches!(driven, Err(SpannerError::CountOverflow)));
         let approx: f64 = count_mappings(&aut, &doc).unwrap();
         assert!(approx > 2f64.powi(128), "f64 count {approx:e}");

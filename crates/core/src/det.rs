@@ -314,7 +314,7 @@ impl DetSeva {
     /// Runs the letter/marker transition relation over `doc` without producing
     /// output, returning whether the document is *accepted* (i.e. whether
     /// `⟦A⟧(d)` is non-empty). Linear time, used as a cheap pre-check.
-    /// One definition of the acceptance loop exists — [`accepts_generic`] —
+    /// One definition of the acceptance loop exists — `accepts_generic` —
     /// shared with the lazy engine through the zero-cost `&DetSeva` shim.
     pub fn accepts(&self, doc: &Document) -> bool {
         let mut stepper: &DetSeva = self;

@@ -23,13 +23,14 @@
 //! transitions), not to the total number of automaton states.
 
 use crate::byteclass::ClassRuns;
-use crate::det::{try_accepts_generic, DetSeva, SkipScanner, Stepper};
+use crate::det::{DetSeva, SkipScanner, Stepper};
 use crate::document::Document;
 use crate::enumerate::Stage;
 use crate::error::SpannerError;
 use crate::lazy::{FrozenCache, FrozenDelta, LazyCache, LazyDetSeva, LazyStepper};
 use crate::limits::{EvalLimits, LimitChecker};
 use crate::sparse::SparseSet;
+use crate::variable::VarRegistry;
 
 /// What the `Evaluate` loop of Algorithm 1 accumulates per automaton state:
 /// the list-DAG of [`crate::Evaluator`] or the run counts of
@@ -146,13 +147,51 @@ pub(crate) struct CacheSlot {
     pub(crate) budget_override: Option<usize>,
 }
 
-/// The automaton a run steps through: eager tables, or a lazy automaton —
-/// live through the engine's own warm cache, or over a shared frozen
-/// snapshot through the engine's private overflow delta.
+/// The one engine argument of every task method ([`crate::Evaluator::eval`],
+/// [`crate::CountCache::count`], [`crate::SlpEvaluator::count`], …): the
+/// automaton a run steps through. Eager tables, or a lazy automaton — live
+/// through the engine's own warm cache, or over a shared frozen snapshot
+/// through the engine's private overflow delta.
+///
+/// Task methods take `impl Into<Target>`, so callers pass `&DetSeva`,
+/// `&LazyDetSeva` or `(&LazyDetSeva, &FrozenCache)` directly;
+/// [`crate::CompiledSpanner::target`] builds one for whichever engine a
+/// spanner compiled to.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Target<'a> {
+pub enum Target<'a> {
+    /// The dense tables of an eagerly compiled automaton.
     Eager(&'a DetSeva),
+    /// A lazily determinized automaton, live (`None`) or over a frozen
+    /// snapshot of its cache (`Some`).
     Lazy(&'a LazyDetSeva, Option<&'a FrozenCache>),
+}
+
+impl<'a> Target<'a> {
+    /// The registry naming the automaton's capture variables.
+    pub(crate) fn registry(self) -> &'a VarRegistry {
+        match self {
+            Target::Eager(det) => det.registry(),
+            Target::Lazy(lazy, _) => lazy.registry(),
+        }
+    }
+}
+
+impl<'a> From<&'a DetSeva> for Target<'a> {
+    fn from(det: &'a DetSeva) -> Self {
+        Target::Eager(det)
+    }
+}
+
+impl<'a> From<&'a LazyDetSeva> for Target<'a> {
+    fn from(lazy: &'a LazyDetSeva) -> Self {
+        Target::Lazy(lazy, None)
+    }
+}
+
+impl<'a> From<(&'a LazyDetSeva, &'a FrozenCache)> for Target<'a> {
+    fn from((lazy, frozen): (&'a LazyDetSeva, &'a FrozenCache)) -> Self {
+        Target::Lazy(lazy, Some(frozen))
+    }
 }
 
 impl CacheSlot {
@@ -329,11 +368,12 @@ impl<A: Accumulator> Driver<A> {
         self.run.limits
     }
 
-    /// Sets per-document resource limits for subsequent runs. A tripped
-    /// limit surfaces as an `Err` from the fallible entry points
+    /// Sets per-document resource limits for subsequent runs, on every
+    /// [`Target`] and every task. A tripped limit surfaces as an `Err`
     /// ([`SpannerError::StepBudgetExceeded`],
     /// [`SpannerError::DeadlineExceeded`], [`SpannerError::BudgetExceeded`]);
-    /// the infallible enumeration entry points panic instead.
+    /// only the facade's infallible [`crate::CompiledSpanner::evaluate_with`]
+    /// family panics instead.
     pub fn set_limits(&mut self, limits: EvalLimits) {
         self.run.limits = limits;
     }
@@ -428,24 +468,6 @@ impl<A: Accumulator> Driver<A> {
         trace: impl FnMut(Stage, usize, &[A::Value]),
     ) -> Result<A::Output, SpannerError> {
         self.run.drive(&mut &*aut, doc, Some(trace))
-    }
-
-    /// Whether `target` accepts `doc` under `limits`, through this engine's
-    /// cache slot. Acceptance runs the bare-set loop of
-    /// [`crate::det::try_accepts_generic`], not the driver: it carries no
-    /// per-state values.
-    pub(crate) fn accepts(
-        &mut self,
-        target: Target<'_>,
-        doc: &Document,
-        limits: EvalLimits,
-    ) -> Result<bool, SpannerError> {
-        match target {
-            Target::Eager(det) => try_accepts_generic(&mut &*det, doc, &limits),
-            Target::Lazy(aut, base) => self
-                .slot
-                .with_stepper(aut, base, |stepper| try_accepts_generic(stepper, doc, &limits)),
-        }
     }
 }
 

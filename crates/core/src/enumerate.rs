@@ -27,12 +27,10 @@
 //! bounded by a function of the number of variables only — it does not depend
 //! on the document.
 
-use crate::det::DetSeva;
+use crate::det::{try_accepts_generic, DetSeva};
 use crate::document::Document;
 use crate::driver::{sealed::Accumulate, Driver, Target};
 use crate::error::SpannerError;
-use crate::lazy::{FrozenCache, LazyDetSeva};
-use crate::limits::EvalLimits;
 use crate::mapping::Mapping;
 use crate::markerset::MarkerSet;
 use crate::span::Span;
@@ -262,15 +260,19 @@ fn checked_sum(a: u128, b: u128) -> Result<u128, SpannerError> {
 /// the list-DAG accumulator.
 ///
 /// An `Evaluator` owns every piece of mutable state the `Evaluate` loop needs:
-/// the DAG node/cell arenas, the per-state list vectors, and the sparse
-/// active-state sets. Calling [`Evaluator::eval`] runs Algorithm 1 and returns
-/// a [`DagView`] borrowing the arenas; the next `eval` call reuses all of the
-/// retained capacity, so in steady state (same automaton, comparable document
-/// sizes) evaluation performs **zero heap allocation**:
+/// the DAG node/cell arenas, the per-state list vectors, the sparse
+/// active-state sets, and the subset stores of lazy automata. It has one
+/// fallible method per task — [`Evaluator::eval`], [`Evaluator::eval_owned`]
+/// and [`Evaluator::accepts`] — each taking the engine as a [`Target`]:
+/// `&DetSeva`, `&LazyDetSeva`, or `(&LazyDetSeva, &FrozenCache)` for a
+/// shared frozen snapshot. `eval` returns a [`DagView`] borrowing the arenas;
+/// the next call reuses all of the retained capacity, so in steady state
+/// (same automaton, comparable document sizes) evaluation performs **zero
+/// heap allocation**:
 ///
 /// ```
 /// # use spanners_core::{EvaBuilder, DetSeva, ByteClass, MarkerSet, VarRegistry, Document};
-/// # use spanners_core::Evaluator;
+/// # use spanners_core::{Evaluator, SpannerError};
 /// # let mut reg = VarRegistry::new();
 /// # let x = reg.intern("x").unwrap();
 /// # let mut b = EvaBuilder::new(reg);
@@ -289,156 +291,85 @@ fn checked_sum(a: u128, b: u128) -> Result<u128, SpannerError> {
 /// let mut evaluator = Evaluator::new();
 /// for text in ["stream of", "many documents", "served by one cache"] {
 ///     let doc = Document::from(text);
-///     let dag = evaluator.eval(&aut, &doc);
+///     let dag = evaluator.eval(&aut, &doc)?;
 ///     let _n = dag.iter().count(); // constant-delay enumeration
 /// }
+/// # Ok::<(), SpannerError>(())
 /// ```
 pub type Evaluator = Driver<DagStore>;
 
-/// Unwraps the result of an infallible entry point: with no [`EvalLimits`]
-/// configured (the default) nothing can trip; with limits configured, a
-/// tripped limit panics here — callers that set limits must use the `try_*`
-/// entry points.
+/// Unwraps the result of an infallible facade entry point: with no
+/// [`EvalLimits`] configured (the default) nothing can trip; with limits
+/// configured, a tripped limit panics here — callers that set limits run
+/// the engine's own fallible task methods instead.
+///
+/// [`EvalLimits`]: crate::EvalLimits
 pub(crate) fn infallible<T>(result: Result<T, SpannerError>) -> T {
     result.unwrap_or_else(|e| {
-        panic!("evaluation limit tripped on an infallible entry point (use try_eval*): {e}")
+        panic!("evaluation limit tripped on an infallible entry point (use Evaluator::eval): {e}")
     })
 }
 
 impl Evaluator {
-    /// Runs Algorithm 1 (`Evaluate`) over the document and returns a view of
-    /// the resulting DAG, reusing all previously allocated arena capacity.
+    /// Runs Algorithm 1 (`Evaluate`) over the document through `target` and
+    /// returns a view of the resulting DAG, reusing all previously allocated
+    /// arena capacity — and, for a lazy target, the warm determinization
+    /// cache (live) or the private overflow delta (over a frozen snapshot,
+    /// reset per document so the result is a pure function of the snapshot
+    /// and the document, enumeration order included).
     ///
     /// Preprocessing time is `O(|A| × |d|)` in the worst case, and
     /// `O(live states × |d|)` in the common case where only a few automaton
-    /// states carry runs at any position.
-    pub fn eval<'a>(&'a mut self, aut: &'a DetSeva, doc: &Document) -> DagView<'a> {
-        infallible(self.try_eval(aut, doc))
-    }
-
-    /// [`Evaluator::eval`] under the configured limits: a tripped step
-    /// budget or deadline surfaces as an `Err` instead of a panic, and the
-    /// evaluator stays reusable (the next run resets all state).
-    pub fn try_eval<'a>(
+    /// states carry runs at any position. Runs under the configured
+    /// limits: a tripped step budget, deadline or eviction thrash guard
+    /// surfaces as an `Err`, and the evaluator stays reusable (the next run
+    /// resets all state; interned subset states stay warm).
+    pub fn eval<'a>(
         &'a mut self,
-        aut: &'a DetSeva,
+        target: impl Into<Target<'a>>,
         doc: &Document,
     ) -> Result<DagView<'a>, SpannerError> {
-        self.try_view(Target::Eager(aut), aut.registry(), doc)
-    }
-
-    /// Whether the eager automaton accepts `doc`, under the configured
-    /// limits — the fallible counterpart of [`DetSeva::accepts`], placed on
-    /// the evaluator so limits live in one place for all engines.
-    pub fn try_accepts(&mut self, aut: &DetSeva, doc: &Document) -> Result<bool, SpannerError> {
-        self.accepts(Target::Eager(aut), doc, self.limits())
+        let target = target.into();
+        self.view(target, target.registry(), doc)
     }
 
     /// Like [`Evaluator::eval`] but moves the finished DAG out as an owned
     /// [`EnumerationDag`], surrendering the arena capacity (the evaluator's
     /// arenas start empty again). Use when the DAG must outlive the evaluator.
-    pub fn eval_owned(&mut self, aut: &DetSeva, doc: &Document) -> EnumerationDag {
-        self.owned(Target::Eager(aut), aut.registry(), doc)
-    }
-
-    /// Runs Algorithm 1 over a **lazily determinized** automaton: subset
-    /// states and transition rows are discovered on demand inside the
-    /// evaluator's embedded [`LazyCache`] (created on first use, retained —
-    /// warm — across documents, and replaced when a different lazy automaton
-    /// is evaluated). Behaviour is otherwise identical to [`Evaluator::eval`]:
-    /// same engine modes, same zero-steady-state-allocation contract once
-    /// both the arenas and the cache are warm.
-    ///
-    /// [`LazyCache`]: crate::LazyCache
-    pub fn eval_lazy<'a>(&'a mut self, aut: &'a LazyDetSeva, doc: &Document) -> DagView<'a> {
-        infallible(self.try_eval_lazy(aut, doc))
-    }
-
-    /// [`Evaluator::eval_lazy`] under the configured limits (see
-    /// [`Evaluator::try_eval`]). The embedded cache survives a tripped limit
-    /// — already-interned subset states stay warm for the retry.
-    pub fn try_eval_lazy<'a>(
-        &'a mut self,
-        aut: &'a LazyDetSeva,
-        doc: &Document,
-    ) -> Result<DagView<'a>, SpannerError> {
-        self.try_view(Target::Lazy(aut, None), aut.registry(), doc)
-    }
-
-    /// Like [`Evaluator::eval_lazy`] but moving the finished DAG out as an
-    /// owned [`EnumerationDag`] (see [`Evaluator::eval_owned`]).
-    pub fn eval_lazy_owned(&mut self, aut: &LazyDetSeva, doc: &Document) -> EnumerationDag {
-        self.owned(Target::Lazy(aut, None), aut.registry(), doc)
-    }
-
-    /// Whether the lazily determinized automaton accepts `doc`, using (and
-    /// warming) the evaluator's embedded cache — the hot-path match check:
-    /// unlike a one-shot `accepts` with a fresh cache, repeated calls reuse
-    /// all previously discovered subset states and transition rows.
-    pub fn accepts_lazy(&mut self, aut: &LazyDetSeva, doc: &Document) -> bool {
-        infallible(self.accepts(Target::Lazy(aut, None), doc, EvalLimits::none()))
-    }
-
-    /// [`Evaluator::accepts_lazy`] under the configured limits: the match
-    /// check honours step budgets and deadlines like a full run.
-    pub fn try_accepts_lazy(
+    pub fn eval_owned<'t>(
         &mut self,
-        aut: &LazyDetSeva,
+        target: impl Into<Target<'t>>,
+        doc: &Document,
+    ) -> Result<EnumerationDag, SpannerError> {
+        let target = target.into();
+        self.view(target, target.registry(), doc)?;
+        let store = std::mem::take(&mut self.run.acc);
+        Ok(EnumerationDag { store, registry: target.registry().clone(), doc_len: doc.len() })
+    }
+
+    /// Whether `target` accepts `doc`, under the configured limits, through
+    /// (and warming) this evaluator's cache slot — the hot-path match check.
+    /// Acceptance runs the bare-set loop of `det::try_accepts_generic`, not
+    /// the driver: it carries no per-state values.
+    pub fn accepts<'t>(
+        &mut self,
+        target: impl Into<Target<'t>>,
         doc: &Document,
     ) -> Result<bool, SpannerError> {
-        self.accepts(Target::Lazy(aut, None), doc, self.limits())
+        self.run_acceptance(target.into(), doc)
     }
 
-    /// Runs Algorithm 1 against a **shared frozen snapshot** of a lazy
-    /// determinization cache (see [`crate::LazyCache::freeze`]): every subset
-    /// state and row the snapshot holds is a flat shared-table read, and
-    /// anything discovered beyond it lives in this evaluator's private,
-    /// per-document [`crate::FrozenDelta`] — the parallel-serving counterpart
-    /// of [`Evaluator::eval_lazy`]. Because the delta resets (capacity
-    /// retained) at the start of every call, the result — mappings, counts
-    /// **and enumeration order** — is a pure function of `(frozen, doc)`,
-    /// identical across workers and thread counts.
-    pub fn eval_frozen<'a>(
-        &'a mut self,
-        aut: &'a LazyDetSeva,
-        frozen: &FrozenCache,
-        doc: &Document,
-    ) -> DagView<'a> {
-        infallible(self.try_eval_frozen(aut, frozen, doc))
-    }
-
-    /// [`Evaluator::eval_frozen`] under the configured limits (see
-    /// [`Evaluator::try_eval`]). The per-worker delta survives a tripped
-    /// limit; the next frozen run resets it per the determinism contract.
-    pub fn try_eval_frozen<'a>(
-        &'a mut self,
-        aut: &'a LazyDetSeva,
-        frozen: &FrozenCache,
-        doc: &Document,
-    ) -> Result<DagView<'a>, SpannerError> {
-        self.try_view(Target::Lazy(aut, Some(frozen)), aut.registry(), doc)
-    }
-
-    /// Whether the automaton accepts `doc`, stepping through the shared
-    /// frozen snapshot with this evaluator's private delta — the frozen
-    /// counterpart of [`Evaluator::accepts_lazy`].
-    pub fn accepts_frozen(
-        &mut self,
-        aut: &LazyDetSeva,
-        frozen: &FrozenCache,
-        doc: &Document,
-    ) -> bool {
-        infallible(self.accepts(Target::Lazy(aut, Some(frozen)), doc, EvalLimits::none()))
-    }
-
-    /// [`Evaluator::accepts_frozen`] under the configured limits.
-    pub fn try_accepts_frozen(
-        &mut self,
-        aut: &LazyDetSeva,
-        frozen: &FrozenCache,
-        doc: &Document,
-    ) -> Result<bool, SpannerError> {
-        self.accepts(Target::Lazy(aut, Some(frozen)), doc, self.limits())
+    /// [`Evaluator::accepts`] behind a non-generic body, so the loop is
+    /// compiled in this crate instead of being re-instantiated, less
+    /// inlined, in every caller.
+    fn run_acceptance(&mut self, target: Target<'_>, doc: &Document) -> Result<bool, SpannerError> {
+        let limits = self.limits();
+        match target {
+            Target::Eager(det) => try_accepts_generic(&mut &*det, doc, &limits),
+            Target::Lazy(aut, base) => self
+                .slot
+                .with_stepper(aut, base, |stepper| try_accepts_generic(stepper, doc, &limits)),
+        }
     }
 
     /// Current capacity of the node arena (diagnostics: a warmed-up evaluator
@@ -452,8 +383,10 @@ impl Evaluator {
         self.run.acc.cells.capacity()
     }
 
-    /// Runs Algorithm 1 through `target` and returns a view of the DAG.
-    pub(crate) fn try_view<'a>(
+    /// Runs Algorithm 1 through `target` and returns a view of the DAG
+    /// naming its variables through `registry` (which may outlive the
+    /// target's snapshot).
+    pub(crate) fn view<'a>(
         &'a mut self,
         target: Target<'_>,
         registry: &'a VarRegistry,
@@ -462,28 +395,13 @@ impl Evaluator {
         self.drive(target, doc)?;
         Ok(DagView { store: &self.run.acc, registry, doc_len: doc.len() })
     }
-
-    /// Runs Algorithm 1 through `target` and moves the DAG out of the arenas.
-    pub(crate) fn owned(
-        &mut self,
-        target: Target<'_>,
-        registry: &VarRegistry,
-        doc: &Document,
-    ) -> EnumerationDag {
-        infallible(self.drive(target, doc));
-        EnumerationDag {
-            store: std::mem::take(&mut self.run.acc),
-            registry: registry.clone(),
-            doc_len: doc.len(),
-        }
-    }
 }
 
-/// A borrowed view of the DAG held inside an [`Evaluator`] — the zero-copy
-/// result of [`Evaluator::eval`]. Supports the same read operations as
-/// [`EnumerationDag`] (enumerate, count, materialize) without owning the
-/// arenas, so the evaluator can recycle them for the next document as soon as
-/// the view is dropped.
+/// A borrowed view of a DAG — the zero-copy result of [`Evaluator::eval`],
+/// and the one place every read of a DAG is implemented (an owned
+/// [`EnumerationDag`] reads through [`EnumerationDag::view`]). It does not
+/// own the arenas, so the evaluator can recycle them for the next document
+/// as soon as the view is dropped.
 #[derive(Debug, Clone, Copy)]
 pub struct DagView<'a> {
     store: &'a DagStore,
@@ -532,8 +450,14 @@ impl<'a> DagView<'a> {
         self.iter().collect()
     }
 
-    /// Counts mappings by counting root-to-`⊥` paths (see
-    /// [`EnumerationDag::count_paths`]).
+    /// Counts the output mappings by counting paths from the roots to `⊥`
+    /// in the DAG. Because the source automaton is deterministic, paths are
+    /// in bijection with output mappings.
+    ///
+    /// This is an alternative to Algorithm 3 (see [`crate::count`]) that
+    /// reuses an already-built DAG; it runs in time linear in the DAG size.
+    /// Fails with [`SpannerError::CountOverflow`] when the count exceeds
+    /// `u128`.
     pub fn count_paths(&self) -> Result<u128, SpannerError> {
         self.store.count_paths()
     }
@@ -542,11 +466,12 @@ impl<'a> DagView<'a> {
 /// The output of Algorithm 1: a compact DAG representation of all output
 /// mappings of a deterministic sequential eVA over a document.
 ///
-/// Build it with [`EnumerationDag::build`] (one-shot) or keep a reusable
-/// [`Evaluator`] when evaluating many documents; enumerate with
-/// [`EnumerationDag::iter`] (constant delay per item), count paths with
-/// [`EnumerationDag::count_paths`], or materialize with
-/// [`EnumerationDag::collect_mappings`].
+/// Build it with [`EnumerationDag::build`] (one-shot) or
+/// [`Evaluator::eval_owned`]; when evaluating many documents keep a reusable
+/// [`Evaluator`] and read its borrowed [`DagView`] instead. Reads go through
+/// [`EnumerationDag::view`]; enumeration ([`EnumerationDag::iter`], constant
+/// delay per item), materialization and path counting also have shortcuts
+/// here.
 #[derive(Debug, Clone)]
 pub struct EnumerationDag {
     store: DagStore,
@@ -562,7 +487,7 @@ impl EnumerationDag {
     /// documents should hold on to one [`Evaluator`] instead, which amortizes
     /// every allocation across documents.
     pub fn build(aut: &DetSeva, doc: &Document) -> EnumerationDag {
-        Evaluator::new().eval_owned(aut, doc)
+        infallible(Evaluator::new().eval_owned(aut, doc))
     }
 
     /// Like [`EnumerationDag::build`] but records, after every `Capturing`/
@@ -579,68 +504,24 @@ impl EnumerationDag {
         (EnumerationDag { store, registry: aut.registry().clone(), doc_len: doc.len() }, traces)
     }
 
-    /// The variable registry of the automaton that produced this DAG.
-    pub fn registry(&self) -> &VarRegistry {
-        &self.registry
-    }
-
-    /// Length of the document this DAG was built over.
-    pub fn document_len(&self) -> usize {
-        self.doc_len
-    }
-
-    /// Number of DAG nodes created (including the sink `⊥`).
-    pub fn num_nodes(&self) -> usize {
-        self.store.nodes.len()
-    }
-
-    /// Number of list cells created.
-    pub fn num_cells(&self) -> usize {
-        self.store.cells.len()
-    }
-
-    /// Number of root lists (non-empty final-state lists).
-    pub fn num_roots(&self) -> usize {
-        self.store.roots.len()
-    }
-
-    /// Whether the spanner produced no output on this document.
-    pub fn is_empty(&self) -> bool {
-        self.store.roots.is_empty()
+    /// The borrowed view every read of this DAG goes through.
+    pub fn view(&self) -> DagView<'_> {
+        DagView { store: &self.store, registry: &self.registry, doc_len: self.doc_len }
     }
 
     /// Algorithm 2 as a pull-based iterator with constant delay per item.
     pub fn iter(&self) -> MappingIter<'_> {
-        self.store.iter()
+        self.view().iter()
     }
 
     /// Materializes all output mappings (in enumeration order).
     pub fn collect_mappings(&self) -> Vec<Mapping> {
-        self.iter().collect()
+        self.view().collect_mappings()
     }
 
-    /// Runs Algorithm 2 with a callback instead of an iterator; stops early if
-    /// the callback returns `false`. Returns the number of mappings visited.
-    pub fn for_each_mapping<F: FnMut(Mapping) -> bool>(&self, mut f: F) -> usize {
-        let mut n = 0;
-        for m in self.iter() {
-            n += 1;
-            if !f(m) {
-                break;
-            }
-        }
-        n
-    }
-
-    /// Counts the number of output mappings by counting paths from the roots to
-    /// `⊥` in the DAG. Because the source automaton is deterministic, paths are
-    /// in bijection with output mappings.
-    ///
-    /// This is an alternative to Algorithm 3 (see [`crate::count`]) that reuses
-    /// an already-built DAG; it runs in time linear in the DAG size. Fails
-    /// with [`SpannerError::CountOverflow`] when the count exceeds `u128`.
+    /// Counts the output mappings (see [`DagView::count_paths`]).
     pub fn count_paths(&self) -> Result<u128, SpannerError> {
-        self.store.count_paths()
+        self.view().count_paths()
     }
 }
 
@@ -876,11 +757,11 @@ mod tests {
         let eva = figure3();
         let aut = det(&eva);
         let dag = EnumerationDag::build(&aut, &Document::from("zz"));
-        assert!(dag.is_empty());
+        assert!(dag.view().is_empty());
         assert_eq!(dag.collect_mappings(), vec![]);
         assert_eq!(dag.count_paths().unwrap(), 0);
         let dag = EnumerationDag::build(&aut, &Document::empty());
-        assert!(dag.is_empty());
+        assert!(dag.view().is_empty());
     }
 
     #[test]
@@ -938,8 +819,8 @@ mod tests {
         let eva = figure3();
         let aut = det(&eva);
         let dag = EnumerationDag::build(&aut, &Document::from("ab"));
-        assert_eq!(dag.num_nodes(), 1 + 8);
-        assert_eq!(dag.num_roots(), 1);
+        assert_eq!(dag.view().num_nodes(), 1 + 8);
+        assert_eq!(dag.view().num_roots(), 1);
         assert_eq!(dag.count_paths().unwrap(), 3);
     }
 
@@ -956,11 +837,6 @@ mod tests {
         let rest: Vec<_> = it.collect();
         assert_eq!(rest.len(), total - 1);
         assert!(!rest.contains(&first));
-        // for_each_mapping with early stop
-        let visited = dag.for_each_mapping(|_| false);
-        assert_eq!(visited, 1);
-        let visited = dag.for_each_mapping(|_| true);
-        assert_eq!(visited, total);
     }
 
     #[test]
@@ -1057,7 +933,7 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out, eva.eval_naive(&doc));
         let dag = EnumerationDag::build(&aut, &doc);
-        assert_eq!(dag.num_roots(), 2);
+        assert_eq!(dag.view().num_roots(), 2);
     }
 
     #[test]
@@ -1078,11 +954,11 @@ mod tests {
         let mut evaluator = Evaluator::new();
         for text in ["ab", "", "abab", "zz", "aabb", "ababab", "a"] {
             let doc = Document::from(text);
-            let reused = evaluator.eval(&aut, &doc);
+            let reused = evaluator.eval(&aut, &doc).unwrap();
             let fresh = EnumerationDag::build(&aut, &doc);
-            assert_eq!(reused.num_nodes(), fresh.num_nodes(), "nodes on {text:?}");
-            assert_eq!(reused.num_cells(), fresh.num_cells(), "cells on {text:?}");
-            assert_eq!(reused.num_roots(), fresh.num_roots(), "roots on {text:?}");
+            assert_eq!(reused.num_nodes(), fresh.view().num_nodes(), "nodes on {text:?}");
+            assert_eq!(reused.num_cells(), fresh.view().num_cells(), "cells on {text:?}");
+            assert_eq!(reused.num_roots(), fresh.view().num_roots(), "roots on {text:?}");
             assert_eq!(
                 reused.count_paths().unwrap(),
                 fresh.count_paths().unwrap(),
@@ -1099,14 +975,14 @@ mod tests {
         let mut evaluator = Evaluator::new();
         // Warm up on the largest document of the batch.
         let big: String = std::iter::repeat_n("ab", 512).collect();
-        let _ = evaluator.eval(&aut, &Document::from(big.as_str()));
+        let _ = evaluator.eval(&aut, &Document::from(big.as_str())).unwrap();
         let warm_nodes = evaluator.node_capacity();
         let warm_cells = evaluator.cell_capacity();
         assert!(warm_nodes > 0 && warm_cells > 0);
         // Subsequent smaller documents must not grow (or shrink) the arenas.
         for n in [1usize, 17, 100, 512] {
             let text: String = std::iter::repeat_n("ab", n).collect();
-            let view = evaluator.eval(&aut, &Document::from(text.as_str()));
+            let view = evaluator.eval(&aut, &Document::from(text.as_str())).unwrap();
             assert!(!view.is_empty());
             assert_eq!(evaluator.node_capacity(), warm_nodes, "node arena reallocated at n={n}");
             assert_eq!(evaluator.cell_capacity(), warm_cells, "cell arena reallocated at n={n}");
@@ -1137,10 +1013,10 @@ mod tests {
         let mut evaluator = Evaluator::new();
         for _ in 0..3 {
             let doc = Document::from("ab");
-            assert_eq!(evaluator.eval(&f3, &doc).count_paths().unwrap(), 3);
+            assert_eq!(evaluator.eval(&f3, &doc).unwrap().count_paths().unwrap(), 3);
             let doc = Document::from("aaa");
             assert_eq!(
-                evaluator.eval(&small, &doc).count_paths().unwrap(),
+                evaluator.eval(&small, &doc).unwrap().count_paths().unwrap(),
                 EnumerationDag::build(&small, &doc).count_paths().unwrap()
             );
         }
@@ -1151,9 +1027,9 @@ mod tests {
         let eva = figure3();
         let aut = det(&eva);
         let mut evaluator = Evaluator::new();
-        let dag = evaluator.eval_owned(&aut, &Document::from("ab"));
+        let dag = evaluator.eval_owned(&aut, &Document::from("ab")).unwrap();
         // The evaluator can immediately be reused…
-        let view = evaluator.eval(&aut, &Document::from("abab"));
+        let view = evaluator.eval(&aut, &Document::from("abab")).unwrap();
         // …while the owned DAG remains valid and unchanged.
         assert_eq!(dag.count_paths().unwrap(), 3);
         assert_eq!(

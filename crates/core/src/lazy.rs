@@ -1871,7 +1871,7 @@ mod tests {
         // skippable on the non-letter class once its capture row is empty.
         let mut evaluator = crate::Evaluator::new();
         for text in ["agz!!!!!!", "zzzzzagq!!!!"] {
-            let _ = evaluator.eval_lazy(&lazy, &Document::from(text)).num_nodes();
+            let _ = evaluator.eval(&lazy, &Document::from(text)).unwrap().num_nodes();
         }
         let cache = evaluator.lazy_cache().expect("lazy evaluation populated the cache");
         let ncls = lazy.num_alphabet_classes();
@@ -1918,7 +1918,7 @@ mod tests {
         docs.iter()
             .map(|text| {
                 let mut out: Vec<_> =
-                    evaluator.eval_lazy(&lazy, &Document::from(*text)).iter().collect();
+                    evaluator.eval(&lazy, &Document::from(*text)).unwrap().iter().collect();
                 out.sort_unstable();
                 out
             })

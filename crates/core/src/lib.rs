@@ -25,6 +25,10 @@
 //!   ([`count`]) — the same [`driver::Driver`] loop as Algorithm 1 ([`driver`], over
 //!   a sparse active-state set, [`sparse`]) with each state's list replaced
 //!   by a count;
+//! * one engine argument, [`Target`]: every engine ([`Evaluator`],
+//!   [`CountCache`], [`SlpEvaluator`]) has one fallible method per task,
+//!   taking the eager automaton, the live lazy one, or the lazy one over a
+//!   frozen snapshot alike, under the engine's configured [`EvalLimits`];
 //! * a high-level [`CompiledSpanner`] façade tying it all together.
 //!
 //! Automaton *construction* from regex formulas, translation of classical
@@ -61,7 +65,7 @@ pub use byteclass::{
 pub use count::{count_mappings, CountCache, Counter};
 pub use det::{DetSeva, Stepper};
 pub use document::Document;
-pub use driver::EngineMode;
+pub use driver::{EngineMode, Target};
 pub use enumerate::{DagView, EnumerationDag, Evaluator, MappingIter};
 pub use error::{ParseError, Result, SpannerError};
 pub use eva::{Eva, EvaBuilder, EvaRun, StateId};

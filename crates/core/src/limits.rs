@@ -15,8 +15,8 @@
 //! [`SpannerError::StepBudgetExceeded`](crate::SpannerError),
 //! [`SpannerError::DeadlineExceeded`](crate::SpannerError) (with a
 //! soft/hard flag), or — for the eviction-thrash guard —
-//! [`SpannerError::BudgetExceeded`](crate::SpannerError), through the
-//! fallible `try_*` entry points of the engines.
+//! [`SpannerError::BudgetExceeded`](crate::SpannerError), through every
+//! engine task method, on every [`crate::Target`].
 
 use crate::error::SpannerError;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -33,25 +33,23 @@
 //! states. Clearing costs O(rows held) and keeps every buffer, which matters
 //! because frozen runs clear their local memo on every document.
 //!
-//! [`SlpEvaluator`] drives the eager [`DetSeva`], the live lazy engine, and
+//! [`SlpEvaluator`] drives the eager [`DetSeva`](crate::DetSeva), the live lazy engine, and
 //! the frozen/delta split of the batch runtime through the same per-worker
 //! cache slot as the byte engines' [`crate::driver::Driver`] (its two
 //! [`LazyCache`] stores: live, and over a frozen snapshot), plus its own memo
 //! tables. A warm memo can be snapshotted into an immutable [`SlpSharedMemo`]
 //! and attached to a
-//! [`FrozenCache`] (see [`crate::CompiledSpanner::freeze_warm_slp`]), so N
+//! [`FrozenCache`](crate::FrozenCache) (see [`crate::CompiledSpanner::freeze_warm_slp`]), so N
 //! workers compose documents off one shared bottom-up pass instead of
 //! recomputing it N times.
 
 use std::sync::Arc;
 
-use crate::det::{DetSeva, Stepper};
+use crate::det::Stepper;
 use crate::document::Document;
-use crate::driver::CacheSlot;
+use crate::driver::{CacheSlot, Target};
 use crate::error::SpannerError;
-use crate::lazy::{
-    next_engine_id, CapacitySignature, FrozenCache, FrozenDelta, LazyCache, LazyDetSeva,
-};
+use crate::lazy::{next_engine_id, CapacitySignature, FrozenDelta, LazyCache};
 use crate::limits::{EvalLimits, LimitChecker};
 
 /// Symbols below this bound are terminals (the byte itself); symbol
@@ -409,6 +407,8 @@ impl RowTables {
 trait Entry: Copy + Default {
     /// Whether terminal rows are also projected into this lane's scratch.
     const PROJECT: bool;
+    /// What a document fold over these rows yields.
+    type Out;
     fn state(self) -> u32;
     fn with_state(self, q: u32) -> Self;
     /// Folds `row` — the row read from this entry's end state — into `acc`.
@@ -419,10 +419,15 @@ trait Entry: Copy + Default {
     fn table_mut(memo: &mut RowTables) -> &mut RowTable<Self>;
     fn lane(ws: &Workspace) -> &Lane<Self>;
     fn lane_mut(ws: &mut Workspace) -> &mut Lane<Self>;
+    /// The fold's entry for the initial state `q`.
+    fn start(q: u32) -> Self;
+    /// The fold's result from its final frontier (empty when it died).
+    fn finish<S: Stepper>(ws: &mut Workspace, st: &mut S) -> Result<Self::Out, SpannerError>;
 }
 
 impl Entry for (u32, u64) {
     const PROJECT: bool = false;
+    type Out = u64;
     fn state(self) -> u32 {
         self.0
     }
@@ -451,10 +456,25 @@ impl Entry for (u32, u64) {
     fn lane_mut(ws: &mut Workspace) -> &mut Lane<Self> {
         &mut ws.counts
     }
+    fn start(q: u32) -> Self {
+        (q, 1)
+    }
+    /// The mapping count: partial-mapping counts times the final-capture
+    /// weights — matches `CountCache` on the decompressed document.
+    fn finish<S: Stepper>(ws: &mut Workspace, st: &mut S) -> Result<u64, SpannerError> {
+        let mut total = 0u64;
+        for fi in 0..ws.counts.front.len() {
+            let (q, c) = ws.counts.front[fi];
+            let add = c.checked_mul(ws.weight(st, q)).ok_or(SpannerError::CountOverflow)?;
+            total = total.checked_add(add).ok_or(SpannerError::CountOverflow)?;
+        }
+        Ok(total)
+    }
 }
 
 impl Entry for u32 {
     const PROJECT: bool = true;
+    type Out = bool;
     fn state(self) -> u32 {
         self
     }
@@ -482,10 +502,24 @@ impl Entry for u32 {
     fn lane_mut(ws: &mut Workspace) -> &mut Lane<Self> {
         &mut ws.sets
     }
+    fn start(q: u32) -> Self {
+        q
+    }
+    /// Acceptance (no overflow): whether any live state has a positive
+    /// final-capture weight — matches `DetSeva::accepts` on the
+    /// decompressed document.
+    fn finish<S: Stepper>(ws: &mut Workspace, st: &mut S) -> Result<bool, SpannerError> {
+        for li in 0..ws.sets.front.len() {
+            if ws.weight(st, ws.sets.front[li]) > 0 {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
 }
 
 /// An immutable snapshot of warm memo tables, attached to a
-/// [`FrozenCache`] and shared read-only across batch workers (`Send + Sync`
+/// [`FrozenCache`](crate::FrozenCache) and shared read-only across batch workers (`Send + Sync`
 /// — plain data). Built by [`crate::CompiledSpanner::freeze_warm_slp`]: the
 /// rows were computed against the pre-freeze [`LazyCache`], and freezing
 /// preserves state ids, so they remain valid against the snapshot.
@@ -835,18 +869,32 @@ impl Workspace {
         Ok(None)
     }
 
+    /// One document: the fold from the initial state, then the result read
+    /// off the final frontier (counting rows give the mapping count, set
+    /// rows the match verdict).
+    fn run<S: Stepper, E: Entry>(
+        &mut self,
+        st: &mut S,
+        slp: &Slp,
+        shared: Option<&RowTables>,
+    ) -> Result<E::Out, SpannerError> {
+        let start = E::start(st.start_state() as u32);
+        self.compose(st, slp, shared, start)?;
+        E::finish(self, st)
+    }
+
     /// The document fold: starting from `start`, applies each sequence
     /// symbol's memoized row to the lane's frontier — byte-identical to the
     /// byte engines' per-position loop on the decompressed document
-    /// (`tests/slp.rs` pins this). Returns whether the frontier survived;
-    /// it is left in the lane, remapped past the last maintenance point.
+    /// (`tests/slp.rs` pins this). The frontier is left in the lane (empty
+    /// once it died), remapped past the last maintenance point.
     fn compose<S: Stepper, E: Entry>(
         &mut self,
         st: &mut S,
         slp: &Slp,
         shared: Option<&RowTables>,
         start: E,
-    ) -> Result<bool, SpannerError> {
+    ) -> Result<(), SpannerError> {
         // At least one tick per document, so zero deadlines and injected
         // expirations trip even on empty sequences.
         self.checker.tick()?;
@@ -863,11 +911,10 @@ impl Workspace {
             lane.next = std::mem::replace(&mut lane.front, next);
             res?;
             if E::lane(self).front.is_empty() {
-                return Ok(false);
+                return Ok(());
             }
         }
-        self.maintain::<_, E>(st)?;
-        Ok(true)
+        self.maintain::<_, E>(st)
     }
 
     /// Folds the row of `(sym, q)` for every frontier entry into `next`.
@@ -886,52 +933,6 @@ impl Workspace {
             e.fold(self.row(rref, shared), next)?;
         }
         E::normalize(next)
-    }
-
-    /// The counting fold: partial-mapping count vectors from `{initial:
-    /// 1}`, then the final-capture weights — matches `CountCache` on the
-    /// decompressed document.
-    fn count_run<S: Stepper>(
-        &mut self,
-        st: &mut S,
-        slp: &Slp,
-        shared: Option<&RowTables>,
-    ) -> Result<u64, SpannerError> {
-        let start = (st.start_state() as u32, 1);
-        if !self.compose(st, slp, shared, start)? {
-            return Ok(0);
-        }
-        let mut total = 0u64;
-        for fi in 0..self.counts.front.len() {
-            let (q, c) = self.counts.front[fi];
-            let w = self.weight(st, q);
-            let add = c.checked_mul(w).ok_or(SpannerError::CountOverflow)?;
-            total = total.checked_add(add).ok_or(SpannerError::CountOverflow)?;
-        }
-        Ok(total)
-    }
-
-    /// The acceptance fold: reachable-state sets instead of count vectors
-    /// (no overflow), accepting iff any live state has a positive
-    /// final-capture weight. Matches `DetSeva::accepts` on the decompressed
-    /// document.
-    fn accepts_run<S: Stepper>(
-        &mut self,
-        st: &mut S,
-        slp: &Slp,
-        shared: Option<&RowTables>,
-    ) -> Result<bool, SpannerError> {
-        let start = st.start_state() as u32;
-        if !self.compose(st, slp, shared, start)? {
-            return Ok(false);
-        }
-        for li in 0..self.sets.front.len() {
-            let q = self.sets.front[li];
-            if self.weight(st, q) > 0 {
-                return Ok(true);
-            }
-        }
-        Ok(false)
     }
 }
 
@@ -973,13 +974,47 @@ fn merge_sorted_counts_saturating(row: &mut Vec<(u32, u64)>) {
 /// proportional to the compressed size once its per-`(symbol, state)` memo
 /// is warm.
 ///
-/// The evaluator owns the per-worker halves of whichever engine it is driven
-/// against in the [`crate::driver::Driver`]'s cache slot — a [`LazyCache`]
-/// stepped live for lazy automata, or over one of the shared frozen
-/// snapshots of the batch runtime (a [`FrozenDelta`]) — plus the memo tables
-/// and scratch, all retained-capacity across documents. Counts are `u64`
-/// (the batch runtime's counting type); wider counts can always fall back to
-/// the byte engines on the decompressed document.
+/// It has one fallible method per task, [`SlpEvaluator::count`] and
+/// [`SlpEvaluator::accepts`], each taking the engine as a [`Target`] —
+/// `&DetSeva`, `&LazyDetSeva`, `(&LazyDetSeva, &FrozenCache)`, or
+/// [`crate::CompiledSpanner::target`] — and honouring the configured
+/// [`EvalLimits`] on every target. The evaluator owns the per-worker halves
+/// of whichever engine it is driven against in the
+/// [`crate::driver::Driver`]'s cache slot — a [`LazyCache`] stepped live for
+/// lazy automata, or over one of the shared frozen snapshots of the batch
+/// runtime (a [`FrozenDelta`]) — plus the memo tables and scratch, all
+/// retained-capacity across documents. Counts are `u64` (the batch
+/// runtime's counting type); wider counts can always fall back to the byte
+/// engines on the decompressed document.
+///
+/// ```
+/// # use spanners_core::{ByteClass, CompiledSpanner, EnginePolicy, EvaBuilder, MarkerSet};
+/// # use spanners_core::{Slp, SlpEvaluator, SpannerError, VarRegistry};
+/// # let mut reg = VarRegistry::new();
+/// # let x = reg.intern("x").unwrap();
+/// # let mut b = EvaBuilder::new(reg);
+/// # let q0 = b.add_state();
+/// # let q1 = b.add_state();
+/// # let q2 = b.add_state();
+/// # b.set_initial(q0);
+/// # b.set_final(q2);
+/// # let any = ByteClass::any();
+/// # b.add_letter(q0, any, q0);
+/// # b.add_letter(q1, any, q1);
+/// # b.add_letter(q2, any, q2);
+/// # b.add_var(q0, MarkerSet::new().with_open(x), q1).unwrap();
+/// # b.add_var(q1, MarkerSet::new().with_close(x), q2).unwrap();
+/// # let eva = b.build().unwrap();
+/// // x captures every non-empty span: C(5, 2) = 10 spans of "abcd".
+/// let lazy = CompiledSpanner::from_eva_with(&eva, EnginePolicy::Lazy)?;
+/// let doc = Slp::literal(b"abcd");
+/// let frozen = lazy.freeze_warm_slp(std::slice::from_ref(&doc)).expect("lazy spanners freeze");
+/// let mut evaluator = SlpEvaluator::new();
+/// assert_eq!(evaluator.count(lazy.target(None), &doc)?, 10);
+/// assert_eq!(evaluator.count(lazy.target(Some(&frozen)), &doc)?, 10);
+/// assert!(evaluator.accepts(lazy.target(None), &doc)?);
+/// # Ok::<(), SpannerError>(())
+/// ```
 #[derive(Debug, Default)]
 pub struct SlpEvaluator {
     ws: Workspace,
@@ -1127,83 +1162,71 @@ impl SlpEvaluator {
         Some(SlpSharedMemo { tables: self.ws.memo.clone() })
     }
 
-    /// Counts `|⟦A⟧(d)|` over the compressed document against an eager
-    /// automaton. The memo persists across documents (eager state ids never
-    /// move), so a corpus sharing one rule set is composed from one
-    /// bottom-up pass.
-    pub fn count(&mut self, det: &DetSeva, slp: &Slp) -> Result<u64, SpannerError> {
-        let budget = self.memo_budget();
-        self.ws.begin(&self.limits, det.id(), 0, budget);
-        let mut st: &DetSeva = det;
-        self.ws.count_run(&mut st, slp, None)
+    /// Counts `|⟦A⟧(d)|` over the compressed document through `target`,
+    /// under the configured limits. Counts are byte-identical to
+    /// [`crate::CountCache`] on [`Slp::decompress`]'s output.
+    pub fn count<'t>(
+        &mut self,
+        target: impl Into<Target<'t>>,
+        slp: &Slp,
+    ) -> Result<u64, SpannerError> {
+        self.fold_counts(target.into(), slp)
     }
 
     /// Whether the spanner produces at least one mapping on the compressed
-    /// document (eager automaton).
-    pub fn accepts(&mut self, det: &DetSeva, slp: &Slp) -> Result<bool, SpannerError> {
-        let budget = self.memo_budget();
-        self.ws.begin(&self.limits, det.id(), 0, budget);
-        let mut st: &DetSeva = det;
-        self.ws.accepts_run(&mut st, slp, None)
-    }
-
-    /// [`SlpEvaluator::count`] against a live lazy automaton, determinizing
-    /// on demand inside the evaluator's embedded budgeted [`LazyCache`].
-    /// Rows are keyed to the cache's eviction epoch: evictions move state
-    /// ids, so they drop the memo alongside the evicted states.
-    pub fn count_lazy(&mut self, aut: &LazyDetSeva, slp: &Slp) -> Result<u64, SpannerError> {
-        let (limits, budget, ws) = (self.limits, self.memo_budget(), &mut self.ws);
-        self.slot.with_stepper(aut, None, |stepper| {
-            ws.begin(&limits, aut.id(), stepper.store().clear_count(), budget);
-            ws.count_run(stepper, slp, None)
-        })
-    }
-
-    /// [`SlpEvaluator::accepts`] against a live lazy automaton.
-    pub fn accepts_lazy(&mut self, aut: &LazyDetSeva, slp: &Slp) -> Result<bool, SpannerError> {
-        let (limits, budget, ws) = (self.limits, self.memo_budget(), &mut self.ws);
-        self.slot.with_stepper(aut, None, |stepper| {
-            ws.begin(&limits, aut.id(), stepper.store().clear_count(), budget);
-            ws.accepts_run(stepper, slp, None)
-        })
-    }
-
-    /// [`SlpEvaluator::count`] stepping through a shared [`FrozenCache`]
-    /// snapshot with the evaluator's private overflow delta — the per-worker
-    /// entry point of the batch runtime. Rows memoized by
-    /// [`crate::CompiledSpanner::freeze_warm_slp`] are read from the
-    /// snapshot's attached [`SlpSharedMemo`]; leftover rows land in the
-    /// local memo, which lives one document (delta-local state ids die with
-    /// the per-document delta reset).
-    pub fn count_frozen(
+    /// document — the acceptance fold over reachable-state sets, immune to
+    /// count overflow.
+    pub fn accepts<'t>(
         &mut self,
-        aut: &LazyDetSeva,
-        frozen: &FrozenCache,
-        slp: &Slp,
-    ) -> Result<u64, SpannerError> {
-        self.begin_frozen(frozen);
-        let (ws, shared) = (&mut self.ws, frozen.slp_memo().map(|m| &m.tables));
-        self.slot.with_stepper(aut, Some(frozen), |stepper| ws.count_run(stepper, slp, shared))
-    }
-
-    /// [`SlpEvaluator::accepts`] through a shared frozen snapshot.
-    pub fn accepts_frozen(
-        &mut self,
-        aut: &LazyDetSeva,
-        frozen: &FrozenCache,
+        target: impl Into<Target<'t>>,
         slp: &Slp,
     ) -> Result<bool, SpannerError> {
-        self.begin_frozen(frozen);
-        let (ws, shared) = (&mut self.ws, frozen.slp_memo().map(|m| &m.tables));
-        self.slot.with_stepper(aut, Some(frozen), |stepper| ws.accepts_run(stepper, slp, shared))
+        self.fold_sets(target.into(), slp)
     }
 
-    /// Starts a frozen run under a fresh memo epoch: delta-local state ids
-    /// die with the per-document delta reset.
-    fn begin_frozen(&mut self, frozen: &FrozenCache) {
-        self.frozen_gen += 1;
-        let budget = self.memo_budget();
-        self.ws.begin(&self.limits, frozen.id(), self.frozen_gen, budget);
+    // The two folds behind non-generic bodies, so they are compiled in this
+    // crate instead of being re-instantiated, less inlined, in every caller
+    // (measured 10% slower on the slp-count benchmark's batch path).
+    fn fold_counts(&mut self, target: Target<'_>, slp: &Slp) -> Result<u64, SpannerError> {
+        self.run::<(u32, u64)>(target, slp)
+    }
+
+    fn fold_sets(&mut self, target: Target<'_>, slp: &Slp) -> Result<bool, SpannerError> {
+        self.run::<u32>(target, slp)
+    }
+
+    /// Runs one document fold through `target` under the memo epoch rule of
+    /// its engine:
+    ///
+    /// * eager: epoch 0 — state ids never move, so the memo persists across
+    ///   documents and a corpus sharing one rule set is composed from one
+    ///   bottom-up pass;
+    /// * live lazy: the cache's eviction count — evictions move state ids,
+    ///   so they drop the memo alongside the evicted states;
+    /// * frozen: a fresh per-run generation — rows memoized by
+    ///   [`crate::CompiledSpanner::freeze_warm_slp`] are read from the
+    ///   snapshot's attached [`SlpSharedMemo`], and leftover rows land in the
+    ///   local memo, which lives one document (delta-local state ids die
+    ///   with the per-document delta reset).
+    fn run<E: Entry>(&mut self, target: Target<'_>, slp: &Slp) -> Result<E::Out, SpannerError> {
+        let (limits, budget, ws) = (self.limits, self.memo_budget(), &mut self.ws);
+        match target {
+            Target::Eager(det) => {
+                ws.begin(&limits, det.id(), 0, budget);
+                ws.run::<_, E>(&mut &*det, slp, None)
+            }
+            Target::Lazy(aut, None) => self.slot.with_stepper(aut, None, |stepper| {
+                ws.begin(&limits, aut.id(), stepper.store().clear_count(), budget);
+                ws.run::<_, E>(stepper, slp, None)
+            }),
+            Target::Lazy(aut, Some(frozen)) => {
+                self.frozen_gen += 1;
+                ws.begin(&limits, frozen.id(), self.frozen_gen, budget);
+                let shared = frozen.slp_memo().map(|m| &m.tables);
+                self.slot
+                    .with_stepper(aut, Some(frozen), |stepper| ws.run::<_, E>(stepper, slp, shared))
+            }
+        }
     }
 }
 
@@ -1212,6 +1235,7 @@ mod tests {
     use super::*;
     use crate::byteclass::ByteClass;
     use crate::count::CountCache;
+    use crate::det::DetSeva;
     use crate::eva::EvaBuilder;
     use crate::markerset::MarkerSet;
     use crate::spanner::{CompiledSpanner, EnginePolicy};
@@ -1314,8 +1338,8 @@ mod tests {
         let mut ev = SlpEvaluator::new();
         for slp in &slps {
             let expect = eager.count(&det, slp).unwrap();
-            assert_eq!(ev.count_lazy(lazy, slp).unwrap(), expect);
-            assert_eq!(ev.accepts_lazy(lazy, slp).unwrap(), expect > 0);
+            assert_eq!(ev.count(lazy, slp).unwrap(), expect);
+            assert_eq!(ev.accepts(lazy, slp).unwrap(), expect > 0);
         }
         // Freeze the warm cache (memo attached) and re-check through the
         // frozen/delta split.
@@ -1324,8 +1348,8 @@ mod tests {
         let mut worker = SlpEvaluator::new();
         for slp in &slps {
             let expect = eager.count(&det, slp).unwrap();
-            assert_eq!(worker.count_frozen(lazy, &frozen, slp).unwrap(), expect);
-            assert_eq!(worker.accepts_frozen(lazy, &frozen, slp).unwrap(), expect > 0);
+            assert_eq!(worker.count((lazy, &frozen), slp).unwrap(), expect);
+            assert_eq!(worker.accepts((lazy, &frozen), slp).unwrap(), expect > 0);
         }
     }
 
@@ -1399,8 +1423,8 @@ mod tests {
         let mut run = |worker: &mut SlpEvaluator| {
             for doc in &docs {
                 let expect = ev.count(&det, doc).unwrap();
-                assert_eq!(worker.count_frozen(lazy, &frozen, doc).unwrap(), expect);
-                assert_eq!(worker.accepts_frozen(lazy, &frozen, doc).unwrap(), expect > 0);
+                assert_eq!(worker.count((lazy, &frozen), doc).unwrap(), expect);
+                assert_eq!(worker.accepts((lazy, &frozen), doc).unwrap(), expect > 0);
             }
         };
         run(&mut worker);

@@ -22,7 +22,7 @@
 //! * [`parse`] — concrete syntax → [`RegexAst`];
 //! * [`eval_regex`] — Table 1 reference semantics (test oracle);
 //! * [`regex_to_va`] — linear translation to a classical VA;
-//! * [`compile`] — the whole pipeline to a [`spanners_core::CompiledSpanner`].
+//! * [`compile()`] — the whole pipeline to a [`spanners_core::CompiledSpanner`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

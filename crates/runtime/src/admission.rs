@@ -1,7 +1,7 @@
 //! Tenant isolation and overload governance for the streaming servers:
 //! per-tenant admission quotas, circuit breakers, deterministic
 //! retry/backoff, and the wiring that hands a global
-//! [`MemoryGovernor`](spanners_core::MemoryGovernor) to a server.
+//! [`spanners_core::MemoryGovernor`] to a server.
 //!
 //! Everything here is deliberately **batch-clocked**, not wall-clocked:
 //! token buckets refill per completed micro-batch and breakers cool down in

@@ -489,11 +489,7 @@ impl BatchPlan<'_> {
         F: Fn(usize, DagView<'_>) -> R + Sync,
     {
         self.report(pool, docs.len(), opts, |ev, i| {
-            let view = match self.frozen {
-                Some(frozen) => self.spanner.try_evaluate_frozen_with(ev, frozen, &docs[i]),
-                None => self.spanner.try_evaluate_with(ev, &docs[i]),
-            };
-            view.map(|view| f(i, view))
+            ev.eval(self.spanner.target(self.frozen), &docs[i]).map(|view| f(i, view))
         })
     }
 
@@ -506,9 +502,8 @@ impl BatchPlan<'_> {
     where
         C: Counter + Send,
     {
-        self.report(pool, docs.len(), opts, |cache, i| match self.frozen {
-            Some(frozen) => self.spanner.count_frozen_with(cache, frozen, &docs[i]),
-            None => self.spanner.count_with(cache, &docs[i]),
+        self.report(pool, docs.len(), opts, |cache, i| {
+            cache.count(self.spanner.target(self.frozen), &docs[i])
         })
     }
 
@@ -521,9 +516,8 @@ impl BatchPlan<'_> {
         slps: &[Slp],
         opts: &BatchOptions,
     ) -> BatchReport<u64> {
-        self.report(pool, slps.len(), opts, |ev, i| match self.frozen {
-            Some(frozen) => self.spanner.count_slp_frozen_with(ev, frozen, &slps[i]),
-            None => self.spanner.count_slp_with(ev, &slps[i]),
+        self.report(pool, slps.len(), opts, |ev, i| {
+            ev.count(self.spanner.target(self.frozen), &slps[i])
         })
     }
 
@@ -533,9 +527,8 @@ impl BatchPlan<'_> {
         docs: &[Document],
         opts: &BatchOptions,
     ) -> BatchReport<bool> {
-        self.report(pool, docs.len(), opts, |ev, i| match self.frozen {
-            Some(frozen) => self.spanner.try_is_match_frozen_with(ev, frozen, &docs[i]),
-            None => self.spanner.try_is_match_with(ev, &docs[i]),
+        self.report(pool, docs.len(), opts, |ev, i| {
+            ev.accepts(self.spanner.target(self.frozen), &docs[i])
         })
     }
 }
@@ -545,7 +538,7 @@ impl BatchPlan<'_> {
 ///
 /// These are the one-shot forms: each call builds transient engine pools and
 /// (for lazy spanners) a transient frozen snapshot warmed on the leading
-/// [`WARM_SAMPLE_DOCS`] documents. A long-lived service should hold a
+/// `WARM_SAMPLE_DOCS` (4) documents. A long-lived service should hold a
 /// [`crate::SpannerServer`] instead, which amortizes both across calls.
 pub trait BatchSpanner {
     /// Evaluates every document, mapping each resulting DAG view through `f`

@@ -3,7 +3,7 @@
 //! Everything here is gated behind the **`fault-injection`** cargo feature;
 //! without it every hook compiles to an inline no-op and the production
 //! binary carries no injection machinery at all. With the feature on, a test
-//! installs a [`FaultPlan`] and the runtime's hooks consult it at two
+//! installs a `FaultPlan` and the runtime's hooks consult it at two
 //! deterministic points:
 //!
 //! * **checkout** — the Nth engine checkout (a process-wide ordinal) panics,
@@ -21,12 +21,12 @@
 //! torture run is reproducible at any thread count. The plan is installed
 //! process-globally (there is one batch runtime per process); tests that
 //! install plans serialize on their own mutex and rely on the returned
-//! [`FaultGuard`] to uninstall on drop, panics included.
+//! `FaultGuard` to uninstall on drop, panics included.
 
 #![cfg_attr(not(feature = "fault-injection"), allow(dead_code))]
 
 /// The faults scheduled for one document index (resolved by
-/// [`doc_faults`]; all-`false` when no plan is installed or the feature is
+/// `doc_faults`; all-`false` when no plan is installed or the feature is
 /// off).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DocFaults {

@@ -1096,7 +1096,7 @@ fn build_next_snapshot<R>(
     let mut ev = Evaluator::new();
     ev.install_lazy_cache(lazy, merged);
     for doc in sample_docs.iter().take(WARM_SAMPLE_DOCS) {
-        let _ = ev.eval_lazy(lazy, doc);
+        let _ = ev.eval(lazy, doc);
     }
     ev.lazy_cache().map(|cache| cache.freeze(lazy))
 }

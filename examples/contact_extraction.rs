@@ -32,8 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "preprocessing: {:?} ({:.1} MB/s), DAG: {} nodes / {} cells",
         pre_time,
         doc.len() as f64 / 1e6 / pre_time.as_secs_f64(),
-        dag.num_nodes(),
-        dag.num_cells(),
+        dag.view().num_nodes(),
+        dag.view().num_cells(),
     );
 
     // Phase 2: stream the output; report the first few mappings and the delay

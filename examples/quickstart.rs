@@ -23,8 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dag = spanner.evaluate(&doc);
     println!(
         "preprocessing: {} DAG nodes, {} list cells, {} outputs",
-        dag.num_nodes(),
-        dag.num_cells(),
+        dag.view().num_nodes(),
+        dag.view().num_cells(),
         dag.count_paths().unwrap()
     );
 

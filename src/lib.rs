@@ -3,18 +3,18 @@
 //! Facade crate re-exporting the public API of the `spanners-*` workspace.
 //! See the individual crates for details:
 //!
-//! * [`core`](spanners_core) — spans, mappings, extended VA, the constant-delay
+//! * [`core`] — spans, mappings, extended VA, the constant-delay
 //!   enumeration (Algorithms 1–2) and counting (Algorithm 3) of the paper;
-//! * [`automata`](spanners_automata) — classical variable-set automata and the
+//! * [`automata`] — classical variable-set automata and the
 //!   translations/determinization of Section 4;
-//! * [`regex`](spanners_regex) — regex formulas with capture variables;
-//! * [`algebra`](spanners_algebra) — the spanner algebra `{π, ∪, ⋈}`;
-//! * [`baselines`](spanners_baselines) — comparison evaluation algorithms;
-//! * [`runtime`](spanners_runtime) — the parallel batch/serving runtime
+//! * [`regex`] — regex formulas with capture variables;
+//! * [`algebra`] — the spanner algebra `{π, ∪, ⋈}`;
+//! * [`baselines`] — comparison evaluation algorithms;
+//! * [`runtime`] — the parallel batch/serving runtime
 //!   (engine pools, shared frozen determinization caches, multi-document
 //!   batch APIs, and the streaming service with generational snapshot
 //!   re-freezing);
-//! * [`workloads`](spanners_workloads) — synthetic documents and spanner families.
+//! * [`workloads`] — synthetic documents and spanner families.
 
 pub use spanners_algebra as algebra;
 pub use spanners_automata as automata;
@@ -28,7 +28,7 @@ pub use spanners_core::{
     count_mappings, CompiledSpanner, CountCache, Document, EngineMode, EnginePolicy,
     EnumerationDag, Eva, EvaBuilder, EvalLimits, Evaluator, EvictionPolicy, FrozenCache,
     FrozenDelta, GovernorStats, LazyCache, LazyConfig, LazyDetSeva, Mapping, MarkerSet,
-    MemoryGovernor, Slp, SlpEvaluator, SlpRules, Span, SpannerError, VarId, VarRegistry,
+    MemoryGovernor, Slp, SlpEvaluator, SlpRules, Span, SpannerError, Target, VarId, VarRegistry,
 };
 pub use spanners_runtime::{
     AdmissionController, AdmissionStats, BatchOptions, BatchReport, BatchSpanner, BatchSummary,

@@ -176,14 +176,14 @@ fn tiny_budget_frozen_overflow_evicts_without_divergence() {
         let lazy = spanner.lazy_automaton().expect("lazy engine");
         let big = w::random_text(0x99, 2_000, b"ab");
         let mut frosty = Evaluator::new();
-        let got = sorted(frosty.eval_frozen(lazy, &frozen, &big).collect_mappings());
+        let got = sorted(frosty.eval((lazy, &frozen), &big).unwrap().collect_mappings());
         let delta = frosty.frozen_delta().expect("frozen evaluation populated a delta");
         assert!(
             delta.clear_count() > 0,
             "a 256-byte budget never evicted the overflow delta under {policy:?}"
         );
         let mut plain = Evaluator::new();
-        let expected = sorted(plain.eval_lazy(lazy, &big).collect_mappings());
+        let expected = sorted(plain.eval(lazy, &big).unwrap().collect_mappings());
         assert_eq!(
             got, expected,
             "delta eviction corrupted the frozen evaluation under {policy:?}"

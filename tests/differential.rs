@@ -200,7 +200,7 @@ fn per_output_work_is_document_independent() {
         // factor × outputs; we check the ratio stays bounded as |d| grows.
         let visited = dag.collect_mappings().len();
         assert_eq!(visited as u128, outputs);
-        max_cells_per_output.push(dag.num_cells() as f64 / outputs as f64);
+        max_cells_per_output.push(dag.view().num_cells() as f64 / outputs as f64);
     }
     for ratio in &max_cells_per_output {
         assert!(*ratio < 8.0, "cells per output stays bounded: {max_cells_per_output:?}");

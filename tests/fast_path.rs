@@ -90,13 +90,16 @@ fn class_run_engine_matches_per_byte_engine() {
         let spanner = compile(&pattern).expect("workload pattern compiles");
         for doc in &docs {
             // Enumeration order must match exactly, not just as sets.
-            let fast_mappings =
-                fast.eval(spanner.try_automaton().expect("eager engine"), doc).collect_mappings();
+            let fast_mappings = fast
+                .eval(spanner.try_automaton().expect("eager engine"), doc)
+                .unwrap()
+                .collect_mappings();
             let fast_paths = fast
                 .eval(spanner.try_automaton().expect("eager engine"), doc)
+                .unwrap()
                 .count_paths()
                 .unwrap();
-            let slow_view = slow.eval(spanner.try_automaton().expect("eager engine"), doc);
+            let slow_view = slow.eval(spanner.try_automaton().expect("eager engine"), doc).unwrap();
             assert_eq!(
                 fast_mappings,
                 slow_view.collect_mappings(),
@@ -128,7 +131,9 @@ fn class_run_engine_matches_independent_baselines() {
                 continue; // the quadratic baselines cannot take the long runs
             }
             let got = sorted(
-                fast.eval(spanner.try_automaton().expect("eager engine"), doc).collect_mappings(),
+                fast.eval(spanner.try_automaton().expect("eager engine"), doc)
+                    .unwrap()
+                    .collect_mappings(),
             );
             let materialized =
                 sorted(materialize_enumerate(spanner.try_automaton().expect("eager engine"), doc));
@@ -140,7 +145,9 @@ fn class_run_engine_matches_independent_baselines() {
         for text in ["", "a", "ab", "abab", "bbaa", "aabbab", "aaaaaaaaaaaaaaaaaaaaaaab"] {
             let doc = Document::from(text);
             let got = sorted(
-                fast.eval(spanner.try_automaton().expect("eager engine"), &doc).collect_mappings(),
+                fast.eval(spanner.try_automaton().expect("eager engine"), &doc)
+                    .unwrap()
+                    .collect_mappings(),
             );
             assert_eq!(got, eva.eval_naive(&doc), "eval_naive on {text:?}");
             let (naive, _) = naive_enumerate(&eva, &doc);
@@ -205,13 +212,13 @@ fn evaluator_class_buffer_retains_capacity() {
     // As above: only EngineMode::ClassRuns populates the class buffer.
     let mut evaluator = Evaluator::with_mode(EngineMode::ClassRuns);
     let big = w::random_text(7, 4096, b"ab012 ");
-    let _ = evaluator.eval(spanner.try_automaton().expect("eager engine"), &big);
+    let _ = evaluator.eval(spanner.try_automaton().expect("eager engine"), &big).unwrap();
     let warm =
         (evaluator.node_capacity(), evaluator.cell_capacity(), evaluator.class_buf_capacity());
     assert!(warm.2 >= 4096);
     for n in [1usize, 100, 4096] {
         let doc = w::random_text(8, n, b"ab012 ");
-        let _ = evaluator.eval(spanner.try_automaton().expect("eager engine"), &doc);
+        let _ = evaluator.eval(spanner.try_automaton().expect("eager engine"), &doc).unwrap();
         assert_eq!(
             (evaluator.node_capacity(), evaluator.cell_capacity(), evaluator.class_buf_capacity(),),
             warm,
@@ -227,14 +234,20 @@ fn mode_switching_is_safe() {
     let spanner = compile(w::digit_runs_pattern()).unwrap();
     let mut evaluator = Evaluator::new();
     let doc = w::random_text(21, 700, b"abc123 ");
-    let fast =
-        evaluator.eval(spanner.try_automaton().expect("eager engine"), &doc).collect_mappings();
+    let fast = evaluator
+        .eval(spanner.try_automaton().expect("eager engine"), &doc)
+        .unwrap()
+        .collect_mappings();
     evaluator.set_mode(EngineMode::PerByte);
-    let slow =
-        evaluator.eval(spanner.try_automaton().expect("eager engine"), &doc).collect_mappings();
+    let slow = evaluator
+        .eval(spanner.try_automaton().expect("eager engine"), &doc)
+        .unwrap()
+        .collect_mappings();
     evaluator.set_mode(EngineMode::ClassRuns);
-    let fast_again =
-        evaluator.eval(spanner.try_automaton().expect("eager engine"), &doc).collect_mappings();
+    let fast_again = evaluator
+        .eval(spanner.try_automaton().expect("eager engine"), &doc)
+        .unwrap()
+        .collect_mappings();
     assert_eq!(fast, slow);
     assert_eq!(fast, fast_again);
 }
@@ -263,12 +276,13 @@ fn lazy_class_run_engine_matches_per_byte_and_eager() {
     for doc in adversarial_docs() {
         let expected_paths = eager_eval
             .eval(eager.try_automaton().expect("eager engine"), &doc)
+            .unwrap()
             .count_paths()
             .unwrap();
         // Fresh evaluators per document: the skip metadata for every class
         // run is populated lazily *during* this very evaluation.
-        let cold = Evaluator::with_mode(EngineMode::ClassRuns).eval_lazy_owned(&lazy, &doc);
-        let cold_bytes = Evaluator::with_mode(EngineMode::PerByte).eval_lazy_owned(&lazy, &doc);
+        let cold = Evaluator::with_mode(EngineMode::ClassRuns).eval_owned(&lazy, &doc).unwrap();
+        let cold_bytes = Evaluator::with_mode(EngineMode::PerByte).eval_owned(&lazy, &doc).unwrap();
         assert_eq!(
             cold.count_paths().unwrap(),
             expected_paths,
@@ -282,7 +296,7 @@ fn lazy_class_run_engine_matches_per_byte_and_eager() {
             doc.len()
         );
         assert_eq!(
-            cold_counts.count_lazy(&lazy, &doc).unwrap(),
+            cold_counts.count(&lazy, &doc).unwrap(),
             expected_paths,
             "lazy count, |d| = {}",
             doc.len()
@@ -294,6 +308,7 @@ fn lazy_class_run_engine_matches_per_byte_and_eager() {
             let expected = sorted(
                 eager_eval
                     .eval(eager.try_automaton().expect("eager engine"), &doc)
+                    .unwrap()
                     .collect_mappings(),
             );
             assert_eq!(
@@ -324,14 +339,14 @@ fn lazy_run_skipping_is_stable_once_warm() {
     let first: Vec<(usize, usize, u128, Vec<Mapping>)> = docs
         .iter()
         .map(|doc| {
-            let view = evaluator.eval_lazy(&lazy, doc);
+            let view = evaluator.eval(&lazy, doc).unwrap();
             let paths = view.count_paths().unwrap();
             let mappings = if paths < 200_000 { view.collect_mappings() } else { Vec::new() };
             (view.num_nodes(), view.num_cells(), paths, mappings)
         })
         .collect();
     for (doc, (nodes, cells, paths, mappings)) in docs.iter().zip(&first) {
-        let view = evaluator.eval_lazy(&lazy, doc);
+        let view = evaluator.eval(&lazy, doc).unwrap();
         assert_eq!(view.num_nodes(), *nodes, "node count drifted, |d| = {}", doc.len());
         assert_eq!(view.num_cells(), *cells, "cell count drifted, |d| = {}", doc.len());
         assert_eq!(view.count_paths().unwrap(), *paths, "path count drifted, |d| = {}", doc.len());
@@ -351,11 +366,12 @@ fn lazy_run_skipping_survives_mid_run_eviction() {
     let mut eager_eval = Evaluator::new();
     let mut thrash = Evaluator::with_mode(EngineMode::ClassRuns);
     for doc in adversarial_docs() {
-        let eager_view = eager_eval.eval(eager.try_automaton().expect("eager engine"), &doc);
+        let eager_view =
+            eager_eval.eval(eager.try_automaton().expect("eager engine"), &doc).unwrap();
         let paths = eager_view.count_paths().unwrap();
         let expected =
             if paths < 200_000 { sorted(eager_view.collect_mappings()) } else { Vec::new() };
-        let view = thrash.eval_lazy(&strict, &doc);
+        let view = thrash.eval(&strict, &doc).unwrap();
         assert_eq!(
             view.count_paths().unwrap(),
             paths,
@@ -378,11 +394,11 @@ fn lazy_mode_switching_is_safe() {
     let lazy = digit_runs_lazy(None);
     let mut evaluator = Evaluator::new();
     let doc = w::random_text(23, 700, b"abc123 ");
-    let fast = evaluator.eval_lazy(&lazy, &doc).collect_mappings();
+    let fast = evaluator.eval(&lazy, &doc).unwrap().collect_mappings();
     evaluator.set_mode(EngineMode::PerByte);
-    let slow = evaluator.eval_lazy(&lazy, &doc).collect_mappings();
+    let slow = evaluator.eval(&lazy, &doc).unwrap().collect_mappings();
     evaluator.set_mode(EngineMode::ClassRuns);
-    let fast_again = evaluator.eval_lazy(&lazy, &doc).collect_mappings();
+    let fast_again = evaluator.eval(&lazy, &doc).unwrap().collect_mappings();
     assert_eq!(sorted(fast.clone()), sorted(slow));
     assert_eq!(fast, fast_again, "warm reruns must be byte-for-byte identical");
 }

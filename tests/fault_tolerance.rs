@@ -23,7 +23,8 @@ use std::time::Duration;
 use spanners::runtime::{BatchOptions, BatchSpanner};
 use spanners::workloads as w;
 use spanners::{
-    CompiledSpanner, DegradePolicy, Document, EvalLimits, LazyConfig, Mapping, SpannerError,
+    CompiledSpanner, CountCache, DegradePolicy, Document, EnginePolicy, EvalLimits, Evaluator,
+    LazyConfig, Mapping, Slp, SlpEvaluator, SpannerError,
 };
 
 /// Worker counts every scenario runs at: sequential fallback, modest
@@ -125,6 +126,71 @@ fn step_budget_fails_long_documents_alone() {
         assert_eq!(report.failed, docs.iter().filter(|d| d.len() > 50).count());
         assert_eq!(report.degraded, 0);
         assert_eq!(report.quarantined, 0);
+    }
+}
+
+fn assert_step_budget<T: std::fmt::Debug>(result: Result<T, SpannerError>, what: &str) {
+    assert!(
+        matches!(result, Err(SpannerError::StepBudgetExceeded { limit: 50 })),
+        "{what}: {result:?}"
+    );
+}
+
+#[test]
+fn configured_limits_apply_on_every_target_and_task() {
+    let _serial = serialize_faults();
+    let eva = w::all_spans_eva();
+    let eager = CompiledSpanner::from_eva_with(&eva, EnginePolicy::Eager).unwrap();
+    let lazy = CompiledSpanner::from_eva_with(&eva, EnginePolicy::Lazy).unwrap();
+    let (long, short) = (Document::new(vec![b'a'; 200]), Document::from("abcd"));
+    let (long_slp, short_slp) = (Slp::literal(long.bytes()), Slp::literal(short.bytes()));
+    let frozen = lazy.freeze_warm(std::slice::from_ref(&short)).expect("lazy spanners freeze");
+    let limits = EvalLimits::none().with_max_steps(50);
+    let mut ev = Evaluator::new();
+    let mut counts = CountCache::<u64>::new();
+    let mut slp_ev = SlpEvaluator::new();
+    ev.set_limits(limits);
+    counts.set_limits(limits);
+    slp_ev.set_limits(limits);
+    let targets = [
+        ("eager", eager.target(None)),
+        ("lazy", lazy.target(None)),
+        ("frozen", lazy.target(Some(&frozen))),
+    ];
+    for (name, target) in targets {
+        assert_step_budget(ev.eval(target, &long), &format!("{name} eval"));
+        assert_step_budget(counts.count(target, &long), &format!("{name} count"));
+        assert_step_budget(ev.accepts(target, &long), &format!("{name} accepts"));
+        assert_step_budget(slp_ev.count(target, &long_slp), &format!("{name} slp count"));
+        assert_step_budget(slp_ev.accepts(target, &long_slp), &format!("{name} slp accepts"));
+        // Every engine stays reusable: a short document then matches an
+        // unlimited run.
+        let mut unlimited = Evaluator::new();
+        assert_eq!(
+            ev.eval(target, &short).unwrap().collect_mappings(),
+            unlimited.eval(target, &short).unwrap().collect_mappings(),
+            "{name} eval after a tripped limit"
+        );
+        assert_eq!(
+            counts.count(target, &short).unwrap(),
+            CountCache::<u64>::new().count(target, &short).unwrap(),
+            "{name} count after a tripped limit"
+        );
+        assert_eq!(
+            ev.accepts(target, &short).unwrap(),
+            unlimited.accepts(target, &short).unwrap(),
+            "{name} accepts after a tripped limit"
+        );
+        assert_eq!(
+            slp_ev.count(target, &short_slp).unwrap(),
+            SlpEvaluator::new().count(target, &short_slp).unwrap(),
+            "{name} slp count after a tripped limit"
+        );
+        assert_eq!(
+            slp_ev.accepts(target, &short_slp).unwrap(),
+            SlpEvaluator::new().accepts(target, &short_slp).unwrap(),
+            "{name} slp accepts after a tripped limit"
+        );
     }
 }
 

@@ -122,27 +122,29 @@ fn lazy_matches_eager_across_workload_families() {
             let expected = sorted(
                 eager_eval
                     .eval(eager.try_automaton().expect("eager engine"), doc)
+                    .unwrap()
                     .collect_mappings(),
             );
             let expected_count = eager_eval
                 .eval(eager.try_automaton().expect("eager engine"), doc)
+                .unwrap()
                 .count_paths()
                 .unwrap();
 
-            let fast = lazy_runs.eval_lazy(&lazy, doc).collect_mappings();
+            let fast = lazy_runs.eval(&lazy, doc).unwrap().collect_mappings();
             assert_no_duplicates(&fast, &format!("{pattern} class-runs |d|={}", doc.len()));
             assert_eq!(sorted(fast), expected, "class-runs mappings, {pattern}, |d|={}", doc.len());
             assert_eq!(
-                lazy_runs.eval_lazy(&lazy, doc).count_paths().unwrap(),
+                lazy_runs.eval(&lazy, doc).unwrap().count_paths().unwrap(),
                 expected_count,
                 "class-runs paths, {pattern}"
             );
 
-            let slow = lazy_bytes.eval_lazy(&lazy, doc).collect_mappings();
+            let slow = lazy_bytes.eval(&lazy, doc).unwrap().collect_mappings();
             assert_no_duplicates(&slow, &format!("{pattern} per-byte |d|={}", doc.len()));
             assert_eq!(sorted(slow), expected, "per-byte mappings, {pattern}, |d|={}", doc.len());
 
-            let counted = lazy_counts.count_lazy(&lazy, doc).unwrap();
+            let counted = lazy_counts.count(&lazy, doc).unwrap();
             assert_eq!(counted, expected_count, "Algorithm 3 count, {pattern}, |d|={}", doc.len());
         }
     }
@@ -160,22 +162,23 @@ fn lazy_matches_eager_on_deterministic_automata() {
         let mut warm = Evaluator::new();
         // Warm the cache once over every document so subset ids are fixed…
         for doc in &docs {
-            let _ = warm.eval_lazy(&lazy, doc).num_nodes();
+            let _ = warm.eval(&lazy, doc).unwrap().num_nodes();
         }
         for doc in &docs {
             let expected = sorted(
                 eager_eval
                     .eval(eager.try_automaton().expect("eager engine"), doc)
+                    .unwrap()
                     .collect_mappings(),
             );
-            let first = warm.eval_lazy(&lazy, doc).collect_mappings();
+            let first = warm.eval(&lazy, doc).unwrap().collect_mappings();
             assert_eq!(sorted(first.clone()), expected, "{name}, |d| = {}", doc.len());
             // …then rerun in both modes: byte-for-byte identical output
             // order, because the warm cache makes evaluation deterministic.
-            let again = warm.eval_lazy(&lazy, doc).collect_mappings();
+            let again = warm.eval(&lazy, doc).unwrap().collect_mappings();
             assert_eq!(first, again, "{name}: warm rerun changed enumeration order");
             warm.set_mode(EngineMode::PerByte);
-            let per_byte = warm.eval_lazy(&lazy, doc).collect_mappings();
+            let per_byte = warm.eval(&lazy, doc).unwrap().collect_mappings();
             warm.set_mode(EngineMode::ClassRuns);
             assert_eq!(first, per_byte, "{name}: warm per-byte loop diverged in order");
         }
@@ -209,11 +212,11 @@ fn seeded_random_documents_agree() {
                 (0..len).map(|_| alphabet[rng.gen_range(0..alphabet.len())]).collect();
             let doc = Document::new(bytes);
             let expected = sorted(eager.mappings(&doc));
-            let got = lazy_eval.eval_lazy(&lazy, &doc).collect_mappings();
+            let got = lazy_eval.eval(&lazy, &doc).unwrap().collect_mappings();
             assert_no_duplicates(&got, &format!("{pattern} seed {seed}"));
             assert_eq!(sorted(got), expected, "seed {seed} pattern {pattern} on {doc:?}");
             assert_eq!(
-                counts.count_lazy(&lazy, &doc).unwrap() as usize,
+                counts.count(&lazy, &doc).unwrap() as usize,
                 expected.len(),
                 "count, seed {seed} pattern {pattern}"
             );
@@ -237,22 +240,24 @@ fn tiny_budget_forces_mid_document_eviction_without_divergence() {
             let expected = sorted(
                 eager_eval
                     .eval(eager.try_automaton().expect("eager engine"), doc)
+                    .unwrap()
                     .collect_mappings(),
             );
             let expected_count = eager_eval
                 .eval(eager.try_automaton().expect("eager engine"), doc)
+                .unwrap()
                 .count_paths()
                 .unwrap();
 
-            let got = thrash.eval_lazy(&lazy, doc).collect_mappings();
+            let got = thrash.eval(&lazy, doc).unwrap().collect_mappings();
             assert_no_duplicates(&got, &format!("thrash {pattern} |d|={}", doc.len()));
             assert_eq!(sorted(got), expected, "thrash class-runs, {pattern}, |d|={}", doc.len());
 
-            let got = thrash_bytes.eval_lazy(&lazy, doc).collect_mappings();
+            let got = thrash_bytes.eval(&lazy, doc).unwrap().collect_mappings();
             assert_eq!(sorted(got), expected, "thrash per-byte, {pattern}, |d|={}", doc.len());
 
             assert_eq!(
-                thrash_counts.count_lazy(&lazy, doc).unwrap(),
+                thrash_counts.count(&lazy, doc).unwrap(),
                 expected_count,
                 "thrash count, {pattern}, |d|={}",
                 doc.len()
@@ -288,7 +293,7 @@ fn tiny_budget_eviction_on_deterministic_automata() {
         for round in 0..3 {
             for doc in &docs {
                 let expected = sorted(eager.mappings(doc));
-                let got = thrash.eval_lazy(&lazy, doc).collect_mappings();
+                let got = thrash.eval(&lazy, doc).unwrap().collect_mappings();
                 assert_eq!(sorted(got), expected, "{name} round {round}, |d| = {}", doc.len());
             }
         }
@@ -319,12 +324,12 @@ fn exponential_blowup_family_evaluates_lazily_within_budget() {
     for (seed, len) in [(1u64, 300usize), (2, 1_000), (3, 5_000)] {
         let doc = w::random_text(seed, len, b"ab");
         let expected = w::exp_blowup_expected(n, &doc);
-        let dag = evaluator.eval_lazy(&lazy, &doc);
+        let dag = evaluator.eval(&lazy, &doc).unwrap();
         assert_eq!(dag.count_paths().unwrap(), expected as u128, "paths at |d| = {len}");
         let mappings = dag.collect_mappings();
         assert_eq!(mappings.len(), expected, "mappings at |d| = {len}");
         assert_no_duplicates(&mappings, "exp family");
-        assert_eq!(counts.count_lazy(&lazy, &doc).unwrap() as usize, expected, "count at {len}");
+        assert_eq!(counts.count(&lazy, &doc).unwrap() as usize, expected, "count at {len}");
 
         let cache = evaluator.lazy_cache().unwrap();
         assert!(
@@ -355,8 +360,8 @@ fn warm_lazy_evaluation_is_allocation_free() {
     let docs: Vec<Document> = (0..6).map(|s| w::random_text(40 + s, 2_000, b"ab")).collect();
     for _ in 0..2 {
         for doc in &docs {
-            let _ = evaluator.eval_lazy(&lazy, doc).num_nodes();
-            let _ = counts.count_lazy(&lazy, doc).unwrap();
+            let _ = evaluator.eval(&lazy, doc).unwrap().num_nodes();
+            let _ = counts.count(&lazy, doc).unwrap();
         }
     }
     let warm_arenas =
@@ -368,8 +373,8 @@ fn warm_lazy_evaluation_is_allocation_free() {
     let count_sig = counts.lazy_cache().unwrap().capacity_signature();
     // Steady state: same documents, warm everything.
     for doc in &docs {
-        let _ = evaluator.eval_lazy(&lazy, doc).num_nodes();
-        let _ = counts.count_lazy(&lazy, doc).unwrap();
+        let _ = evaluator.eval(&lazy, doc).unwrap().num_nodes();
+        let _ = counts.count(&lazy, doc).unwrap();
         let cache = evaluator.lazy_cache().unwrap();
         assert_eq!(cache.capacity_signature(), warm_sig, "lazy cache buffers reallocated");
         assert_eq!(cache.num_states(), warm_states, "cache hits interned new states");
@@ -397,7 +402,7 @@ fn facade_serves_lazy_spanners_through_the_standard_entry_points() {
     let eva = w::exp_blowup_eva(n);
     let spanner = CompiledSpanner::from_eva(&eva).expect("Auto accepts nondeterministic input");
     assert!(spanner.is_lazy(), "Auto must pick the lazy engine for nondeterministic input");
-    assert!(spanner.eager_automaton().is_none());
+    assert!(spanner.try_automaton().is_none());
     assert_eq!(spanner.registry().len(), 1);
 
     let mut evaluator = Evaluator::new();
@@ -413,25 +418,25 @@ fn facade_serves_lazy_spanners_through_the_standard_entry_points() {
         assert_eq!(spanner.count_u64(&doc).unwrap() as usize, expected);
         assert_eq!(spanner.mappings(&doc).len(), expected);
         assert_eq!(spanner.is_match(&doc), expected > 0);
-        assert_eq!(spanner.is_match_with(&mut evaluator, &doc), expected > 0);
+        assert_eq!(evaluator.accepts(spanner.target(None), &doc).unwrap(), expected > 0);
         // The owned-DAG path works too.
         assert_eq!(spanner.evaluate(&doc).count_paths().unwrap(), expected as u128);
     }
 
-    // `is_match_with` amortizes: the warm evaluator cache serves repeated
+    // `Evaluator::accepts` amortizes: the warm evaluator cache serves repeated
     // match checks without interning new subset states.
     let warm_interned = evaluator.lazy_cache().unwrap().states_interned();
     for seed in 0..4u64 {
         let doc = w::random_text(seed, 500, b"abc");
         assert_eq!(
-            spanner.is_match_with(&mut evaluator, &doc),
+            evaluator.accepts(spanner.target(None), &doc).unwrap(),
             w::exp_blowup_expected(n, &doc) > 0
         );
     }
     assert_eq!(
         evaluator.lazy_cache().unwrap().states_interned(),
         warm_interned,
-        "warm is_match_with re-determinized already-known subsets"
+        "warm accepts re-determinized already-known subsets"
     );
 
     // An explicit tiny budget through the façade still evaluates correctly.
@@ -462,12 +467,12 @@ fn random_functional_va_lazy_pipeline() {
         let doc = w::witness_document(&va, 64).unwrap();
         let eager = compile_va(&va, CompileOptions::default()).unwrap();
         let mut eager_eval = Evaluator::new();
-        let expected = sorted(eager_eval.eval(&eager, &doc).collect_mappings());
+        let expected = sorted(eager_eval.eval(&eager, &doc).unwrap().collect_mappings());
         assert!(!expected.is_empty(), "witness document accepted, seed {seed}");
 
         let eva = va_to_eva(&va).unwrap();
         let lazy = LazyDetSeva::new(&eva, LazyConfig::default()).unwrap();
-        let got = evaluator.eval_lazy(&lazy, &doc).collect_mappings();
+        let got = evaluator.eval(&lazy, &doc).unwrap().collect_mappings();
         assert_no_duplicates(&got, &format!("functional VA seed {seed}"));
         assert_eq!(sorted(got), expected, "seed {seed}");
         checked += 1;

@@ -132,8 +132,8 @@ fn figure6_dag_has_the_paper_shape() {
     let eva = figure3_eva();
     let spanner = CompiledSpanner::from_eva(&eva).unwrap();
     let dag = spanner.evaluate(&Document::from("ab"));
-    assert_eq!(dag.num_nodes(), 9);
-    assert_eq!(dag.num_roots(), 1);
+    assert_eq!(dag.view().num_nodes(), 9);
+    assert_eq!(dag.view().num_roots(), 1);
     assert_eq!(dag.count_paths().unwrap(), 3);
 }
 

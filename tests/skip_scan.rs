@@ -80,19 +80,27 @@ fn assert_eager_modes_identical(spanner: &CompiledSpanner, doc: &Document, ctx: 
     let mut scan = Evaluator::with_mode(EngineMode::SkipScan);
     let mut runs = Evaluator::with_mode(EngineMode::ClassRuns);
     let mut bytes = Evaluator::with_mode(EngineMode::PerByte);
-    let paths = scan.eval(aut, doc).count_paths().unwrap();
-    assert_eq!(runs.eval(aut, doc).count_paths().unwrap(), paths, "paths vs class-runs, {ctx}");
-    assert_eq!(bytes.eval(aut, doc).count_paths().unwrap(), paths, "paths vs per-byte, {ctx}");
+    let paths = scan.eval(aut, doc).unwrap().count_paths().unwrap();
+    assert_eq!(
+        runs.eval(aut, doc).unwrap().count_paths().unwrap(),
+        paths,
+        "paths vs class-runs, {ctx}"
+    );
+    assert_eq!(
+        bytes.eval(aut, doc).unwrap().count_paths().unwrap(),
+        paths,
+        "paths vs per-byte, {ctx}"
+    );
     if paths < ENUM_CAP {
-        let scanned = scan.eval(aut, doc).collect_mappings();
+        let scanned = scan.eval(aut, doc).unwrap().collect_mappings();
         assert_eq!(
             scanned,
-            runs.eval(aut, doc).collect_mappings(),
+            runs.eval(aut, doc).unwrap().collect_mappings(),
             "mappings/order vs class-runs, {ctx}"
         );
         assert_eq!(
             scanned,
-            bytes.eval(aut, doc).collect_mappings(),
+            bytes.eval(aut, doc).unwrap().collect_mappings(),
             "mappings/order vs per-byte, {ctx}"
         );
     }
@@ -172,9 +180,9 @@ fn lazy_skip_scan_matches_class_runs_exactly() {
     // Cold: fresh evaluators per document, so every skip mask is learned
     // mid-document.
     for doc in &docs {
-        let cold_scan = Evaluator::with_mode(EngineMode::SkipScan).eval_lazy_owned(&lazy, doc);
-        let cold_runs = Evaluator::with_mode(EngineMode::ClassRuns).eval_lazy_owned(&lazy, doc);
-        let cold_bytes = Evaluator::with_mode(EngineMode::PerByte).eval_lazy_owned(&lazy, doc);
+        let cold_scan = Evaluator::with_mode(EngineMode::SkipScan).eval_owned(&lazy, doc).unwrap();
+        let cold_runs = Evaluator::with_mode(EngineMode::ClassRuns).eval_owned(&lazy, doc).unwrap();
+        let cold_bytes = Evaluator::with_mode(EngineMode::PerByte).eval_owned(&lazy, doc).unwrap();
         let paths = cold_scan.count_paths().unwrap();
         assert_eq!(cold_runs.count_paths().unwrap(), paths, "cold paths, |d| = {}", doc.len());
         assert_eq!(
@@ -207,24 +215,24 @@ fn lazy_skip_scan_matches_class_runs_exactly() {
     let mut warm_bytes = Evaluator::with_mode(EngineMode::PerByte);
     for doc in &docs {
         // First pass warms each embedded cache.
-        let _ = warm_scan.eval_lazy(&lazy, doc).num_nodes();
-        let _ = warm_runs.eval_lazy(&lazy, doc).num_nodes();
-        let _ = warm_bytes.eval_lazy(&lazy, doc).num_nodes();
+        let _ = warm_scan.eval(&lazy, doc).unwrap().num_nodes();
+        let _ = warm_runs.eval(&lazy, doc).unwrap().num_nodes();
+        let _ = warm_bytes.eval(&lazy, doc).unwrap().num_nodes();
     }
     for doc in &docs {
-        let paths = warm_scan.eval_lazy(&lazy, doc).count_paths().unwrap();
-        assert_eq!(warm_runs.eval_lazy(&lazy, doc).count_paths().unwrap(), paths, "warm paths");
+        let paths = warm_scan.eval(&lazy, doc).unwrap().count_paths().unwrap();
+        assert_eq!(warm_runs.eval(&lazy, doc).unwrap().count_paths().unwrap(), paths, "warm paths");
         if paths < ENUM_CAP {
-            let scanned = warm_scan.eval_lazy(&lazy, doc).collect_mappings();
+            let scanned = warm_scan.eval(&lazy, doc).unwrap().collect_mappings();
             assert_eq!(
                 scanned,
-                warm_runs.eval_lazy(&lazy, doc).collect_mappings(),
+                warm_runs.eval(&lazy, doc).unwrap().collect_mappings(),
                 "warm SkipScan vs ClassRuns order, |d| = {}",
                 doc.len()
             );
             assert_eq!(
                 scanned,
-                warm_bytes.eval_lazy(&lazy, doc).collect_mappings(),
+                warm_bytes.eval(&lazy, doc).unwrap().collect_mappings(),
                 "warm SkipScan vs PerByte order, |d| = {}",
                 doc.len()
             );
@@ -233,10 +241,10 @@ fn lazy_skip_scan_matches_class_runs_exactly() {
     // Warm reruns are deterministic byte for byte (arena sizes included).
     for doc in &docs {
         let (nodes, cells) = {
-            let v = warm_scan.eval_lazy(&lazy, doc);
+            let v = warm_scan.eval(&lazy, doc).unwrap();
             (v.num_nodes(), v.num_cells())
         };
-        let v = warm_scan.eval_lazy(&lazy, doc);
+        let v = warm_scan.eval(&lazy, doc).unwrap();
         assert_eq!((v.num_nodes(), v.num_cells()), (nodes, cells), "warm rerun drifted");
     }
 }
@@ -256,11 +264,12 @@ fn skip_scan_survives_mid_document_eviction() {
     let mut docs = density_sweep_docs();
     docs.extend(chunk_boundary_docs());
     for doc in &docs {
-        let eager_view = eager_eval.eval(eager.try_automaton().expect("eager engine"), doc);
+        let eager_view =
+            eager_eval.eval(eager.try_automaton().expect("eager engine"), doc).unwrap();
         let paths = eager_view.count_paths().unwrap();
         let expected =
             if paths < ENUM_CAP { sorted(eager_view.collect_mappings()) } else { Vec::new() };
-        let view = thrash.eval_lazy(&strict, doc);
+        let view = thrash.eval(&strict, doc).unwrap();
         assert_eq!(view.count_paths().unwrap(), paths, "thrashing paths, |d| = {}", doc.len());
         if paths < ENUM_CAP {
             assert_eq!(
@@ -271,7 +280,7 @@ fn skip_scan_survives_mid_document_eviction() {
             );
         }
         assert_eq!(
-            thrash_counts.count_lazy(&strict, doc).unwrap(),
+            thrash_counts.count(&strict, doc).unwrap(),
             paths,
             "thrashing SkipScan count, |d| = {}",
             doc.len()
@@ -290,14 +299,14 @@ fn capacity_signature_accounts_for_skip_masks() {
     let lazy = digit_runs_lazy(None);
     let mut evaluator = Evaluator::with_mode(EngineMode::SkipScan);
     let doc = w::sparse_match_text(9, 4_000, 100);
-    let _ = evaluator.eval_lazy(&lazy, &doc).num_nodes();
+    let _ = evaluator.eval(&lazy, &doc).unwrap().num_nodes();
     let cache = evaluator.lazy_cache().unwrap();
     let sig = cache.capacity_signature();
     let rendered = sig.to_string();
     assert!(rendered.contains("masks="), "signature must report mask capacity: {rendered}");
     assert!(sig.0[5] >= cache.num_states(), "one mask per interned state");
     // Steady state: same document, warm cache — signature unchanged.
-    let _ = evaluator.eval_lazy(&lazy, &doc).num_nodes();
+    let _ = evaluator.eval(&lazy, &doc).unwrap().num_nodes();
     assert_eq!(evaluator.lazy_cache().unwrap().capacity_signature(), sig, "warm rerun grew masks");
 }
 
@@ -324,26 +333,26 @@ fn frozen_skip_scan_matches_live_and_class_runs() {
     let mut docs = density_sweep_docs();
     docs.extend(chunk_boundary_docs());
     for doc in &docs {
-        let paths = live.eval_lazy(lazy, doc).count_paths().unwrap();
-        let frozen_view = frozen_scan.eval_frozen(lazy, &frozen, doc);
+        let paths = live.eval(lazy, doc).unwrap().count_paths().unwrap();
+        let frozen_view = frozen_scan.eval((lazy, &frozen), doc).unwrap();
         assert_eq!(frozen_view.count_paths().unwrap(), paths, "frozen paths, |d| = {}", doc.len());
         if paths < ENUM_CAP {
             let scanned = frozen_view.collect_mappings();
             assert_eq!(
                 scanned,
-                frozen_runs.eval_frozen(lazy, &frozen, doc).collect_mappings(),
+                frozen_runs.eval((lazy, &frozen), doc).unwrap().collect_mappings(),
                 "frozen SkipScan vs ClassRuns order, |d| = {}",
                 doc.len()
             );
             assert_eq!(
                 sorted(scanned),
-                sorted(live.eval_lazy(lazy, doc).collect_mappings()),
+                sorted(live.eval(lazy, doc).unwrap().collect_mappings()),
                 "frozen vs live set equality, |d| = {}",
                 doc.len()
             );
         }
         assert_eq!(
-            frozen_counts.count_frozen(lazy, &frozen, doc).unwrap(),
+            frozen_counts.count((lazy, &frozen), doc).unwrap(),
             paths,
             "frozen SkipScan count, |d| = {}",
             doc.len()

@@ -87,7 +87,7 @@ fn assert_slp_matches_decompressed(engines: &[CompiledSpanner], slp: &Slp, conte
             "{context}: engine {e}"
         );
         assert_eq!(
-            spanner.is_match_slp_with(&mut ev, slp).unwrap(),
+            ev.accepts(spanner.target(None), slp).unwrap(),
             expected_match,
             "{context}: engine {e} is_match"
         );
@@ -101,7 +101,7 @@ fn assert_slp_matches_decompressed(engines: &[CompiledSpanner], slp: &Slp, conte
                 "{context}: engine {e} frozen"
             );
             assert_eq!(
-                spanner.is_match_slp_frozen_with(&mut fev, &frozen, slp).unwrap(),
+                fev.accepts(spanner.target(Some(&frozen)), slp).unwrap(),
                 expected_match,
                 "{context}: engine {e} frozen is_match"
             );
@@ -229,12 +229,12 @@ fn one_evaluator_serves_interleaved_rule_sets() {
                 for (i, (slp, &want)) in mixed.iter().zip(&expected).enumerate() {
                     let context = format!("engine {e} pass {pass} doc {i}");
                     assert_eq!(spanner.count_slp_with(&mut ev, slp).unwrap(), want, "{context}");
-                    let matched = spanner.is_match_slp_with(&mut ev, slp).unwrap();
+                    let matched = ev.accepts(spanner.target(None), slp).unwrap();
                     assert_eq!(matched, want > 0, "{context} is_match");
                     if let Some(frozen) = &frozen {
                         let got = spanner.count_slp_frozen_with(&mut fev, frozen, slp).unwrap();
                         assert_eq!(got, want, "{context} frozen");
-                        let got = spanner.is_match_slp_frozen_with(&mut fev, frozen, slp).unwrap();
+                        let got = fev.accepts(spanner.target(Some(frozen)), slp).unwrap();
                         assert_eq!(got, want > 0, "{context} frozen is_match");
                     }
                 }
@@ -261,7 +261,7 @@ fn memo_eviction_thrash_is_slow_but_correct() {
             ev.set_memo_budget(1);
             for (slp, &want) in slps.iter().zip(&expected) {
                 assert_eq!(spanner.count_slp_with(&mut ev, slp).unwrap(), want);
-                assert!(spanner.is_match_slp_with(&mut ev, slp).unwrap() == (want > 0));
+                assert!(ev.accepts(spanner.target(None), slp).unwrap() == (want > 0));
             }
             assert!(
                 ev.memo_clears() > 0,
@@ -315,7 +315,7 @@ fn eviction_policies_agree_under_shared_memo_overflow() {
                 "doc {i} diverged under {policy:?} with a thrashing memo"
             );
             assert_eq!(
-                spanner.is_match_slp_with(&mut ev, slp).unwrap(),
+                ev.accepts(spanner.target(None), slp).unwrap(),
                 want > 0,
                 "doc {i} match flag diverged under {policy:?}"
             );

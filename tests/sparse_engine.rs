@@ -45,7 +45,8 @@ fn sparse_engine_matches_baselines_on_workload_families() {
     for (pattern, docs) in regex_cases() {
         let spanner = compile(&pattern).expect("workload pattern compiles");
         for doc in &docs {
-            let reused = evaluator.eval(spanner.try_automaton().expect("eager engine"), doc);
+            let reused =
+                evaluator.eval(spanner.try_automaton().expect("eager engine"), doc).unwrap();
             let reused_mappings = reused.collect_mappings();
             let reused_paths = reused.count_paths().unwrap();
 
@@ -86,6 +87,7 @@ fn sparse_engine_matches_naive_on_eva_families() {
             let got = sorted(
                 evaluator
                     .eval(spanner.try_automaton().expect("eager engine"), &doc)
+                    .unwrap()
                     .collect_mappings(),
             );
             let expected = eva.eval_naive(&doc);
@@ -109,12 +111,12 @@ fn evaluator_reuse_is_exact_and_allocation_free_when_warm() {
         .map(|s| w::random_text(100 + s, 200 + 150 * s as usize, b"xy0189 "))
         .rev() // largest first
         .collect();
-    let _ = evaluator.eval(spanner.try_automaton().expect("eager engine"), &docs[0]);
+    let _ = evaluator.eval(spanner.try_automaton().expect("eager engine"), &docs[0]).unwrap();
     let warm = (evaluator.node_capacity(), evaluator.cell_capacity());
     assert!(warm.0 > 0 && warm.1 > 0);
 
     for doc in &docs {
-        let view = evaluator.eval(spanner.try_automaton().expect("eager engine"), doc);
+        let view = evaluator.eval(spanner.try_automaton().expect("eager engine"), doc).unwrap();
         let got = view.collect_mappings();
         assert_eq!(
             got,
