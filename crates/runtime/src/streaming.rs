@@ -1,4 +1,4 @@
-//! The long-running streaming service: bounded ingress, adaptive
+//! The long-running streaming service: bounded ingress, work-conserving
 //! micro-batching, backpressure, graceful drain, and generational snapshot
 //! re-freezing.
 //!
@@ -9,11 +9,12 @@
 //!   [`StreamingServer::try_submit`] sheds load with a typed
 //!   [`SpannerError::Overloaded`] rejection when the queue is full. Both
 //!   return a [`Ticket`] that resolves to the document's result.
-//! * **Adaptive micro-batching** — worker threads cut the queue into batches
-//!   bounded by [`StreamingOptions::max_batch_docs`],
-//!   [`StreamingOptions::max_batch_bytes`] and
-//!   [`StreamingOptions::max_linger`], whichever trips first: full batches
-//!   flush immediately, a trickle flushes after the linger.
+//! * **Work-conserving micro-batching** — an idle worker starts on the first
+//!   queued document at once, taking along whatever else is already queued
+//!   under [`StreamingOptions::max_batch_docs`] and
+//!   [`StreamingOptions::max_batch_bytes`]; it never waits for more. A
+//!   trickle runs one document per batch, while a backlog built up behind
+//!   busy workers coalesces into full batches by itself.
 //! * **Per-request deadlines** — a submission may carry a wall-clock budget;
 //!   time spent queued counts against it. Tickets already expired at dequeue
 //!   complete with [`SpannerError::DeadlineExceeded`]`{soft: false}` without
@@ -93,14 +94,12 @@ pub struct StreamingOptions {
     /// [`StreamingServer::try_submit`] with [`SpannerError::Overloaded`].
     /// Default: 1024.
     pub queue_docs: usize,
-    /// Micro-batch flush trigger: document count. Default: 32.
+    /// Micro-batch cap: the most queued documents a free worker takes at
+    /// once. Default: 32.
     pub max_batch_docs: usize,
-    /// Micro-batch flush trigger: cumulative document bytes. A document
-    /// larger than the cap still forms a singleton batch. Default: 1 MiB.
+    /// Micro-batch cap: cumulative document bytes. A document larger than
+    /// the cap still forms a singleton batch. Default: 1 MiB.
     pub max_batch_bytes: usize,
-    /// Micro-batch flush trigger: how long a non-full batch may wait for
-    /// more documents after its first one was dequeued. Default: 2 ms.
-    pub max_linger: Duration,
     /// Per-document resource limits (see [`BatchOptions::limits`]).
     pub limits: EvalLimits,
     /// Degradation ladder for recoverable limit trips (see
@@ -118,7 +117,6 @@ impl Default for StreamingOptions {
             queue_docs: 1024,
             max_batch_docs: 32,
             max_batch_bytes: 1 << 20,
-            max_linger: Duration::from_millis(2),
             limits: EvalLimits::none(),
             degrade: DegradePolicy::default(),
             refreeze: Some(RefreezePolicy::default()),
@@ -138,16 +136,10 @@ impl StreamingOptions {
         self
     }
 
-    /// Returns the options with the given batch-size flush triggers.
+    /// Returns the options with the given batch caps.
     pub fn with_batch_caps(mut self, max_docs: usize, max_bytes: usize) -> StreamingOptions {
         self.max_batch_docs = max_docs;
         self.max_batch_bytes = max_bytes;
-        self
-    }
-
-    /// Returns the options with the given linger bound.
-    pub fn with_max_linger(mut self, max_linger: Duration) -> StreamingOptions {
-        self.max_linger = max_linger;
         self
     }
 
@@ -826,22 +818,7 @@ impl<R: Send + 'static> StreamingServer<R> {
             self.abandon_admit(p.admit_slot, p.doc.len());
         }
         drop(leftover);
-        let c = &self.shared.counters;
-        StreamingStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            expired: c.expired.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            promotions: c.promotions.load(Ordering::Relaxed),
-            swaps_failed: c.swaps_failed.load(Ordering::Relaxed),
-            promotions_panicked: c.promotions_panicked.load(Ordering::Relaxed),
-            delta_states: c.delta_states.load(Ordering::Relaxed),
-            generation: lock(&self.shared.gen).current.id,
-            engines_created: self.shared.pool.engines_created(),
-            engines_quarantined: self.shared.pool.quarantined(),
-        }
+        self.stats()
     }
 }
 
@@ -853,9 +830,11 @@ impl<R: Send + 'static> Drop for StreamingServer<R> {
     }
 }
 
-/// The worker loop: form a micro-batch (flush on size, bytes, or linger —
-/// whichever trips first), release the queue lock, evaluate, complete
-/// tickets, account delta pressure, maybe promote a generation.
+/// The worker loop: wait for the first queued document, take whatever else
+/// is already queued under the batch caps, release the queue lock, evaluate,
+/// complete tickets, account delta pressure, maybe promote a generation.
+/// Work-conserving: the only wait is on an empty queue, and a non-full batch
+/// never waits for more documents.
 fn worker_loop<R: Send + 'static>(shared: &Shared<R>) {
     loop {
         let mut batch: Vec<Pending<R>> = Vec::new();
@@ -874,55 +853,21 @@ fn worker_loop<R: Send + 'static>(shared: &Shared<R>) {
                     Phase::Draining => unreachable!("empty draining queue returned above"),
                 }
             }
-            let linger_deadline = Instant::now() + shared.opts.max_linger;
-            loop {
-                // Take everything available under the caps. An oversized
-                // document forms a singleton batch rather than starving.
-                loop {
-                    if batch.len() >= shared.opts.max_batch_docs
-                        || bytes >= shared.opts.max_batch_bytes
-                    {
-                        break;
-                    }
-                    let fits = match st.queue.front() {
-                        Some(p) => {
-                            batch.is_empty() || bytes + p.doc.len() <= shared.opts.max_batch_bytes
-                        }
-                        None => false,
-                    };
-                    if !fits {
-                        break;
-                    }
-                    let p = st.queue.pop_front().expect("front checked above");
-                    st.queued_bytes -= p.doc.len();
-                    bytes += p.doc.len();
-                    batch.push(p);
-                }
-                shared.space_ready.notify_all();
-                // Flush triggers: full by docs or bytes, a blocked (too big
-                // to fit) head-of-queue document, or shutdown.
+            // Take what is queued under the caps. An oversized document
+            // forms a singleton batch rather than starving.
+            while let Some(p) = st.queue.front() {
                 if batch.len() >= shared.opts.max_batch_docs
-                    || bytes >= shared.opts.max_batch_bytes
-                    || !st.queue.is_empty()
-                    || st.phase != Phase::Running
+                    || (!batch.is_empty() && bytes + p.doc.len() > shared.opts.max_batch_bytes)
                 {
                     break;
                 }
-                let now = Instant::now();
-                if now >= linger_deadline {
-                    break;
-                }
-                let (guard, timeout) =
-                    match shared.work_ready.wait_timeout(st, linger_deadline - now) {
-                        Ok(pair) => pair,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                st = guard;
-                if timeout.timed_out() && st.queue.is_empty() {
-                    break;
-                }
+                let p = st.queue.pop_front().expect("front checked above");
+                st.queued_bytes -= p.doc.len();
+                bytes += p.doc.len();
+                batch.push(p);
             }
         }
+        shared.space_ready.notify_all();
         debug_assert!(!batch.is_empty());
         process_batch(shared, batch);
     }

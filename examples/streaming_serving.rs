@@ -41,10 +41,8 @@ fn run_stream(
     workers: usize,
     corpus: &[spanners::Document],
 ) -> Result<(StreamingStats, Duration), Box<dyn std::error::Error>> {
-    let opts = StreamingOptions::workers(workers)
-        .with_batch_caps(16, 1 << 20)
-        .with_max_linger(Duration::from_millis(1))
-        .with_refreeze(refreeze);
+    let opts =
+        StreamingOptions::workers(workers).with_batch_caps(16, 1 << 20).with_refreeze(refreeze);
     let server = StreamingServer::start(lazy_keyword_spanner()?, opts, |_, dag| {
         dag.collect_mappings().len()
     })?;

@@ -81,16 +81,14 @@ fn expected_mappings(docs: &[Document]) -> Vec<Vec<Mapping>> {
 /// Small batches so a 16-document stream crosses several micro-batches —
 /// several admission-clock ticks.
 fn small_batch_opts(workers: usize) -> StreamingOptions {
-    StreamingOptions::workers(workers)
-        .with_batch_caps(3, 1 << 20)
-        .with_max_linger(Duration::from_millis(1))
+    StreamingOptions::workers(workers).with_batch_caps(3, 1 << 20)
 }
 
 /// One-document batches on a single worker: every submit-and-wait is
 /// exactly one completed micro-batch, making the batch-clocked breaker and
 /// token-bucket sequences exact.
 fn lockstep_opts() -> StreamingOptions {
-    StreamingOptions::workers(1).with_batch_caps(1, 1 << 20).with_max_linger(Duration::ZERO)
+    StreamingOptions::workers(1).with_batch_caps(1, 1 << 20)
 }
 
 /// A mapper whose worker blocks on a test-held mutex, for pinning queue and

@@ -99,9 +99,7 @@ fn refreeze_every_batch() -> RefreezePolicy {
 /// Small batches so a 16-document stream crosses several micro-batches (and
 /// several generations, when re-freezing is forced).
 fn small_batch_opts(workers: usize) -> StreamingOptions {
-    StreamingOptions::workers(workers)
-        .with_batch_caps(3, 1 << 20)
-        .with_max_linger(Duration::from_millis(1))
+    StreamingOptions::workers(workers).with_batch_caps(3, 1 << 20)
 }
 
 #[test]
@@ -184,10 +182,7 @@ fn try_submit_sheds_load_with_a_typed_overloaded_error() {
     let (spanner, docs) = lazy_family();
     let (mapper, entered, gate) = GatedMapper::new();
     let held = gate.lock().unwrap();
-    let opts = StreamingOptions::workers(1)
-        .with_queue_docs(2)
-        .with_batch_caps(1, 1 << 20)
-        .with_max_linger(Duration::ZERO);
+    let opts = StreamingOptions::workers(1).with_queue_docs(2).with_batch_caps(1, 1 << 20);
     let server = StreamingServer::start(spanner, opts, move |_, _dag| mapper.run()).unwrap();
 
     // Doc 0 occupies the only worker (blocked in the mapper behind the gate).
@@ -221,8 +216,7 @@ fn abort_finishes_in_flight_work_and_fails_queued_tickets_deterministically() {
     let (spanner, docs) = lazy_family();
     let (mapper, entered, gate) = GatedMapper::new();
     let held = gate.lock().unwrap();
-    let opts =
-        StreamingOptions::workers(1).with_batch_caps(1, 1 << 20).with_max_linger(Duration::ZERO);
+    let opts = StreamingOptions::workers(1).with_batch_caps(1, 1 << 20);
     let server = StreamingServer::start(spanner, opts, move |_, _dag| mapper.run()).unwrap();
 
     let t0 = server.submit(docs[0].clone(), None).unwrap();
@@ -249,6 +243,42 @@ fn abort_finishes_in_flight_work_and_fails_queued_tickets_deterministically() {
     }
     assert_eq!(stats.submitted, 5);
     assert_eq!(stats.completed, 1);
+}
+
+/// Holds doc 0 in the mapper of a single worker, queues docs 1–7 behind it,
+/// then opens the gate: the worker must cut the backlog into batches of at
+/// most `max_docs`. Returns the number of batches formed.
+fn backlog_batches(max_docs: usize) -> u64 {
+    let (spanner, docs) = lazy_family();
+    let docs = &docs[..8];
+    let expected = expected_mappings(docs);
+    let (mapper, entered, gate) = GatedMapper::new();
+    let held = gate.lock().unwrap();
+    let opts = StreamingOptions::workers(1).with_batch_caps(max_docs, 1 << 20);
+    let server = StreamingServer::start(spanner, opts, move |_, dag| {
+        mapper.run();
+        dag.collect_mappings()
+    })
+    .unwrap();
+
+    let t0 = server.submit(docs[0].clone(), None).unwrap();
+    wait_until(&entered);
+    let mut tickets = vec![t0];
+    tickets.extend(docs[1..].iter().map(|d| server.submit(d.clone(), None).unwrap()));
+    drop(held);
+    for (seq, t) in tickets.into_iter().enumerate() {
+        assert_eq!(t.wait().unwrap(), expected[seq], "doc {seq} diverged");
+    }
+    server.drain().batches
+}
+
+#[test]
+fn a_backlog_coalesces_into_capped_batches() {
+    let _serial = serialize_faults();
+    // Doc 0's batch, then the seven queued documents as 3 + 3 + 1.
+    assert_eq!(backlog_batches(3), 4);
+    // Doc 0's batch, then all seven queued documents at once.
+    assert_eq!(backlog_batches(32), 2);
 }
 
 #[test]
