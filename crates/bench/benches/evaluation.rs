@@ -9,8 +9,8 @@
 //!   against output size.
 //! * **E8 — end-to-end extraction.** The Example 2.1 contact pipeline on
 //!   synthetic directories (compile + evaluate + stream).
-//! * **E9 — run skipping vs. match density.** The class-run engine against the
-//!   per-byte engine as the fraction of marker-active positions sweeps
+//! * **E9 — run skipping vs. match density.** The skip-scanning engine against
+//!   the per-byte engine as the fraction of marker-active positions sweeps
 //!   0% → 100%: big wins on sparse-match documents, graceful degradation to
 //!   per-byte speed at full density.
 //! * **E10 — lazy vs. eager determinization.** End-to-end (compile + evaluate)
@@ -19,12 +19,12 @@
 //!   densities: the eager columns pay `Θ(2ⁿ)` subset construction up front,
 //!   the lazy columns only ever materialize the subsets the document visits.
 //! * **E12 — skip-mask scanning vs. match density.** The skip-scanning
-//!   engine (`EngineMode::SkipScan`, the default) against the class-run and
-//!   per-byte engines on long sparse-match documents as the density of
-//!   marker-active bytes sweeps 0% → 100%, for both the eager tables and a
-//!   warm lazy cache: at low density the scanner touches only the
-//!   interesting bytes (one chunked LUT scan per skippable stretch, no
-//!   `ClassRuns` materialization), at 100% it degrades to class-run speed.
+//!   engine (`EngineMode::SkipScan`, the default) against the per-byte
+//!   engine on long sparse-match documents as the density of marker-active
+//!   bytes sweeps 0% → 100%, for both the eager tables and a warm lazy
+//!   cache: at low density the scanner touches only the interesting bytes
+//!   (one chunked LUT scan per skippable stretch), at 100% it degrades to
+//!   per-byte speed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use spanners_automata::determinize;
@@ -93,8 +93,7 @@ fn bench_preprocessing_reuse(c: &mut Criterion) {
         let doc = random_text(2, n, b"abc0123456789 ");
         // Warm the arenas, then record the capacity the steady state must keep.
         drain(evaluator.eval(digits.try_automaton().expect("eager engine"), &doc).unwrap().iter());
-        let warm =
-            (evaluator.node_capacity(), evaluator.cell_capacity(), evaluator.class_buf_capacity());
+        let warm = (evaluator.node_capacity(), evaluator.cell_capacity());
         group.bench_with_input(BenchmarkId::new("digit_runs_reused", n), &doc, |b, doc| {
             b.iter(|| {
                 evaluator
@@ -104,9 +103,9 @@ fn bench_preprocessing_reuse(c: &mut Criterion) {
             })
         });
         assert_eq!(
-            (evaluator.node_capacity(), evaluator.cell_capacity(), evaluator.class_buf_capacity()),
+            (evaluator.node_capacity(), evaluator.cell_capacity()),
             warm,
-            "evaluator reallocated its arenas or class buffer during steady-state reuse"
+            "evaluator reallocated its arenas during steady-state reuse"
         );
     }
     group.finish();
@@ -179,11 +178,10 @@ fn bench_end_to_end(c: &mut Criterion) {
 
 /// E9: run-skipping throughput as a function of match density. Documents of a
 /// fixed size sweep the fraction of marker-active (digit) positions from 0%
-/// to 100%; the class-run engine is benchmarked against the per-byte engine
-/// on identical documents. At 0% almost every position is skippable; at 100%
-/// none is, and the class-run loop must degrade gracefully to per-byte speed
-/// (its only extra costs are the bulk classification pass and the
-/// one-load-per-state skip test).
+/// to 100%; the skip-scanning engine is benchmarked against the per-byte
+/// engine on identical documents. At 0% almost every position is skippable;
+/// at 100% none is, and the skipping loop must degrade gracefully to
+/// per-byte speed (its only extra cost is the skip-mask probe).
 fn bench_run_skipping_density(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9_run_skipping_vs_match_density");
     group.sample_size(10);
@@ -200,12 +198,12 @@ fn bench_run_skipping_density(c: &mut Criterion) {
         ("density_075", b"012a"),
         ("density_100", b"0123"),
     ];
-    let mut skipping = Evaluator::with_mode(EngineMode::ClassRuns);
+    let mut skipping = Evaluator::with_mode(EngineMode::SkipScan);
     let mut per_byte = Evaluator::with_mode(EngineMode::PerByte);
     for &(label, alphabet) in sweeps {
         let doc = random_text(9, n, alphabet);
         group.throughput(Throughput::Bytes(n as u64));
-        group.bench_with_input(BenchmarkId::new("class_runs", label), &doc, |b, doc| {
+        group.bench_with_input(BenchmarkId::new("skip_scan", label), &doc, |b, doc| {
             b.iter(|| {
                 skipping
                     .eval(digits.try_automaton().expect("eager engine"), doc)
@@ -308,14 +306,13 @@ fn bench_lazy_warm_density(c: &mut Criterion) {
     group.finish();
 }
 
-/// E12: skip-mask scanning vs. the class-run and per-byte engines, on long
+/// E12: skip-mask scanning vs. the per-byte engine, on long
 /// (512 kB) sparse-match documents whose digit density sweeps 0% → 100%.
 /// Both automaton flavours are measured: the eager dense tables (exact
 /// compile-time masks) and a warm lazy cache (masks memoized on first use).
-/// The interesting regime is ≤ 1% density, where the class-run engine still
-/// pays a scalar run-length walk over every byte while the scanner jumps
-/// between interesting bytes with a chunked LUT loop; at 100% density all
-/// engines execute every position and should sit within noise of each other.
+/// The interesting regime is ≤ 1% density, where the scanner jumps between
+/// interesting bytes with a chunked LUT loop; at 100% density both engines
+/// execute every position.
 fn bench_skip_scan_density(c: &mut Criterion) {
     let mut group = c.benchmark_group("e12_skip_scan_vs_density");
     group.sample_size(10);
@@ -337,18 +334,13 @@ fn bench_skip_scan_density(c: &mut Criterion) {
         ("density_1000", 10_000),
     ];
     let mut scan = Evaluator::with_mode(EngineMode::SkipScan);
-    let mut runs = Evaluator::with_mode(EngineMode::ClassRuns);
     let mut bytes = Evaluator::with_mode(EngineMode::PerByte);
     let mut lazy_scan = Evaluator::with_mode(EngineMode::SkipScan);
-    let mut lazy_runs = Evaluator::with_mode(EngineMode::ClassRuns);
     for &(label, per_10k) in sweeps {
         let doc = sparse_match_text(12, n, per_10k);
         group.throughput(Throughput::Bytes(n as u64));
         group.bench_with_input(BenchmarkId::new("skip_scan", label), &doc, |b, d| {
             b.iter(|| scan.eval(eager, d).unwrap().num_nodes())
-        });
-        group.bench_with_input(BenchmarkId::new("class_runs", label), &doc, |b, d| {
-            b.iter(|| runs.eval(eager, d).unwrap().num_nodes())
         });
         group.bench_with_input(BenchmarkId::new("per_byte", label), &doc, |b, d| {
             b.iter(|| bytes.eval(eager, d).unwrap().num_nodes())
@@ -357,9 +349,6 @@ fn bench_skip_scan_density(c: &mut Criterion) {
         // embedded cache; steady state is what the sampling measures.
         group.bench_with_input(BenchmarkId::new("lazy_warm_skip_scan", label), &doc, |b, d| {
             b.iter(|| lazy_scan.eval(&lazy, d).unwrap().num_nodes())
-        });
-        group.bench_with_input(BenchmarkId::new("lazy_warm_class_runs", label), &doc, |b, d| {
-            b.iter(|| lazy_runs.eval(&lazy, d).unwrap().num_nodes())
         });
     }
     group.finish();

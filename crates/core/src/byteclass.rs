@@ -290,9 +290,8 @@ impl ClassMask {
 /// cannot jump over it and must execute a `(Capturing; Reading)` step there.
 ///
 /// Stored as a flat 256-entry 0/1 table so [`find_next_interesting`] can OR
-/// sixteen lookups per iteration — the same chunked-LUT shape as
-/// [`AlphabetPartition::classify_into`], autovectorizable with no unsafe
-/// code. Build one with [`AlphabetPartition::interest_mask_into`].
+/// sixteen lookups per iteration, a chunked-LUT shape that autovectorizes
+/// with no unsafe code. Build one with [`AlphabetPartition::interest_mask_into`].
 #[derive(Debug, Clone)]
 pub struct InterestMask {
     lut: [u8; 256],
@@ -325,10 +324,9 @@ impl InterestMask {
 /// the rest of the document is wholly skippable.
 ///
 /// This is the scanning core of the skip-mask fast path
-/// ([`crate::EngineMode::SkipScan`]): instead of materializing class runs and
-/// testing each one, the engine jumps straight from one interesting byte to
-/// the next. The loop mirrors [`AlphabetPartition::classify_into`] — 16-byte
-/// chunks over a flat 256-entry table, ORed into a single "any interesting?"
+/// ([`crate::EngineMode::SkipScan`]): instead of testing every position, the
+/// engine jumps straight from one interesting byte to the next. The loop
+/// reads 16-byte chunks over a flat 256-entry table, ORed into a single "any interesting?"
 /// accumulator, so LLVM unrolls and vectorises the common all-skippable
 /// chunks into a handful of vector ops (memchr-style throughput without
 /// unsafe code or explicit SIMD).
@@ -457,34 +455,6 @@ impl AlphabetPartition {
         self.class_of[b as usize] as usize
     }
 
-    /// Bulk classification: maps every byte of `bytes` to its equivalence
-    /// class, writing into the reusable buffer `out` (cleared first, capacity
-    /// retained across calls).
-    ///
-    /// The loop is structured as fixed-width chunks over a flat 256-entry
-    /// lookup table so that LLVM can unroll and vectorise it — no unsafe code
-    /// or explicit SIMD intrinsics. One pass of this plus run-length encoding
-    /// ([`ClassRuns`]) is what lets the evaluation engines work per class run
-    /// instead of per byte.
-    pub fn classify_into(&self, bytes: &[u8], out: &mut Vec<u8>) {
-        const CHUNK: usize = 16;
-        out.clear();
-        out.resize(bytes.len(), 0);
-        let lut = &self.class_of;
-        let mut src = bytes.chunks_exact(CHUNK);
-        let mut dst = out.chunks_exact_mut(CHUNK);
-        for (s, d) in (&mut src).zip(&mut dst) {
-            // Fixed-trip-count inner loop with no bounds checks after the
-            // chunking: LLVM unrolls and interleaves the 16 table loads.
-            for j in 0..CHUNK {
-                d[j] = lut[s[j] as usize];
-            }
-        }
-        for (s, d) in src.remainder().iter().zip(dst.into_remainder()) {
-            *d = lut[*s as usize];
-        }
-    }
-
     /// Number of equivalence classes.
     #[inline]
     pub fn num_classes(&self) -> usize {
@@ -543,54 +513,6 @@ impl AlphabetPartition {
             seen[self.class_of(b)] = true;
         }
         out.extend((0..self.num_classes).filter(|&i| seen[i]));
-    }
-}
-
-/// A maximal run of consecutive document positions sharing one alphabet
-/// equivalence class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassRun {
-    /// The equivalence-class index shared by every position of the run.
-    pub class: u8,
-    /// First document position of the run (0-based).
-    pub start: usize,
-    /// Number of positions in the run (always ≥ 1).
-    pub len: usize,
-}
-
-/// Run-length encodes a class buffer produced by
-/// [`AlphabetPartition::classify_into`]: yields maximal `(class, start, len)`
-/// runs in document order.
-///
-/// Real documents overwhelmingly put consecutive bytes in the same equivalence
-/// class (long stretches of "noise" between matches), so the evaluation loops
-/// iterate these runs and consume an entire skippable run in O(live states)
-/// instead of O(run length × live states).
-#[derive(Debug, Clone)]
-pub struct ClassRuns<'a> {
-    classes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ClassRuns<'a> {
-    /// Iterates the maximal class runs of `classes`.
-    pub fn new(classes: &'a [u8]) -> Self {
-        ClassRuns { classes, pos: 0 }
-    }
-}
-
-impl Iterator for ClassRuns<'_> {
-    type Item = ClassRun;
-
-    fn next(&mut self) -> Option<ClassRun> {
-        let start = self.pos;
-        let cls = *self.classes.get(start)?;
-        let mut end = start + 1;
-        while self.classes.get(end) == Some(&cls) {
-            end += 1;
-        }
-        self.pos = end;
-        Some(ClassRun { class: cls, start, len: end - start })
     }
 }
 
@@ -763,52 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn classify_into_matches_class_of() {
-        let digits = ByteClass::ascii_digits();
-        let alpha = ByteClass::ascii_alpha();
-        let p = AlphabetPartition::from_classes([&digits, &alpha]);
-        // Lengths straddling the 16-byte chunk width, including 0 and exact
-        // multiples, so both the chunked loop and the remainder are covered.
-        for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 100, 256] {
-            let bytes: Vec<u8> = (0..len).map(|i| (i * 7 % 256) as u8).collect();
-            let mut out = Vec::new();
-            p.classify_into(&bytes, &mut out);
-            assert_eq!(out.len(), len);
-            for (i, &b) in bytes.iter().enumerate() {
-                assert_eq!(out[i] as usize, p.class_of(b), "byte {b} at {i}, len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn classify_into_reuses_buffer() {
-        let p = AlphabetPartition::trivial();
-        let mut out = Vec::new();
-        p.classify_into(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17], &mut out);
-        let cap = out.capacity();
-        p.classify_into(&[9, 9], &mut out);
-        assert_eq!(out, vec![0, 0]);
-        assert_eq!(out.capacity(), cap, "shrinking input must not reallocate");
-    }
-
-    #[test]
-    fn class_runs_rle() {
-        let runs: Vec<ClassRun> = ClassRuns::new(&[2, 2, 2, 0, 1, 1, 2]).collect();
-        assert_eq!(
-            runs,
-            vec![
-                ClassRun { class: 2, start: 0, len: 3 },
-                ClassRun { class: 0, start: 3, len: 1 },
-                ClassRun { class: 1, start: 4, len: 2 },
-                ClassRun { class: 2, start: 6, len: 1 },
-            ]
-        );
-        assert_eq!(ClassRuns::new(&[]).count(), 0);
-        let single: Vec<ClassRun> = ClassRuns::new(&[7]).collect();
-        assert_eq!(single, vec![ClassRun { class: 7, start: 0, len: 1 }]);
-    }
-
-    #[test]
     fn class_mask_set_operations() {
         let mut m = ClassMask::empty();
         assert!(m.is_empty());
@@ -909,28 +785,5 @@ mod tests {
         let interest = InterestMask::default();
         assert_eq!(interest.count_interesting(), 256);
         assert_eq!(find_next_interesting(b"abc", 0, &interest), Some(0));
-    }
-
-    #[test]
-    fn class_runs_cover_the_buffer() {
-        let digits = ByteClass::ascii_digits();
-        let p = AlphabetPartition::from_classes([&digits]);
-        let doc: Vec<u8> = b"abc123de45678fg9".repeat(13);
-        let mut classes = Vec::new();
-        p.classify_into(&doc, &mut classes);
-        let mut covered = 0usize;
-        for run in ClassRuns::new(&classes) {
-            assert_eq!(run.start, covered, "runs must be contiguous");
-            assert!(run.len >= 1);
-            for &c in &classes[run.start..run.start + run.len] {
-                assert_eq!(c, run.class);
-            }
-            // Maximality: the neighbouring classes differ.
-            if run.start > 0 {
-                assert_ne!(classes[run.start - 1], run.class);
-            }
-            covered = run.start + run.len;
-        }
-        assert_eq!(covered, doc.len());
     }
 }

@@ -187,9 +187,9 @@ impl<C: Counter> Accumulate for Counts<C> {
 /// accumulator.
 ///
 /// A `CountCache` owns the per-state count vectors, the sparse active sets,
-/// the byte-class buffer of the class-run fast path and the subset stores of
-/// lazy automata, all retained across calls of its one task method,
-/// [`CountCache::count`], which takes the engine as a [`Target`] (`&DetSeva`,
+/// the skip-scanning mask state and the subset stores of lazy automata, all
+/// retained across calls of its one task method, [`CountCache::count`],
+/// which takes the engine as a [`Target`] (`&DetSeva`,
 /// `&LazyDetSeva`, or `(&LazyDetSeva, &FrozenCache)`): in steady state (same
 /// automaton, comparable document sizes) counting performs **zero heap
 /// allocation**. The one-shot [`count_mappings`] wrapper creates a fresh

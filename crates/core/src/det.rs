@@ -247,14 +247,6 @@ impl DetSeva {
         &self.partition
     }
 
-    /// Bulk-classifies a whole document into the reusable buffer `out` (one
-    /// equivalence-class byte per position) — the vectorised front end of the
-    /// run-skipping evaluation loops. See [`AlphabetPartition::classify_into`].
-    #[inline]
-    pub fn classify_document(&self, doc: &Document, out: &mut Vec<u8>) {
-        self.partition.classify_into(doc.bytes(), out);
-    }
-
     /// Whether a `(Capturing; Reading)` evaluation step on alphabet class
     /// `cls` is a **no-op** for a run currently in state `q`:
     ///
@@ -364,14 +356,10 @@ pub trait Stepper {
     fn byte_class(&self, byte: u8) -> usize;
 
     /// The alphabet equivalence-class partition backing
-    /// [`Stepper::byte_class`] / [`Stepper::classify_document`]. The scanning
-    /// fast path uses it to turn the active set's skippable-class mask into a
-    /// byte-level interest table
+    /// [`Stepper::byte_class`]. The scanning fast path uses it to turn the
+    /// active set's skippable-class mask into a byte-level interest table
     /// (see [`crate::byteclass::AlphabetPartition::interest_mask_into`]).
     fn partition(&self) -> &AlphabetPartition;
-
-    /// Bulk-classifies a document into the reusable buffer `out`.
-    fn classify_document(&self, doc: &Document, out: &mut Vec<u8>);
 
     /// The deterministic letter transition on alphabet class `cls`.
     fn step_class(&mut self, q: StateId, cls: usize) -> Option<StateId>;
@@ -392,9 +380,9 @@ pub trait Stepper {
     /// may under-approximate — a clear bit means "not skippable *or* not yet
     /// computed", and the engines fall back to the per-class predicate for
     /// those. The eager implementation returns the exact compile-time mask; a
-    /// lazy one returns exactly its memoized-yes entries, which keeps the
-    /// subset-interning sequence (and therefore state ids) identical to the
-    /// class-run engine's. This is a pure read: it must never fill rows or
+    /// lazy one returns exactly its memoized-yes entries, so a set bit is
+    /// always a [`Stepper::run_skippable`] answer already computed. This is
+    /// a pure read: it must never fill rows or
     /// intern states.
     fn skip_mask(&mut self, q: StateId) -> ClassMask;
 
@@ -448,11 +436,6 @@ impl Stepper for &DetSeva {
     }
 
     #[inline]
-    fn classify_document(&self, doc: &Document, out: &mut Vec<u8>) {
-        DetSeva::classify_document(self, doc, out)
-    }
-
-    #[inline]
     fn step_class(&mut self, q: StateId, cls: usize) -> Option<StateId> {
         DetSeva::step_class(self, q, cls)
     }
@@ -495,12 +478,10 @@ impl Stepper for &DetSeva {
 /// * the **byte-level interest table**, rebuilt only when the mask actually
 ///   changed since it was last expanded.
 ///
-/// The skip decision is deliberately byte-for-byte the class-run engine's:
-/// a byte is skipped either because its class is already in the mask (which,
+/// A byte is skipped either because its class is already in the mask (which,
 /// by the [`Stepper::skip_mask`] contract, means every live state has a
-/// memoized skippable entry for it) or because the same all-live-states
-/// [`Stepper::run_skippable`] test just succeeded — so lazily determinized
-/// automata intern subset states in the same order under both engines.
+/// memoized skippable entry for it) or because the all-live-states
+/// [`Stepper::run_skippable`] test just succeeded.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SkipScanner {
     mask: ClassMask,
@@ -819,20 +800,6 @@ mod tests {
         assert!(mask.contains(det.byte_class(b'b')));
         assert!(!mask.contains(det.byte_class(b'z')));
         assert!(det.skip_mask(0).is_empty());
-    }
-
-    #[test]
-    fn classify_document_matches_byte_class() {
-        let det = DetSeva::compile(&figure3()).unwrap();
-        let doc = Document::from("abzabbaaz-!ab");
-        let mut buf = Vec::new();
-        det.classify_document(&doc, &mut buf);
-        assert_eq!(buf.len(), doc.len());
-        for (i, &b) in doc.bytes().iter().enumerate() {
-            assert_eq!(buf[i] as usize, det.byte_class(b), "at {i}");
-        }
-        det.classify_document(&Document::empty(), &mut buf);
-        assert!(buf.is_empty());
     }
 
     #[test]

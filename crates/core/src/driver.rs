@@ -9,7 +9,7 @@
 //! * the number of partial runs of Algorithm 3 ([`crate::CountCache`]).
 //!
 //! The driver owns everything else exactly once: the sparse active-state
-//! sets, the `Capturing`/`Reading` phases, the three scan loops of
+//! sets, the `Capturing`/`Reading` phases, the two scan loops of
 //! [`EngineMode`], the eviction maintenance point of lazy automata, the
 //! per-document limit checker, and the per-worker lazy cache / frozen delta
 //! (its cache slot). Each instance is monomorphised and its per-position
@@ -22,7 +22,6 @@
 //! proportional to the number of *live* states (plus the work of their
 //! transitions), not to the total number of automaton states.
 
-use crate::byteclass::ClassRuns;
 use crate::det::{DetSeva, SkipScanner, Stepper};
 use crate::document::Document;
 use crate::enumerate::Stage;
@@ -92,14 +91,14 @@ pub(crate) mod sealed {
 
 /// Which inner loop a [`Driver`] runs Algorithm 1 (or Algorithm 3) with.
 ///
-/// All modes produce **identical outputs**: the same mappings, the same
+/// Both modes produce **identical outputs**: the same mappings, the same
 /// counts, the same root lists (and, for a fixed automaton state space, the
 /// same enumeration order — see `tests/skip_scan.rs` for the one caveat
 /// around mid-document eviction of lazily determinized automata). The
-/// run-skipping modes may allocate *fewer* DAG nodes/cells, because the
+/// skipping mode may allocate *fewer* DAG nodes/cells, because the
 /// per-byte walk also materializes capture attempts that the very next
 /// `Reading` phase provably kills (they are unreachable from every root);
-/// the skipping loops elide those positions wholesale. Diagnostic arena
+/// the skipping loop elides those positions wholesale. Diagnostic arena
 /// sizes (`num_nodes`, `num_cells`) are therefore comparable only within
 /// one mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -112,19 +111,11 @@ pub enum EngineMode {
     /// [`crate::InterestMask`], and the loop jumps straight to the next
     /// *interesting* byte with the chunked [`crate::find_next_interesting`]
     /// scanner — skippable stretches cost a vectorisable LUT scan no matter
-    /// how many class runs they span.
-    /// Skip decisions are byte-for-byte the class-run engine's (the mask
-    /// under-approximates with exactly the memoized skip entries), so
-    /// outputs are identical; only the scanning cost model changes from
-    /// "per run" to "per interesting byte".
+    /// how many positions they span. A position is skipped only when every
+    /// live state is [`DetSeva::run_skippable`] on its class, so outputs
+    /// are identical to the per-byte loop's.
     #[default]
     SkipScan,
-    /// Iterate the document as run-length-encoded alphabet-class runs
-    /// (vectorised bulk classification + `O(live states)` consumption of
-    /// runs on which every live state is [`DetSeva::run_skippable`]).
-    /// Retained as the first fallback and as the differential baseline for
-    /// [`EngineMode::SkipScan`].
-    ClassRuns,
     /// The classic byte-at-a-time sparse loop. Used automatically for traced
     /// runs (a [`crate::enumerate::StageTrace`] needs per-position
     /// granularity) and kept selectable so differential tests can pin the
@@ -293,8 +284,6 @@ pub(crate) struct Run<A: Accumulator> {
     active: SparseSet,
     /// The active set under construction during a `Reading` phase.
     next_active: SparseSet,
-    /// The per-document byte → alphabet-class buffer of the class-run loop.
-    class_buf: Vec<u8>,
     /// The cached mask state of the scanning loop (see `SkipScanner`).
     scanner: SkipScanner,
     /// Scratch of the clear-and-restart eviction protocol of a lazy
@@ -316,7 +305,6 @@ impl<A: Accumulator> Default for Run<A> {
             old: Vec::new(),
             active: SparseSet::default(),
             next_active: SparseSet::default(),
-            class_buf: Vec::new(),
             scanner: SkipScanner::default(),
             maint_ids: Vec::new(),
             maint_values: Vec::new(),
@@ -432,12 +420,6 @@ impl<A: Accumulator> Driver<A> {
         self.slot.shed()
     }
 
-    /// Current capacity of the byte-class buffer (diagnostics: like every
-    /// other buffer, it is retained across documents in steady state).
-    pub fn class_buf_capacity(&self) -> usize {
-        self.run.class_buf.capacity()
-    }
-
     /// Current capacity of the per-state value vector.
     pub(crate) fn values_capacity(&self) -> usize {
         self.run.values.capacity()
@@ -477,11 +459,14 @@ impl<A: Accumulator> Run<A> {
     ///
     /// Traced runs always use the per-byte loop: a trace records the state
     /// values after *every* `Capturing`/`Reading` phase, which requires
-    /// per-position granularity the run-skipping loops deliberately elide.
+    /// per-position granularity the skipping loop deliberately elides.
     ///
     /// Fails when a configured [`EvalLimits`] trips or the accumulator
     /// fails; the partial run is then abandoned (the next run resets all
     /// state, so the engine stays reusable).
+    // Out of line: inlined into `Driver::view`, the eager E12 rows measured
+    // up to 20% slower.
+    #[inline(never)]
     fn drive<S: Stepper, T: FnMut(Stage, usize, &[A::Value])>(
         &mut self,
         aut: &mut S,
@@ -507,13 +492,6 @@ impl<A: Accumulator> Run<A> {
 
         if self.mode == EngineMode::PerByte || trace.is_some() {
             self.run_per_byte(aut, doc, trace)?;
-        } else if self.mode == EngineMode::ClassRuns {
-            let mut class_buf = std::mem::take(&mut self.class_buf);
-            aut.classify_document(doc, &mut class_buf);
-            // Restore the buffer before propagating a limit error.
-            let result = self.run_class_runs(aut, doc, &class_buf);
-            self.class_buf = class_buf;
-            result?;
         } else {
             self.run_skip_scan(aut, doc)?;
         }
@@ -531,6 +509,9 @@ impl<A: Accumulator> Run<A> {
 
     /// The classic byte-at-a-time sparse loop (the reference engine and the
     /// per-position backend of traced runs).
+    // Out of line, so the reference loop's code does not move with what
+    // `drive` inlines; inlined, the E12 per-byte rows measured slower.
+    #[inline(never)]
     fn run_per_byte<S: Stepper, T: FnMut(Stage, usize, &[A::Value])>(
         &mut self,
         aut: &mut S,
@@ -556,63 +537,20 @@ impl<A: Accumulator> Run<A> {
         Ok(())
     }
 
-    /// The run-skipping loop over the bulk-classified document: walk
-    /// maximal class runs, and whenever every live state is
-    /// [`DetSeva::run_skippable`] on the run's class, consume the rest of
-    /// the run in one step — the per-byte walk would leave every value, the
-    /// active set and all reachable DAG structure bitwise unchanged over
-    /// those positions (a skippable class moves every run onto itself and
-    /// every capture attempt dies at the next `Reading`). Positions that
-    /// fail the test fall back to the per-byte phases, re-testing after
-    /// each byte (capture transitions mid-run can both create and destroy
-    /// skippability).
-    fn run_class_runs<S: Stepper>(
-        &mut self,
-        aut: &mut S,
-        doc: &Document,
-        class_buf: &[u8],
-    ) -> Result<(), SpannerError> {
-        for run in ClassRuns::new(class_buf) {
-            let cls = run.class as usize;
-            let end = run.start + run.len;
-            let mut i = run.start;
-            while i < end {
-                self.maintenance_point(aut)?;
-                if self.active.as_slice().iter().all(|&q| aut.run_skippable(q as usize, cls)) {
-                    // The rest of the run is a no-op for every live state
-                    // (vacuously so once the active set is empty). Skipped
-                    // positions cost no step fuel; one clock check covers
-                    // the whole consumed run.
-                    self.checker.tick_jump()?;
-                    break;
-                }
-                self.checker.tick()?;
-                self.capture_phase(aut, i)?;
-                self.read_phase(aut, cls)?;
-                i += 1;
-            }
-        }
-        self.maintenance_point(aut)?;
-        self.capture_phase(aut, doc.len())
-    }
-
     /// The skip-mask scanning loop ([`EngineMode::SkipScan`]): maintain the
     /// active set's skippable classes as one intersected mask and jump
     /// straight to the next *interesting* byte.
     ///
-    /// Per executed position this costs what the class-run loop costs; per
-    /// *skippable* stretch it costs a chunked LUT scan regardless of how
-    /// many class runs the stretch spans. The mask is rebuilt only when the
-    /// active set changes, and the byte-level interest table only when a
-    /// skip actually happens, so dense regions never pay for either.
+    /// Per executed position this costs what the per-byte loop costs; per
+    /// *skippable* stretch it costs a chunked LUT scan regardless of the
+    /// stretch's length. The mask is rebuilt only when the active set
+    /// changes, and the byte-level interest table only when a skip actually
+    /// happens, so dense regions never pay for either.
     ///
-    /// Skip decisions are identical to the class-run loop's: a byte is
-    /// skipped either because its class is in the mask — which, by the
-    /// [`Stepper::skip_mask`] contract, means every live state has a
-    /// *memoized* skippable entry for it — or because the same
-    /// all-live-states [`Stepper::run_skippable`] test just succeeded.
-    /// Lazily determinized automata therefore intern subset states in
-    /// exactly the same order under both loops.
+    /// A byte is skipped either because its class is in the mask — which,
+    /// by the [`Stepper::skip_mask`] contract, means every live state has a
+    /// *memoized* skippable entry for it — or because the all-live-states
+    /// [`Stepper::run_skippable`] test just succeeded.
     fn run_skip_scan<S: Stepper>(
         &mut self,
         aut: &mut S,

@@ -11,8 +11,8 @@
 //! paper requires — `add` (prepend), `lazycopy` (copy of the `(start, end)`
 //! pair) and `append` (splice another list after the end element).
 //!
-//! The loop itself — sparse active sets, the skip-scan, class-run and
-//! per-byte inner loops of [`crate::EngineMode`], lazy-cache maintenance and
+//! The loop itself — sparse active sets, the skip-scan and per-byte inner
+//! loops of [`crate::EngineMode`], lazy-cache maintenance and
 //! limits — is the shared [`Driver`]; this module supplies its list-DAG
 //! accumulator, a DAG arena. The evaluation state lives in a reusable
 //! [`Evaluator`], so a long-running service evaluating one compiled spanner

@@ -24,9 +24,8 @@
 //!
 //! The cache plugs into the existing evaluation engines
 //! ([`crate::Evaluator`], [`crate::CountCache`]) through the
-//! [`crate::det::Stepper`] abstraction, so both the per-byte and the
-//! class-run run-skipping fast paths work unchanged on lazily determinized
-//! automata. Outputs are byte-for-byte the mappings/counts of the eagerly
+//! [`crate::det::Stepper`] abstraction, so both the per-byte loop and the
+//! skip-scanning fast path work unchanged on lazily determinized automata. Outputs are byte-for-byte the mappings/counts of the eagerly
 //! determinized automaton — determinization (lazy or not) preserves the
 //! semantics, and subset states make Algorithm 1 duplicate-free even though
 //! the source automaton is nondeterministic.
@@ -61,7 +60,7 @@
 //! * one [`LazyStepper`] drives either use behind the same
 //!   [`crate::det::Stepper`] seam the other engines use ([`FrozenStepper`]
 //!   is the same type), so frozen evaluation reuses the per-byte and
-//!   class-run loops unchanged.
+//!   skip-scanning loops unchanged.
 //!
 //! A well-chosen freeze point (after warming on representative documents)
 //! leaves the delta empty in steady state: stepping is then pure shared-table
@@ -400,9 +399,8 @@ struct Arena {
     /// Per-state skippable-class bitsets mirroring the memoized `SKIP_YES`
     /// entries of `skip_rows` (a clear bit means *unknown or not skippable*).
     /// The scanning engine intersects these across the live states; keeping
-    /// only memoized-yes bits means the mask never triggers a computation the
-    /// class-run engine would not also perform, so subset interning order is
-    /// identical across engine modes.
+    /// only memoized-yes bits means reading the mask never triggers a
+    /// computation of its own (see [`Stepper::skip_mask`]).
     skip_masks: Vec<ClassMask>,
     /// Flat arena of materialized det marker rows, sorted by marker set
     /// within each row (deterministic capture order).
@@ -1515,11 +1513,6 @@ impl Stepper for LazyStepper<'_> {
     #[inline]
     fn partition(&self) -> &AlphabetPartition {
         &self.seva.partition
-    }
-
-    #[inline]
-    fn classify_document(&self, doc: &Document, out: &mut Vec<u8>) {
-        self.seva.partition.classify_into(doc.bytes(), out);
     }
 
     #[inline]

@@ -58,10 +58,7 @@ pub mod spanner;
 pub mod sparse;
 pub mod variable;
 
-pub use byteclass::{
-    find_next_interesting, AlphabetPartition, ByteClass, ClassMask, ClassRun, ClassRuns,
-    InterestMask,
-};
+pub use byteclass::{find_next_interesting, AlphabetPartition, ByteClass, ClassMask, InterestMask};
 pub use count::{count_mappings, CountCache, Counter};
 pub use det::{DetSeva, Stepper};
 pub use document::Document;

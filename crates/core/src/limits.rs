@@ -225,7 +225,7 @@ impl LimitChecker {
         Ok(())
     }
 
-    /// Clock check at a skip-jump landing (or class-run skip). Skipped
+    /// Clock check at a skip-jump landing. Skipped
     /// positions never consume step fuel; landings pay one increment and one
     /// predictable compare, with the actual `Instant` read amortized over
     /// [`JUMP_CHECK_INTERVAL`] landings (the first landing always reads, so

@@ -76,8 +76,8 @@ enum Engine {
 /// [`CompiledSpanner::evaluate_frozen_with`] panic when a configured limit
 /// trips. Every entry point runs the engine's own [`crate::EngineMode`]
 /// (default [`crate::EngineMode::SkipScan`], skip-mask scanning over the raw
-/// document bytes); pass an explicitly-moded engine to select the class-run
-/// or per-byte fallbacks.
+/// document bytes); pass an explicitly-moded engine to select the per-byte
+/// reference loop.
 #[derive(Debug, Clone)]
 pub struct CompiledSpanner {
     engine: Engine,

@@ -16,23 +16,37 @@
 //! ```
 //!
 //! The empty pattern and the empty group `()` denote ε.
+//!
+//! Nesting is capped at [`MAX_NESTING`] levels, so a hostile pattern fails
+//! with a [`ParseError`] instead of overflowing the stack of the parser or of
+//! the recursive passes over its AST.
 
 use crate::ast::RegexAst;
 use spanners_core::{ByteClass, ParseError};
 
+/// The deepest nesting a pattern may have. Each group `(…)`, each capture
+/// `!x{…}` and each postfix operator (`*`, `+`, `?`, `{m,n}`) counts one
+/// level on top of the levels of what it encloses or applies to. This is
+/// the default nest limit of the `regex-syntax` crate.
+pub const MAX_NESTING: usize = 250;
+
 /// Parses a regex formula from its concrete syntax.
 pub fn parse(pattern: &str) -> Result<RegexAst, ParseError> {
-    let mut p = Parser { input: pattern.as_bytes(), pos: 0 };
-    let ast = p.parse_alternation()?;
+    let mut p = Parser { input: pattern.as_bytes(), pos: 0, depth: 0 };
+    let (ast, _) = p.parse_alternation()?;
     if p.pos != p.input.len() {
         return Err(ParseError::new(p.pos, format!("unexpected character `{}`", p.peek_char())));
     }
     Ok(ast)
 }
 
+/// The parse functions return each node with its nesting levels, which
+/// postfix operators add to; `depth` counts the levels of the groups and
+/// captures open around the current position.
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -63,45 +77,65 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_alternation(&mut self) -> Result<RegexAst, ParseError> {
-        let mut branches = vec![self.parse_sequence()?];
+    /// Fails at `offset` when a node of `levels` nesting levels would put
+    /// the pattern past [`MAX_NESTING`].
+    fn check_nesting(&self, levels: usize, offset: usize) -> Result<(), ParseError> {
+        if self.depth + levels > MAX_NESTING {
+            return Err(ParseError::new(
+                offset,
+                format!("pattern nests deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        Ok(())
+    }
+
+    fn parse_alternation(&mut self) -> Result<(RegexAst, usize), ParseError> {
+        let (first, mut levels) = self.parse_sequence()?;
+        let mut branches = vec![first];
         while self.peek() == Some(b'|') {
             self.bump();
-            branches.push(self.parse_sequence()?);
+            let (branch, l) = self.parse_sequence()?;
+            branches.push(branch);
+            levels = levels.max(l);
         }
-        Ok(if branches.len() == 1 {
+        let ast = if branches.len() == 1 {
             branches.pop().expect("length checked")
         } else {
             RegexAst::Alternation(branches)
-        })
+        };
+        Ok((ast, levels))
     }
 
-    fn parse_sequence(&mut self) -> Result<RegexAst, ParseError> {
+    fn parse_sequence(&mut self) -> Result<(RegexAst, usize), ParseError> {
         let mut parts = Vec::new();
+        let mut levels = 0;
         while let Some(b) = self.peek() {
             if b == b'|' || b == b')' || b == b'}' {
                 break;
             }
-            parts.push(self.parse_repeated()?);
+            let (part, l) = self.parse_repeated()?;
+            parts.push(part);
+            levels = levels.max(l);
         }
-        Ok(RegexAst::concat(parts))
+        Ok((RegexAst::concat(parts), levels))
     }
 
-    fn parse_repeated(&mut self) -> Result<RegexAst, ParseError> {
-        let mut ast = self.parse_atom()?;
+    fn parse_repeated(&mut self) -> Result<(RegexAst, usize), ParseError> {
+        let (mut ast, mut levels) = self.parse_atom()?;
         loop {
-            match self.peek() {
+            let op = self.pos;
+            ast = match self.peek() {
                 Some(b'*') => {
                     self.bump();
-                    ast = RegexAst::Star(Box::new(ast));
+                    RegexAst::Star(Box::new(ast))
                 }
                 Some(b'+') => {
                     self.bump();
-                    ast = RegexAst::Plus(Box::new(ast));
+                    RegexAst::Plus(Box::new(ast))
                 }
                 Some(b'?') => {
                     self.bump();
-                    ast = RegexAst::Optional(Box::new(ast));
+                    RegexAst::Optional(Box::new(ast))
                 }
                 Some(b'{') if self.looks_like_counted_repeat() => {
                     self.bump();
@@ -125,12 +159,13 @@ impl Parser<'_> {
                             ));
                         }
                     }
-                    ast = RegexAst::Repeat { inner: Box::new(ast), min, max };
+                    RegexAst::Repeat { inner: Box::new(ast), min, max }
                 }
-                _ => break,
-            }
+                _ => return Ok((ast, levels)),
+            };
+            levels += 1;
+            self.check_nesting(levels, op)?;
         }
-        Ok(ast)
     }
 
     /// Distinguishes `a{2,3}` (counted repetition) from a literal `{`.
@@ -175,22 +210,32 @@ impl Parser<'_> {
             .map_err(|_| ParseError::new(start, "repetition count too large"))
     }
 
-    fn parse_atom(&mut self) -> Result<RegexAst, ParseError> {
-        match self.peek() {
+    /// Parses the body of a group or capture, one nesting level deeper,
+    /// up to and including its `close` delimiter; `open` is the offset the
+    /// group starts at.
+    fn parse_nested(&mut self, open: usize, close: u8) -> Result<(RegexAst, usize), ParseError> {
+        self.check_nesting(1, open)?;
+        self.depth += 1;
+        let (inner, levels) = self.parse_alternation()?;
+        self.depth -= 1;
+        self.eat(close)?;
+        Ok((inner, levels + 1))
+    }
+
+    fn parse_atom(&mut self) -> Result<(RegexAst, usize), ParseError> {
+        let start = self.pos;
+        let leaf = match self.peek() {
             None => Err(ParseError::new(self.pos, "unexpected end of pattern")),
             Some(b'(') => {
                 self.bump();
-                let inner = self.parse_alternation()?;
-                self.eat(b')')?;
-                Ok(inner)
+                return self.parse_nested(start, b')');
             }
             Some(b'!') => {
                 self.bump();
                 let name = self.parse_ident()?;
                 self.eat(b'{')?;
-                let inner = self.parse_alternation()?;
-                self.eat(b'}')?;
-                Ok(RegexAst::capture(&name, inner))
+                let (inner, levels) = self.parse_nested(start, b'}')?;
+                return Ok((RegexAst::capture(&name, inner), levels));
             }
             Some(b'[') => {
                 self.bump();
@@ -217,7 +262,8 @@ impl Parser<'_> {
                 self.bump();
                 Ok(RegexAst::byte(b))
             }
-        }
+        };
+        Ok((leaf?, 0))
     }
 
     fn parse_ident(&mut self) -> Result<String, ParseError> {
@@ -483,6 +529,18 @@ mod tests {
         assert_eq!(err.offset, 0);
         let err = parse("a|*").unwrap_err();
         assert_eq!(err.offset, 2);
+    }
+
+    #[test]
+    fn nesting_past_the_cap_fails_at_the_offending_offset() {
+        let n = MAX_NESTING;
+        let groups = |d: usize| format!("{}a{}", "(".repeat(d), ")".repeat(d));
+        assert!(parse(&groups(n)).is_ok());
+        assert_eq!(parse(&groups(n + 1)).unwrap_err().offset, n);
+        assert_eq!(parse(&format!("a{}", "*".repeat(n + 1))).unwrap_err().offset, n + 1);
+        // A star on a group counts on top of the group's own level.
+        let starred = format!("({})*", groups(n - 1));
+        assert_eq!(parse(&starred).unwrap_err().offset, starred.len() - 1);
     }
 
     #[test]

@@ -458,7 +458,7 @@ impl BatchPlan<'_> {
                     delta_bytes.fetch_max(d.memory_bytes(), Ordering::Relaxed);
                 }
                 // The engine goes back to the pool: shed per-document state.
-                engine.reset(pool.mode());
+                engine.reset();
                 record
             },
             |i, message| {

@@ -21,8 +21,8 @@
 //!   step through it read-only, each with a private overflow delta, so N
 //!   threads no longer re-determinize the same user-supplied spanner N
 //!   times. The snapshot includes the per-state **skippable-class masks** of
-//!   the skip-mask scanning engine (`EngineMode::SkipScan`, the pools'
-//!   default), so every worker skips straight to the next interesting byte
+//!   the skip-mask scanning engine (`EngineMode::SkipScan`, the default),
+//!   so every worker skips straight to the next interesting byte
 //!   off the same shared tables;
 //! * **batch entry points** — [`BatchSpanner`] adds
 //!   `evaluate_batch`/`count_batch`/`is_match_batch` to

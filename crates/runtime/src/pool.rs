@@ -3,7 +3,7 @@
 //! A pool is the serving-side answer to "one warm engine per worker":
 //! workers check an engine out for a document (or a run of documents), and
 //! the drop of the guard checks it back in with **all retained capacity** —
-//! DAG arenas, per-state buffers, class buffers, lazy caches, frozen deltas
+//! DAG arenas, per-state buffers, lazy caches, frozen deltas
 //! and SLP memo tables included. In steady state a pool stops allocating
 //! entirely: the same engines cycle between workers, and a batch of N
 //! threads creates at most N engines over the pool's lifetime no matter how
@@ -42,20 +42,18 @@ pub(crate) mod sealed {
 
     /// The methods of [`super::PoolEngine`].
     pub trait Engine: Send + Sized {
-        /// What a pool configures its engines with: the byte engines'
-        /// [`spanners_core::EngineMode`]; nothing for grammar composition.
-        type Mode: Copy + Default + std::fmt::Debug + Send + Sync;
         /// Whether the engine scans document bytes, so the ladder's per-byte
         /// rung applies (grammar composition has no byte loop).
         const BYTE_LOOP: bool = true;
         /// A fresh engine.
-        fn fresh(mode: Self::Mode) -> Self;
+        fn fresh() -> Self;
         /// Sets up one attempt: the per-document limits, the one-off cache
         /// and memo byte budgets (`None` keeps the configured ones) and, on
         /// the per-byte rung, the per-byte loop.
         fn attempt(&mut self, limits: EvalLimits, budgets: [Option<usize>; 2], per_byte: bool);
-        /// Undoes every attempt setting before the engine is checked in.
-        fn reset(&mut self, mode: Self::Mode);
+        /// Undoes every attempt setting before the engine is checked in,
+        /// restoring the default configuration.
+        fn reset(&mut self);
         /// The frozen-overflow delta, if the engine has run against a snapshot.
         fn frozen_delta(&self) -> Option<&FrozenDelta>;
         /// Bytes of governed memory held.
@@ -74,9 +72,8 @@ impl<A: Accumulator> sealed::Engine for Driver<A>
 where
     Driver<A>: Send,
 {
-    type Mode = EngineMode;
-    fn fresh(mode: EngineMode) -> Self {
-        Driver::with_mode(mode)
+    fn fresh() -> Self {
+        Driver::new()
     }
     fn attempt(&mut self, limits: EvalLimits, [cache, _]: [Option<usize>; 2], per_byte: bool) {
         self.set_limits(limits);
@@ -85,9 +82,9 @@ where
             self.set_mode(EngineMode::PerByte);
         }
     }
-    fn reset(&mut self, mode: EngineMode) {
+    fn reset(&mut self) {
         self.attempt(EvalLimits::none(), [None; 2], false);
-        self.set_mode(mode);
+        self.set_mode(EngineMode::default());
     }
     fn frozen_delta(&self) -> Option<&FrozenDelta> {
         Driver::frozen_delta(self)
@@ -104,9 +101,8 @@ where
 /// their lazy caches and frozen deltas, so a batch over one shared rule set
 /// composes most documents from already-memoized rows.
 impl sealed::Engine for SlpEvaluator {
-    type Mode = ();
     const BYTE_LOOP: bool = false;
-    fn fresh((): ()) -> Self {
+    fn fresh() -> Self {
         SlpEvaluator::new()
     }
     fn attempt(&mut self, limits: EvalLimits, [cache, memo]: [Option<usize>; 2], _: bool) {
@@ -114,7 +110,7 @@ impl sealed::Engine for SlpEvaluator {
         self.set_cache_budget_override(cache);
         self.set_memo_budget_override(memo);
     }
-    fn reset(&mut self, (): ()) {
+    fn reset(&mut self) {
         self.attempt(EvalLimits::none(), [None; 2], false);
     }
     fn frozen_delta(&self) -> Option<&FrozenDelta> {
@@ -152,7 +148,6 @@ pub struct Pool<E: PoolEngine> {
     /// engine of their own generation — its [`FrozenDelta`] is already bound
     /// to that generation's snapshot, so no rebind-reset.
     idle: Mutex<Vec<(u64, E)>>,
-    mode: E::Mode,
     created: AtomicUsize,
     quarantined: AtomicUsize,
 }
@@ -168,20 +163,9 @@ impl<E: PoolEngine> Default for Pool<E> {
     fn default() -> Self {
         Pool {
             idle: Mutex::new(Vec::new()),
-            mode: E::Mode::default(),
             created: AtomicUsize::new(0),
             quarantined: AtomicUsize::new(0),
         }
-    }
-}
-
-impl<A: Accumulator> Pool<Driver<A>>
-where
-    Driver<A>: Send,
-{
-    /// An empty pool whose engines run the given mode.
-    pub fn with_mode(mode: EngineMode) -> Self {
-        Pool { mode, ..Pool::default() }
     }
 }
 
@@ -190,12 +174,6 @@ impl<E: PoolEngine> Pool<E> {
     /// (byte engines: [`EngineMode::SkipScan`]).
     pub fn new() -> Self {
         Pool::default()
-    }
-
-    /// The configuration every engine of this pool runs, restored before an
-    /// engine is checked back in by the batch runtime.
-    pub(crate) fn mode(&self) -> E::Mode {
-        self.mode
     }
 
     /// Checks an engine out: a warm one when available, a fresh one
@@ -222,7 +200,7 @@ impl<E: PoolEngine> Pool<E> {
 
     fn create(&self) -> E {
         self.created.fetch_add(1, Ordering::Relaxed);
-        E::fresh(self.mode)
+        E::fresh()
     }
 
     /// Number of engines currently checked in.

@@ -392,7 +392,6 @@ enum Phase {
 #[derive(Debug)]
 struct Ingress<R> {
     queue: VecDeque<Pending<R>>,
-    queued_bytes: usize,
     phase: Phase,
     next_seq: usize,
 }
@@ -575,7 +574,6 @@ impl<R: Send + 'static> StreamingServer<R> {
             pool: EvaluatorPool::new(),
             state: Mutex::new(Ingress {
                 queue: VecDeque::new(),
-                queued_bytes: 0,
                 phase: Phase::Running,
                 next_seq: 0,
             }),
@@ -714,7 +712,6 @@ impl<R: Send + 'static> StreamingServer<R> {
         let seq = st.next_seq;
         st.next_seq += 1;
         let cell = Arc::new(TicketCell::new());
-        st.queued_bytes += doc.len();
         st.queue.push_back(Pending {
             seq,
             doc,
@@ -809,11 +806,7 @@ impl<R: Send + 'static> StreamingServer<R> {
         // the admission controller releases their charges without feeding
         // the breakers (being shed by the server says nothing about the
         // tenant's documents).
-        let leftover: Vec<Pending<R>> = {
-            let mut st = lock(&self.shared.state);
-            st.queued_bytes = 0;
-            st.queue.drain(..).collect()
-        };
+        let leftover: Vec<Pending<R>> = lock(&self.shared.state).queue.drain(..).collect();
         for p in &leftover {
             self.abandon_admit(p.admit_slot, p.doc.len());
         }
@@ -862,7 +855,6 @@ fn worker_loop<R: Send + 'static>(shared: &Shared<R>) {
                     break;
                 }
                 let p = st.queue.pop_front().expect("front checked above");
-                st.queued_bytes -= p.doc.len();
                 bytes += p.doc.len();
                 batch.push(p);
             }

@@ -203,19 +203,19 @@ fn pooled_engines_retain_capacity_across_checkouts() {
         let mut engine = pool.checkout();
         let _ = digits.evaluate_with(&mut engine, &big).num_nodes();
         let _ = digits.evaluate_with(&mut engine, &big).num_nodes();
-        (engine.node_capacity(), engine.cell_capacity(), engine.class_buf_capacity())
+        (engine.node_capacity(), engine.cell_capacity())
     };
     assert_eq!(pool.idle(), 1);
     {
         let mut engine = pool.checkout();
         assert_eq!(
-            (engine.node_capacity(), engine.cell_capacity(), engine.class_buf_capacity()),
+            (engine.node_capacity(), engine.cell_capacity()),
             warm,
             "checkout returned a cold engine instead of the warm one"
         );
         let _ = digits.evaluate_with(&mut engine, &big).num_nodes();
         assert_eq!(
-            (engine.node_capacity(), engine.cell_capacity(), engine.class_buf_capacity()),
+            (engine.node_capacity(), engine.cell_capacity()),
             warm,
             "steady-state pooled evaluation reallocated the arenas"
         );

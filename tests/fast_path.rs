@@ -1,13 +1,17 @@
-//! Differential tests for the run-skipping (class-run) fast path.
+//! Adversarial differential tests for the skip-scanning fast path
+//! ([`EngineMode::SkipScan`]) against the per-byte reference engine.
 //!
-//! The class-run engine must be **output-identical** to the per-byte engine:
-//! the same mappings in the same enumeration order, the same counts, the same
+//! The fast path must be **output-identical** to the per-byte engine: the
+//! same mappings in the same enumeration order, the same counts, the same
 //! root structure — on every workload family and on adversarial documents
-//! built to stress the run decomposition (long single-class runs, runs broken
+//! built to stress skipping (long single-class stretches, stretches broken
 //! by marker-bearing states, class boundaries aligned with the 16-byte
-//! classification chunks, empty documents). Arena sizes are *allowed* to
-//! differ: the fast path elides capture attempts that the per-byte walk
+//! scanning chunks, empty documents). Arena sizes are *allowed* to differ:
+//! the fast path elides capture attempts that the per-byte walk
 //! materializes and the next `Reading` phase provably kills.
+//!
+//! Test names that mention class runs keep the names of the run-length
+//! engine these rows first pinned; every row now runs SkipScan.
 
 use spanners::automata::va_to_eva;
 use spanners::baselines::{materialize_enumerate, naive_enumerate};
@@ -36,7 +40,7 @@ fn adversarial_docs() -> Vec<Document> {
         Document::new(b"noise12noise345noise6789".repeat(40)),
     ];
     // Class boundaries exactly at (and one off) the 16-byte chunk width of
-    // classify_into, for lengths around one and two chunks.
+    // find_next_interesting, for lengths around one and two chunks.
     for digits_len in [15usize, 16, 17] {
         for noise_len in [15usize, 16, 17] {
             let mut bytes = Vec::new();
@@ -80,11 +84,11 @@ fn sorted(mut ms: Vec<Mapping>) -> Vec<Mapping> {
 /// workload family and adversarial document.
 #[test]
 fn class_run_engine_matches_per_byte_engine() {
-    let mut fast = Evaluator::with_mode(EngineMode::ClassRuns);
+    let mut fast = Evaluator::with_mode(EngineMode::SkipScan);
     let mut slow = Evaluator::with_mode(EngineMode::PerByte);
-    assert_eq!(fast.mode(), EngineMode::ClassRuns);
+    assert_eq!(fast.mode(), EngineMode::SkipScan);
     assert_eq!(slow.mode(), EngineMode::PerByte);
-    let mut fast_counts = CountCache::<u128>::with_mode(EngineMode::ClassRuns);
+    let mut fast_counts = CountCache::<u128>::with_mode(EngineMode::SkipScan);
     let mut slow_counts = CountCache::<u128>::with_mode(EngineMode::PerByte);
     for (pattern, docs) in regex_cases() {
         let spanner = compile(&pattern).expect("workload pattern compiles");
@@ -123,7 +127,7 @@ fn class_run_engine_matches_per_byte_engine() {
 /// Algorithm 1 (naive run enumeration, full materialization).
 #[test]
 fn class_run_engine_matches_independent_baselines() {
-    let mut fast = Evaluator::with_mode(EngineMode::ClassRuns);
+    let mut fast = Evaluator::with_mode(EngineMode::SkipScan);
     for (pattern, docs) in regex_cases() {
         let spanner = compile(&pattern).expect("workload pattern compiles");
         for doc in &docs {
@@ -175,52 +179,42 @@ fn count_cache_matches_one_shot_and_facade() {
 }
 
 /// A warm `CountCache` performs no allocation in steady state: the per-state
-/// count vector and the class buffer both retain their capacity, mirroring
-/// the E1b contract of the enumeration `Evaluator`.
+/// count vector retains its capacity, mirroring the E1b contract of the
+/// enumeration `Evaluator`.
 #[test]
 fn count_cache_reuse_is_allocation_free_when_warm() {
     let spanner = compile(w::digit_runs_pattern()).unwrap();
-    // The class-run engine is what exercises the class buffer; the default
-    // skip-scanning engine works on raw bytes and never touches it.
-    let mut cache = CountCache::<u64>::with_mode(EngineMode::ClassRuns);
+    let mut cache = CountCache::<u64>::with_mode(EngineMode::SkipScan);
     let docs: Vec<Document> = (0..8)
         .map(|s| w::random_text(200 + s, 300 + 200 * s as usize, b"no1se 2text3"))
         .rev() // largest first
         .collect();
     let _ = cache.count(spanner.try_automaton().expect("eager engine"), &docs[0]).unwrap();
-    let warm = (cache.counts_capacity(), cache.class_buf_capacity());
-    assert!(warm.0 > 0 && warm.1 > 0);
+    let warm = cache.counts_capacity();
+    assert!(warm > 0);
     for doc in &docs {
         let reused = cache.count(spanner.try_automaton().expect("eager engine"), doc).unwrap();
         let fresh: u64 =
             count_mappings(spanner.try_automaton().expect("eager engine"), doc).unwrap();
         assert_eq!(reused, fresh, "warm cache diverged from one-shot count");
-        assert_eq!(
-            (cache.counts_capacity(), cache.class_buf_capacity()),
-            warm,
-            "CountCache reallocated during warm reuse"
-        );
+        assert_eq!(cache.counts_capacity(), warm, "CountCache reallocated during warm reuse");
     }
 }
 
-/// The evaluator's class buffer obeys the same capacity-retention contract as
-/// its node/cell arenas (the E1b zero-steady-state-allocation assertion,
-/// extended to the classification pass).
+/// The evaluator's node/cell arenas retain their capacity across documents
+/// of every size (the E1b zero-steady-state-allocation assertion).
 #[test]
-fn evaluator_class_buffer_retains_capacity() {
+fn evaluator_arenas_retain_capacity() {
     let spanner = compile(w::digit_runs_pattern()).unwrap();
-    // As above: only EngineMode::ClassRuns populates the class buffer.
-    let mut evaluator = Evaluator::with_mode(EngineMode::ClassRuns);
+    let mut evaluator = Evaluator::with_mode(EngineMode::SkipScan);
     let big = w::random_text(7, 4096, b"ab012 ");
     let _ = evaluator.eval(spanner.try_automaton().expect("eager engine"), &big).unwrap();
-    let warm =
-        (evaluator.node_capacity(), evaluator.cell_capacity(), evaluator.class_buf_capacity());
-    assert!(warm.2 >= 4096);
+    let warm = (evaluator.node_capacity(), evaluator.cell_capacity());
     for n in [1usize, 100, 4096] {
         let doc = w::random_text(8, n, b"ab012 ");
         let _ = evaluator.eval(spanner.try_automaton().expect("eager engine"), &doc).unwrap();
         assert_eq!(
-            (evaluator.node_capacity(), evaluator.cell_capacity(), evaluator.class_buf_capacity(),),
+            (evaluator.node_capacity(), evaluator.cell_capacity()),
             warm,
             "evaluator reallocated at n = {n}"
         );
@@ -243,7 +237,7 @@ fn mode_switching_is_safe() {
         .eval(spanner.try_automaton().expect("eager engine"), &doc)
         .unwrap()
         .collect_mappings();
-    evaluator.set_mode(EngineMode::ClassRuns);
+    evaluator.set_mode(EngineMode::SkipScan);
     let fast_again = evaluator
         .eval(spanner.try_automaton().expect("eager engine"), &doc)
         .unwrap()
@@ -261,12 +255,12 @@ fn digit_runs_lazy(budget: Option<usize>) -> LazyDetSeva {
     LazyDetSeva::new(&eva, config).unwrap()
 }
 
-/// Lazy-engine rows of the fast-path matrix: the class-run loop over a
+/// Lazy-engine rows of the fast-path matrix: the skip-scanning loop over a
 /// **cold** cache — every `run_skippable`/`has_markers` bit is computed
-/// lazily, mid-run, the first time a run of that class is entered — must
-/// match the lazy per-byte loop and the eager baseline on the adversarial
-/// documents (long single-class runs, marker-broken runs, 16-byte
-/// chunk-boundary documents, empty documents).
+/// lazily, mid-document, the first time a byte of that class is reached —
+/// must match the lazy per-byte loop and the eager baseline on the
+/// adversarial documents (long single-class stretches, marker-broken
+/// stretches, 16-byte chunk-boundary documents, empty documents).
 #[test]
 fn lazy_class_run_engine_matches_per_byte_and_eager() {
     let eager = compile(w::digit_runs_pattern()).unwrap();
@@ -280,13 +274,13 @@ fn lazy_class_run_engine_matches_per_byte_and_eager() {
             .count_paths()
             .unwrap();
         // Fresh evaluators per document: the skip metadata for every class
-        // run is populated lazily *during* this very evaluation.
-        let cold = Evaluator::with_mode(EngineMode::ClassRuns).eval_owned(&lazy, &doc).unwrap();
+        // is populated lazily *during* this very evaluation.
+        let cold = Evaluator::with_mode(EngineMode::SkipScan).eval_owned(&lazy, &doc).unwrap();
         let cold_bytes = Evaluator::with_mode(EngineMode::PerByte).eval_owned(&lazy, &doc).unwrap();
         assert_eq!(
             cold.count_paths().unwrap(),
             expected_paths,
-            "cold class-runs paths, |d|={}",
+            "cold skip-scan paths, |d|={}",
             doc.len()
         );
         assert_eq!(
@@ -314,7 +308,7 @@ fn lazy_class_run_engine_matches_per_byte_and_eager() {
             assert_eq!(
                 sorted(cold.collect_mappings()),
                 expected,
-                "cold class-runs, |d| = {}",
+                "cold skip-scan, |d| = {}",
                 doc.len()
             );
             assert_eq!(
@@ -334,7 +328,7 @@ fn lazy_class_run_engine_matches_per_byte_and_eager() {
 #[test]
 fn lazy_run_skipping_is_stable_once_warm() {
     let lazy = digit_runs_lazy(None);
-    let mut evaluator = Evaluator::with_mode(EngineMode::ClassRuns);
+    let mut evaluator = Evaluator::with_mode(EngineMode::SkipScan);
     let docs = adversarial_docs();
     let first: Vec<(usize, usize, u128, Vec<Mapping>)> = docs
         .iter()
@@ -356,7 +350,7 @@ fn lazy_run_skipping_is_stable_once_warm() {
     }
 }
 
-/// Mid-run eviction under the class-run engine: a budget small enough to
+/// Mid-run eviction under the skip-scanning engine: a budget small enough to
 /// clear the cache inside long runs discards the lazily computed skip
 /// metadata mid-document, forcing recomputation — outputs must not change.
 #[test]
@@ -364,7 +358,7 @@ fn lazy_run_skipping_survives_mid_run_eviction() {
     let eager = compile(w::digit_runs_pattern()).unwrap();
     let strict = digit_runs_lazy(Some(256));
     let mut eager_eval = Evaluator::new();
-    let mut thrash = Evaluator::with_mode(EngineMode::ClassRuns);
+    let mut thrash = Evaluator::with_mode(EngineMode::SkipScan);
     for doc in adversarial_docs() {
         let eager_view =
             eager_eval.eval(eager.try_automaton().expect("eager engine"), &doc).unwrap();
@@ -380,7 +374,7 @@ fn lazy_run_skipping_survives_mid_run_eviction() {
         );
         if paths < 200_000 {
             let got = sorted(view.collect_mappings());
-            assert_eq!(got, expected, "thrashing class-runs diverged, |d| = {}", doc.len());
+            assert_eq!(got, expected, "thrashing skip-scan diverged, |d| = {}", doc.len());
         }
     }
     let cache = thrash.lazy_cache().unwrap();
@@ -397,7 +391,7 @@ fn lazy_mode_switching_is_safe() {
     let fast = evaluator.eval(&lazy, &doc).unwrap().collect_mappings();
     evaluator.set_mode(EngineMode::PerByte);
     let slow = evaluator.eval(&lazy, &doc).unwrap().collect_mappings();
-    evaluator.set_mode(EngineMode::ClassRuns);
+    evaluator.set_mode(EngineMode::SkipScan);
     let fast_again = evaluator.eval(&lazy, &doc).unwrap().collect_mappings();
     assert_eq!(sorted(fast.clone()), sorted(slow));
     assert_eq!(fast, fast_again, "warm reruns must be byte-for-byte identical");

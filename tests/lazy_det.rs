@@ -3,7 +3,7 @@
 //! The lazy engine must be byte-for-byte equivalent to the eager one — the
 //! same mapping sets, the same counts, the same path counts, duplicate-free
 //! and deterministic across reruns — on every workload family, under both
-//! inner loops (class-run fast path and per-byte), and, crucially, under
+//! inner loops (skip-scan fast path and per-byte), and, crucially, under
 //! **cache-thrashing budgets that force repeated clear-and-restart eviction
 //! in the middle of a document**. A final regression pins the memory win: an
 //! eVA family with `Θ(2ⁿ)` eager determinization evaluates within a fixed
@@ -111,7 +111,7 @@ fn deterministic_cases() -> Vec<(&'static str, Eva, Vec<Document>)> {
 /// evaluated through the nondeterministic eVA without eager determinization.
 #[test]
 fn lazy_matches_eager_across_workload_families() {
-    let mut lazy_runs = Evaluator::new();
+    let mut lazy_scan = Evaluator::new();
     let mut lazy_bytes = Evaluator::with_mode(EngineMode::PerByte);
     let mut eager_eval = Evaluator::new();
     let mut lazy_counts = CountCache::<u128>::new();
@@ -131,13 +131,13 @@ fn lazy_matches_eager_across_workload_families() {
                 .count_paths()
                 .unwrap();
 
-            let fast = lazy_runs.eval(&lazy, doc).unwrap().collect_mappings();
-            assert_no_duplicates(&fast, &format!("{pattern} class-runs |d|={}", doc.len()));
-            assert_eq!(sorted(fast), expected, "class-runs mappings, {pattern}, |d|={}", doc.len());
+            let fast = lazy_scan.eval(&lazy, doc).unwrap().collect_mappings();
+            assert_no_duplicates(&fast, &format!("{pattern} skip-scan |d|={}", doc.len()));
+            assert_eq!(sorted(fast), expected, "skip-scan mappings, {pattern}, |d|={}", doc.len());
             assert_eq!(
-                lazy_runs.eval(&lazy, doc).unwrap().count_paths().unwrap(),
+                lazy_scan.eval(&lazy, doc).unwrap().count_paths().unwrap(),
                 expected_count,
-                "class-runs paths, {pattern}"
+                "skip-scan paths, {pattern}"
             );
 
             let slow = lazy_bytes.eval(&lazy, doc).unwrap().collect_mappings();
@@ -179,7 +179,7 @@ fn lazy_matches_eager_on_deterministic_automata() {
             assert_eq!(first, again, "{name}: warm rerun changed enumeration order");
             warm.set_mode(EngineMode::PerByte);
             let per_byte = warm.eval(&lazy, doc).unwrap().collect_mappings();
-            warm.set_mode(EngineMode::ClassRuns);
+            warm.set_mode(EngineMode::SkipScan);
             assert_eq!(first, per_byte, "{name}: warm per-byte loop diverged in order");
         }
     }
@@ -251,7 +251,7 @@ fn tiny_budget_forces_mid_document_eviction_without_divergence() {
 
             let got = thrash.eval(&lazy, doc).unwrap().collect_mappings();
             assert_no_duplicates(&got, &format!("thrash {pattern} |d|={}", doc.len()));
-            assert_eq!(sorted(got), expected, "thrash class-runs, {pattern}, |d|={}", doc.len());
+            assert_eq!(sorted(got), expected, "thrash skip-scan, {pattern}, |d|={}", doc.len());
 
             let got = thrash_bytes.eval(&lazy, doc).unwrap().collect_mappings();
             assert_eq!(sorted(got), expected, "thrash per-byte, {pattern}, |d|={}", doc.len());
@@ -364,8 +364,7 @@ fn warm_lazy_evaluation_is_allocation_free() {
             let _ = counts.count(&lazy, doc).unwrap();
         }
     }
-    let warm_arenas =
-        (evaluator.node_capacity(), evaluator.cell_capacity(), evaluator.class_buf_capacity());
+    let warm_arenas = (evaluator.node_capacity(), evaluator.cell_capacity());
     let warm_cache = evaluator.lazy_cache().unwrap();
     let warm_sig = warm_cache.capacity_signature();
     let warm_states = warm_cache.num_states();
@@ -381,7 +380,7 @@ fn warm_lazy_evaluation_is_allocation_free() {
         assert_eq!(cache.states_interned(), warm_interned, "cache churned states when warm");
         assert_eq!(cache.clear_count(), 0, "an eviction fired despite an ample budget");
         assert_eq!(
-            (evaluator.node_capacity(), evaluator.cell_capacity(), evaluator.class_buf_capacity()),
+            (evaluator.node_capacity(), evaluator.cell_capacity()),
             warm_arenas,
             "evaluator arenas reallocated during warm lazy reuse"
         );

@@ -1,31 +1,31 @@
 //! Differential suite for the **skip-mask scanning engine**
 //! ([`EngineMode::SkipScan`], the default since it landed).
 //!
-//! The scanning loop must be output-identical to the class-run and per-byte
-//! engines: same mappings, same counts, same path counts — across match
+//! The scanning loop must be output-identical to the per-byte reference
+//! engine: same mappings, same counts, same path counts — across match
 //! densities from 0% to 100%, documents aligned (and misaligned) with the
 //! scanner's 16-byte chunks, empty documents, lazily determinized automata
 //! (cold, warm, and under mid-document eviction that wipes the memoized skip
 //! masks with their states), frozen snapshots, and parallel batch runs at
 //! 1/2/8 threads.
 //!
-//! Enumeration-order contract, pinned below: **SkipScan ≡ ClassRuns byte for
-//! byte, always** — the scanner's mask under-approximates with exactly the
-//! memoized skip entries, so the two engines execute the same positions and
-//! intern lazy subset states in the same order. Eager automata have a fixed
-//! state space, so there all three modes agree on order exactly. The one
-//! caveat is the per-byte engine on *cold or thrashing* lazy caches: it never
-//! consults skip metadata, so it discovers subset states in a different
-//! order, which permutes state ids and with them the (id-sorted) root order —
-//! a pre-existing property of `EngineMode::PerByte`, compared as sorted sets
-//! here exactly as `tests/lazy_det.rs` does.
+//! Enumeration-order contract, pinned below: eager automata and warm lazy
+//! caches have a fixed state space, so there both modes agree on order
+//! exactly. The one caveat is the per-byte engine on *cold or thrashing*
+//! lazy caches: it never consults skip metadata, so it discovers subset
+//! states in a different order, which permutes state ids and with them the
+//! (id-sorted) root order — a property of `EngineMode::PerByte`, compared as
+//! sorted sets here exactly as `tests/lazy_det.rs` does.
+//!
+//! Test names that mention class runs keep the names of the run-length
+//! engine these rows were first pinned against.
 
 use spanners::automata::va_to_eva;
 use spanners::core::{
     dedup_mappings, CountCache, Document, EngineMode, Evaluator, LazyConfig, LazyDetSeva, Mapping,
 };
 use spanners::regex::{compile, parse, regex_to_va};
-use spanners::runtime::{BatchOptions, BatchSpanner, CountCachePool, SpannerServer};
+use spanners::runtime::{BatchOptions, BatchSpanner, SpannerServer};
 use spanners::workloads as w;
 use spanners::CompiledSpanner;
 
@@ -71,21 +71,15 @@ fn chunk_boundary_docs() -> Vec<Document> {
     docs
 }
 
-/// Evaluates `doc` under all three engine modes and asserts exact
+/// Evaluates `doc` under both engine modes and asserts exact
 /// (order-included) equality of mappings and path counts, plus Algorithm 3
 /// agreement — the eager-automaton matrix, where ids are fixed and order
 /// must be bitwise identical everywhere.
 fn assert_eager_modes_identical(spanner: &CompiledSpanner, doc: &Document, ctx: &str) {
     let aut = spanner.try_automaton().expect("eager engine");
     let mut scan = Evaluator::with_mode(EngineMode::SkipScan);
-    let mut runs = Evaluator::with_mode(EngineMode::ClassRuns);
     let mut bytes = Evaluator::with_mode(EngineMode::PerByte);
     let paths = scan.eval(aut, doc).unwrap().count_paths().unwrap();
-    assert_eq!(
-        runs.eval(aut, doc).unwrap().count_paths().unwrap(),
-        paths,
-        "paths vs class-runs, {ctx}"
-    );
     assert_eq!(
         bytes.eval(aut, doc).unwrap().count_paths().unwrap(),
         paths,
@@ -95,22 +89,14 @@ fn assert_eager_modes_identical(spanner: &CompiledSpanner, doc: &Document, ctx: 
         let scanned = scan.eval(aut, doc).unwrap().collect_mappings();
         assert_eq!(
             scanned,
-            runs.eval(aut, doc).unwrap().collect_mappings(),
-            "mappings/order vs class-runs, {ctx}"
-        );
-        assert_eq!(
-            scanned,
             bytes.eval(aut, doc).unwrap().collect_mappings(),
             "mappings/order vs per-byte, {ctx}"
         );
     }
     let n_scan: u128 =
         CountCache::with_mode(EngineMode::SkipScan).count(aut, doc).expect("count fits u128");
-    let n_runs: u128 =
-        CountCache::with_mode(EngineMode::ClassRuns).count(aut, doc).expect("count fits u128");
     let n_bytes: u128 =
         CountCache::with_mode(EngineMode::PerByte).count(aut, doc).expect("count fits u128");
-    assert_eq!(n_scan, n_runs, "counts vs class-runs, {ctx}");
     assert_eq!(n_scan, n_bytes, "counts vs per-byte, {ctx}");
     assert_eq!(n_scan, paths, "count vs path count, {ctx}");
 }
@@ -133,7 +119,7 @@ fn skip_scan_is_the_default_engine_mode() {
 }
 
 /// The eager matrix over the density sweep: 0% → 100% digit density on 3 kB
-/// documents, all three modes bitwise identical (order included).
+/// documents, both modes bitwise identical (order included).
 #[test]
 fn density_sweep_is_identical_across_modes() {
     let digits = compile(w::digit_runs_pattern()).unwrap();
@@ -166,9 +152,8 @@ fn chunk_boundaries_and_families_are_identical_across_modes() {
     }
 }
 
-/// Lazy engines, cold and warm: SkipScan must equal ClassRuns **byte for
-/// byte including enumeration order** (identical interning sequences), and
-/// equal PerByte as a sorted set when cold / exactly once warm.
+/// Lazy engines, cold and warm: SkipScan must equal PerByte as a sorted set
+/// when cold and exactly (enumeration order included) once warm.
 #[test]
 fn lazy_skip_scan_matches_class_runs_exactly() {
     let lazy = digit_runs_lazy(None);
@@ -181,10 +166,8 @@ fn lazy_skip_scan_matches_class_runs_exactly() {
     // mid-document.
     for doc in &docs {
         let cold_scan = Evaluator::with_mode(EngineMode::SkipScan).eval_owned(&lazy, doc).unwrap();
-        let cold_runs = Evaluator::with_mode(EngineMode::ClassRuns).eval_owned(&lazy, doc).unwrap();
         let cold_bytes = Evaluator::with_mode(EngineMode::PerByte).eval_owned(&lazy, doc).unwrap();
         let paths = cold_scan.count_paths().unwrap();
-        assert_eq!(cold_runs.count_paths().unwrap(), paths, "cold paths, |d| = {}", doc.len());
         assert_eq!(
             cold_bytes.count_paths().unwrap(),
             paths,
@@ -192,15 +175,8 @@ fn lazy_skip_scan_matches_class_runs_exactly() {
             doc.len()
         );
         if paths < ENUM_CAP {
-            let scanned = cold_scan.collect_mappings();
             assert_eq!(
-                scanned,
-                cold_runs.collect_mappings(),
-                "cold SkipScan vs ClassRuns must agree on order, |d| = {}",
-                doc.len()
-            );
-            assert_eq!(
-                sorted(scanned),
+                sorted(cold_scan.collect_mappings()),
                 sorted(cold_bytes.collect_mappings()),
                 "cold per-byte set equality, |d| = {}",
                 doc.len()
@@ -208,28 +184,19 @@ fn lazy_skip_scan_matches_class_runs_exactly() {
         }
     }
     // Warm: one shared cache per mode (embedded in the evaluator); once the
-    // metadata exists, all three modes step the same fixed id space, so even
+    // metadata exists, both modes step the same fixed id space, so even
     // per-byte order matches exactly.
     let mut warm_scan = Evaluator::with_mode(EngineMode::SkipScan);
-    let mut warm_runs = Evaluator::with_mode(EngineMode::ClassRuns);
     let mut warm_bytes = Evaluator::with_mode(EngineMode::PerByte);
     for doc in &docs {
         // First pass warms each embedded cache.
         let _ = warm_scan.eval(&lazy, doc).unwrap().num_nodes();
-        let _ = warm_runs.eval(&lazy, doc).unwrap().num_nodes();
         let _ = warm_bytes.eval(&lazy, doc).unwrap().num_nodes();
     }
     for doc in &docs {
         let paths = warm_scan.eval(&lazy, doc).unwrap().count_paths().unwrap();
-        assert_eq!(warm_runs.eval(&lazy, doc).unwrap().count_paths().unwrap(), paths, "warm paths");
         if paths < ENUM_CAP {
             let scanned = warm_scan.eval(&lazy, doc).unwrap().collect_mappings();
-            assert_eq!(
-                scanned,
-                warm_runs.eval(&lazy, doc).unwrap().collect_mappings(),
-                "warm SkipScan vs ClassRuns order, |d| = {}",
-                doc.len()
-            );
             assert_eq!(
                 scanned,
                 warm_bytes.eval(&lazy, doc).unwrap().collect_mappings(),
@@ -311,10 +278,9 @@ fn capacity_signature_accounts_for_skip_masks() {
 }
 
 /// Frozen snapshots carry the per-state masks: SkipScan through a shared
-/// `FrozenCache` + private delta equals the live lazy engine, equals
-/// ClassRuns through the same snapshot **in order** — and newly learned
-/// entries land in the delta's mask overrides without touching the shared
-/// half.
+/// `FrozenCache` + private delta equals the live lazy engine, and newly
+/// learned entries land in the delta's mask overrides without touching the
+/// shared half.
 #[test]
 fn frozen_skip_scan_matches_live_and_class_runs() {
     let ast = parse(w::digit_runs_pattern()).unwrap();
@@ -328,7 +294,6 @@ fn frozen_skip_scan_matches_live_and_class_runs() {
     let frozen = spanner.freeze_warm(&[w::sparse_match_text(11, 400, 10)]).expect("lazy freezes");
     let mut live = Evaluator::with_mode(EngineMode::SkipScan);
     let mut frozen_scan = Evaluator::with_mode(EngineMode::SkipScan);
-    let mut frozen_runs = Evaluator::with_mode(EngineMode::ClassRuns);
     let mut frozen_counts = CountCache::<u128>::with_mode(EngineMode::SkipScan);
     let mut docs = density_sweep_docs();
     docs.extend(chunk_boundary_docs());
@@ -337,15 +302,8 @@ fn frozen_skip_scan_matches_live_and_class_runs() {
         let frozen_view = frozen_scan.eval((lazy, &frozen), doc).unwrap();
         assert_eq!(frozen_view.count_paths().unwrap(), paths, "frozen paths, |d| = {}", doc.len());
         if paths < ENUM_CAP {
-            let scanned = frozen_view.collect_mappings();
             assert_eq!(
-                scanned,
-                frozen_runs.eval((lazy, &frozen), doc).unwrap().collect_mappings(),
-                "frozen SkipScan vs ClassRuns order, |d| = {}",
-                doc.len()
-            );
-            assert_eq!(
-                sorted(scanned),
+                sorted(frozen_view.collect_mappings()),
                 sorted(live.eval(lazy, doc).unwrap().collect_mappings()),
                 "frozen vs live set equality, |d| = {}",
                 doc.len()
@@ -362,8 +320,8 @@ fn frozen_skip_scan_matches_live_and_class_runs() {
 
 /// The parallel batch path (default mode = SkipScan, shared frozen masks):
 /// results are identical at 1/2/8 threads, match the sequential warm engine
-/// as sets, and `count_batch` through an explicit ClassRuns pool returns the
-/// very same numbers — the cross-mode check *inside* the runtime.
+/// as sets, and the per-byte engine stepping the server's shared snapshot
+/// returns the very same counts.
 #[test]
 fn batch_skip_scan_is_deterministic_across_threads_and_modes() {
     let ast = parse(w::digit_runs_pattern()).unwrap();
@@ -404,22 +362,16 @@ fn batch_skip_scan_is_deterministic_across_threads_and_modes() {
     }
 
     // A long-lived server shares one frozen snapshot (masks included) across
-    // its workers; counting through an explicit ClassRuns pool must return
-    // the same numbers the default SkipScan pool does.
+    // its workers; the per-byte engine stepping that snapshot must count the
+    // same numbers the server's default SkipScan pool does.
     let server = SpannerServer::with_options(spanner, BatchOptions::threads(2));
     server.warm(&docs[..4]);
     assert!(server.frozen_states().unwrap_or(0) > 0, "warming must populate the snapshot");
     assert_eq!(server.count_batch(&docs).unwrap(), expected_counts, "server default pool");
-    let class_runs_pool: CountCachePool<u64> = CountCachePool::with_mode(EngineMode::ClassRuns);
-    assert_eq!(
-        server.count_batch_with(&class_runs_pool, &docs).unwrap(),
-        expected_counts,
-        "server ClassRuns pool"
-    );
-    let per_byte_pool: CountCachePool<u64> = CountCachePool::with_mode(EngineMode::PerByte);
-    assert_eq!(
-        server.count_batch_with(&per_byte_pool, &docs).unwrap(),
-        expected_counts,
-        "server PerByte pool"
-    );
+    let lazy = server.spanner().lazy_automaton().expect("lazy engine");
+    let frozen = server.frozen_cache().unwrap();
+    let mut per_byte = CountCache::<u64>::with_mode(EngineMode::PerByte);
+    let per_byte_counts: Vec<u64> =
+        docs.iter().map(|d| per_byte.count((lazy, &*frozen), d).unwrap()).collect();
+    assert_eq!(per_byte_counts, expected_counts, "PerByte over the server snapshot");
 }

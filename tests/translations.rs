@@ -6,10 +6,12 @@ use spanners::automata::{
     compile_va, determinize, eva_to_va, join, project, sequentialize, trim, union,
     union_deterministic, va_to_eva, CompileOptions,
 };
-use spanners::core::{dedup_mappings, Document, EnumerationDag};
+use spanners::core::{dedup_mappings, Document, EnumerationDag, SpannerError};
+use spanners::regex::parser::MAX_NESTING;
 use spanners::workloads::{
     figure2_va, figure3_eva, prop42_va, random_functional_va, witness_document,
 };
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Theorem 3.1 + Proposition 3.2 round trips
@@ -252,4 +254,63 @@ fn figure_automata_survive_every_translation_layer() {
         assert_eq!(det.eval_naive(&doc), reference, "det eVA on {text:?}");
         assert_eq!(back.eval_naive(&doc), reference, "round-tripped VA on {text:?}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Untrusted patterns: the parser's nesting cap
+// ---------------------------------------------------------------------------
+
+/// Runs `f` on a thread with a 2 MiB stack, the size of a spawned worker's
+/// default stack and far below `main`'s.
+fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new().stack_size(2 << 20).spawn(f).unwrap().join().unwrap()
+}
+
+/// Patterns nesting exactly `depth` levels: groups, stars, counted
+/// repetitions, a capture around groups, and alternating groups and stars.
+fn nested_patterns(depth: usize) -> Vec<String> {
+    let half = depth / 2;
+    let mut alternating = format!("{}a{}", "(".repeat(half), ")*".repeat(half));
+    if depth % 2 == 1 {
+        alternating.push('?');
+    }
+    vec![
+        format!("{}a{}", "(".repeat(depth), ")".repeat(depth)),
+        format!("a{}", "*".repeat(depth)),
+        format!("a{}", "{1}".repeat(depth)),
+        format!("!x{{{}a{}}}", "(".repeat(depth - 1), ")".repeat(depth - 1)),
+        alternating,
+    ]
+}
+
+#[test]
+fn nesting_up_to_the_cap_compiles_and_one_level_more_is_a_parse_error() {
+    on_small_stack(|| {
+        for pattern in nested_patterns(MAX_NESTING) {
+            let spanner = spanners::regex::compile(&pattern);
+            assert!(spanner.is_ok(), "{} levels must compile: {:?}", MAX_NESTING, spanner.err());
+        }
+        for pattern in nested_patterns(MAX_NESTING + 1) {
+            match spanners::regex::compile(&pattern) {
+                Err(SpannerError::Parse(_)) => {}
+                other => panic!("{} levels must be a parse error, got {other:?}", MAX_NESTING + 1),
+            }
+        }
+    });
+}
+
+#[test]
+fn deeply_nested_patterns_fail_fast_with_a_typed_error() {
+    on_small_stack(|| {
+        let deep = 20000;
+        for pattern in [
+            format!("!x{{{}a{}}}", "(".repeat(deep), ")".repeat(deep)),
+            format!("a{}", "*".repeat(deep)),
+        ] {
+            let start = Instant::now();
+            let result = spanners::regex::compile(&pattern);
+            assert!(start.elapsed() < Duration::from_secs(1), "{:?}", start.elapsed());
+            assert!(matches!(result, Err(SpannerError::Parse(_))), "{:?}", result.err());
+        }
+    });
 }
