@@ -8,6 +8,9 @@
 //! `bench_function` / `bench_with_input`, and `Bencher::iter` — with a real
 //! wall-clock harness: each benchmark is warmed up, then sampled, and the
 //! per-iteration mean plus throughput is printed in a criterion-like format.
+//! The first command-line argument that is not a flag filters groups by
+//! name: `cargo bench --bench evaluation -- e12_` measures only the groups
+//! whose names contain `e12_`.
 //!
 //! Swapping the workspace back to the real criterion is a one-line change in
 //! `crates/bench/Cargo.toml`; no bench source needs to change.
@@ -80,16 +83,39 @@ impl Bencher {
     }
 }
 
-/// The benchmark driver. [`Criterion::default`] reads no configuration; all
-/// tuning happens per group.
+/// The benchmark driver. [`Criterion::default`] measures every group;
+/// [`Criterion::configure_from_args`] reads a group-name filter from the
+/// command line. All other tuning happens per group.
 #[derive(Debug, Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    /// Substring a group name must contain for the group to be measured.
+    filter: Option<String>,
+}
+
+/// The group-name filter in a benchmark binary's arguments (program name
+/// excluded): the first one that is not a flag. `cargo bench` passes
+/// `--bench` ahead of the arguments after `--`.
+fn filter_from<I: IntoIterator<Item = String>>(args: I) -> Option<String> {
+    args.into_iter().find(|arg| !arg.starts_with('-'))
+}
 
 impl Criterion {
-    /// Opens a named benchmark group.
+    /// Takes the group-name filter from the command line, as
+    /// `criterion_main!` does: groups whose names do not contain it measure
+    /// nothing.
+    pub fn configure_from_args(self) -> Self {
+        Criterion { filter: filter_from(std::env::args().skip(1)) }
+    }
+
+    /// Opens a named benchmark group. A group the filter excludes prints
+    /// nothing and runs none of its benchmarks.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        println!("\n{name}");
+        let enabled = self.filter.as_deref().is_none_or(|f| name.contains(f));
+        if enabled {
+            println!("\n{name}");
+        }
         BenchmarkGroup {
+            enabled,
             _criterion: self,
             sample_size: 10,
             measurement_time: Duration::from_secs(1),
@@ -112,6 +138,8 @@ impl Criterion {
 
 /// A group of related benchmarks sharing sampling configuration.
 pub struct BenchmarkGroup<'a> {
+    /// Whether the group's name passed the filter.
+    enabled: bool,
     _criterion: &'a mut Criterion,
     sample_size: usize,
     measurement_time: Duration,
@@ -150,9 +178,10 @@ impl BenchmarkGroup<'_> {
         id: I,
         mut f: F,
     ) -> &mut Self {
-        let id = id.into();
-        let report = self.run(&mut f);
-        self.print(&id, report);
+        if self.enabled {
+            let report = self.run(&mut f);
+            self.print(&id.into(), report);
+        }
         self
     }
 
@@ -163,9 +192,10 @@ impl BenchmarkGroup<'_> {
         input: &I,
         mut f: F,
     ) -> &mut Self {
-        let id = id.into();
-        let report = self.run(&mut |b: &mut Bencher| f(b, input));
-        self.print(&id, report);
+        if self.enabled {
+            let report = self.run(&mut |b: &mut Bencher| f(b, input));
+            self.print(&id.into(), report);
+        }
         self
     }
 
@@ -260,7 +290,7 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            let mut c = $crate::Criterion::default();
+            let mut c = $crate::Criterion::default().configure_from_args();
             $($group(&mut c);)+
             c.final_summary();
         }
@@ -313,6 +343,34 @@ mod tests {
             "cheap benchmark blew through its measurement budget: {:?}",
             start.elapsed()
         );
+    }
+
+    #[test]
+    fn filter_selects_groups_by_name_substring() {
+        let args = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        assert_eq!(filter_from(args(&["--bench", "e12_"])), Some("e12_".to_string()));
+        assert_eq!(filter_from(args(&["--bench"])), None);
+        assert_eq!(filter_from(args(&[])), None);
+
+        let mut c = Criterion { filter: Some("e12_".to_string()) };
+        let mut ran = Vec::new();
+        for name in ["e1_preprocessing", "e12_skip_scan_vs_density"] {
+            let mut group = c.benchmark_group(name);
+            group.sample_size(1);
+            group.measurement_time(Duration::from_millis(1));
+            group.warm_up_time(Duration::ZERO);
+            group.bench_function("run", |b| {
+                ran.push(name);
+                b.iter(|| black_box(1u64 + 1))
+            });
+            group.bench_with_input("input", &2u64, |b, x| {
+                ran.push(name);
+                b.iter(|| black_box(*x + 1))
+            });
+            group.finish();
+        }
+        assert!(ran.iter().all(|&name| name == "e12_skip_scan_vs_density"), "{ran:?}");
+        assert!(!ran.is_empty(), "the matching group still measures");
     }
 
     #[test]

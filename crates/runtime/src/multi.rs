@@ -24,7 +24,10 @@
 //!   spanner produced it.
 //!
 //! The branded automata are folded with the Proposition 4.4 union and
-//! compiled into one lazily-determinized engine per **shard**. Sharding
+//! compiled into one engine per **shard**: the eager dense tables when the
+//! shard's subset construction fits
+//! [`CompiledSpanner::AUTO_EAGER_MAX_CELLS`] letter-table cells, lazy
+//! determinization otherwise. Sharding
 //! exists because marker sets are bit-packed
 //! ([`spanners_core::MAX_VARIABLES`] = 32 variables per automaton): tenants
 //! are greedily packed into shards so that Σ(tenant variables + 1 route
@@ -54,17 +57,18 @@
 //! degradation ladder, panic quarantine — applies to the shared pass: a
 //! document that fails in shard *k* fails for shard *k*'s tenants only, and
 //! only for that document. [`MultiStreamingServer`] does the same for the
-//! streaming service, including generational snapshot re-freezing.
+//! streaming service, including generational snapshot re-freezing for lazy
+//! shards.
 
 use crate::admission::Governance;
 use crate::batch::BatchOptions;
 use crate::report::{BatchReport, TenantSlot};
 use crate::server::SpannerServer;
 use crate::streaming::{StreamingOptions, StreamingServer, StreamingStats, Ticket};
-use spanners_automata::{remap_markers, union};
+use spanners_automata::{compile_eva, remap_markers, union, CompileOptions};
 use spanners_core::{
-    CompiledSpanner, Document, Eva, EvaBuilder, EvictionPolicy, LazyConfig, Mapping, Marker,
-    MarkerSet, SpannerError, VarId, VarRegistry, MAX_VARIABLES,
+    AlphabetPartition, CompiledSpanner, Document, Eva, EvaBuilder, EvictionPolicy, LazyConfig,
+    LazyDetSeva, Mapping, Marker, MarkerSet, SpannerError, VarId, VarRegistry, MAX_VARIABLES,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -228,11 +232,38 @@ fn brand(id: &str, eva: &Eva) -> Result<Eva, SpannerError> {
     b.build()
 }
 
+/// Compiles one shard's automaton: eagerly when its subset construction
+/// fits [`CompiledSpanner::AUTO_EAGER_MAX_CELLS`] letter-table cells (the
+/// threshold [`spanners_core::EnginePolicy::Auto`] applies to deterministic
+/// input), lazily under `config` otherwise. Only the bounded
+/// determinization's `BudgetExceeded` selects the lazy engine; a shard that
+/// does not fit pays at most `AUTO_EAGER_MAX_CELLS / classes` subset states
+/// of failed determinization first. Every other error propagates, so a
+/// non-sequential tenant fails exactly as it does under the lazy engine.
+fn compile_shard(eva: &Eva, config: LazyConfig) -> Result<CompiledSpanner, SpannerError> {
+    eva.check_sequential()?;
+    let classes = AlphabetPartition::from_classes(eva.letter_classes().iter()).num_classes();
+    let budget = CompileOptions::with_max_states(CompiledSpanner::AUTO_EAGER_MAX_CELLS / classes);
+    match compile_eva(eva, budget, true) {
+        Ok(det) => Ok(CompiledSpanner::from_det(det)),
+        Err(SpannerError::BudgetExceeded { .. }) => {
+            Ok(CompiledSpanner::from_lazy(LazyDetSeva::new_trusted(eva, config)?))
+        }
+        Err(e) => Err(e),
+    }
+}
+
 impl MultiSpanner {
-    /// Compiles tenant spanners into shared automata with the default lazy
-    /// configuration and the [`EvictionPolicy::Segmented`] cache policy —
-    /// under memory pressure the shared determinization cache spares the
-    /// hottest subset states *across tenants* instead of clearing wholesale.
+    /// Compiles tenant spanners into shared automata, one per shard.
+    ///
+    /// A shard whose subset construction fits
+    /// [`CompiledSpanner::AUTO_EAGER_MAX_CELLS`] letter-table cells compiles
+    /// to the eager dense tables: it holds no frozen snapshot and no lazy
+    /// cache. A shard that does not fit is determinized lazily with the
+    /// default lazy configuration and the [`EvictionPolicy::Segmented`]
+    /// cache policy — under memory pressure its shared determinization cache
+    /// spares the hottest subset states *across tenants* instead of
+    /// clearing wholesale.
     ///
     /// Tenants are identified by id (non-empty, unique, no `.`); results are
     /// indexed by position in `tenants`. Fails on an invalid id, an eVA that
@@ -245,7 +276,8 @@ impl MultiSpanner {
     }
 
     /// [`MultiSpanner::compile`] with an explicit lazy-determinization
-    /// configuration for the shard engines.
+    /// configuration. `config` shapes only the shards that fall back to the
+    /// lazy engine; shards that fit the eager budget ignore it.
     pub fn compile_with(
         tenants: &[(&str, &Eva)],
         config: LazyConfig,
@@ -301,7 +333,7 @@ impl MultiSpanner {
             }
             let shard = if let [only] = group[..] {
                 Shard {
-                    spanner: CompiledSpanner::from_eva_lazy(tenants[only].1, config)?,
+                    spanner: compile_shard(tenants[only].1, config)?,
                     tenants: group,
                     routing: Routing::Single,
                 }
@@ -332,7 +364,7 @@ impl MultiSpanner {
                     }
                 }
                 Shard {
-                    spanner: CompiledSpanner::from_eva_lazy(&folded, config)?,
+                    spanner: compile_shard(&folded, config)?,
                     tenants: group,
                     routing: Routing::Branded { route_slot, rename },
                 }
@@ -520,7 +552,8 @@ impl MultiSpannerServer {
         &self.multi
     }
 
-    /// Warms every shard's frozen snapshot on sample documents.
+    /// Warms every lazy shard's frozen snapshot on sample documents (eager
+    /// shards hold no snapshot).
     pub fn warm(&self, docs: &[Document]) {
         for server in &self.servers {
             server.warm(docs);
@@ -852,6 +885,67 @@ mod tests {
         let mut out = spanner.mappings(doc);
         out.sort_unstable();
         out
+    }
+
+    /// A deterministic eVA whose subset construction has exactly `states`
+    /// states over two alphabet classes (`a` and the rest): a chain of
+    /// `a`-steps ending in one empty capture `x = [states-2, states-2⟩`.
+    fn chain_eva(states: usize) -> Eva {
+        let mut reg = VarRegistry::new();
+        let x = reg.intern("x").unwrap();
+        let mut b = EvaBuilder::new(reg);
+        let q = b.add_states(states);
+        b.set_initial(q[0]);
+        b.set_final(q[states - 1]);
+        for w in q[..states - 1].windows(2) {
+            b.add_byte(w[0], b'a', w[1]);
+        }
+        b.add_var(q[states - 2], MarkerSet::new().with_open(x).with_close(x), q[states - 1])
+            .unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn shard_over_the_eager_budget_falls_back_to_lazy() {
+        let fits = chain_eva(3);
+        assert_eq!(
+            AlphabetPartition::from_classes(fits.letter_classes().iter()).num_classes(),
+            2,
+            "the chain's alphabet is `a` and the rest"
+        );
+        let max_states = CompiledSpanner::AUTO_EAGER_MAX_CELLS / 2;
+        for (states, lazy) in [(max_states, false), (max_states + 1, true)] {
+            let eva = chain_eva(states);
+            let multi = MultiSpanner::compile(&[("t", &eva)]).unwrap();
+            assert_eq!(multi.shard_spanner(0).is_lazy(), lazy, "{states} subset states");
+            // Only a run of exactly `states - 2` bytes `a` reaches the capture.
+            let hit = Document::from("a".repeat(states - 2).as_str());
+            for (doc, outputs) in [(Document::from("aa"), 0), (hit, 1)] {
+                let expected = sorted_single(&eva, &doc);
+                assert_eq!(expected.len(), outputs);
+                assert_eq!(multi.evaluate(&doc)[0], expected);
+                assert_eq!(multi.count(&doc).unwrap()[0], expected.len() as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn non_sequential_tenant_fails_typed() {
+        // `x` opens and is never closed: not sequential.
+        let mut reg = VarRegistry::new();
+        let x = reg.intern("x").unwrap();
+        let mut b = EvaBuilder::new(reg);
+        let (q0, q1) = (b.add_state(), b.add_state());
+        b.set_initial(q0);
+        b.set_final(q1);
+        b.add_var(q0, MarkerSet::new().with_open(x), q1).unwrap();
+        let bad = b.build().unwrap();
+        let lazy_err = CompiledSpanner::from_eva_lazy(&bad, LazyConfig::default()).unwrap_err();
+        assert!(matches!(lazy_err, SpannerError::NotSequential(_)));
+        assert_eq!(MultiSpanner::compile(&[("bad", &bad)]).unwrap_err(), lazy_err);
+        let good = run_eva("x", b'a');
+        let branded = MultiSpanner::compile(&[("good", &good), ("bad", &bad)]).unwrap_err();
+        assert!(matches!(branded, SpannerError::NotSequential(_)), "{branded:?}");
     }
 
     #[test]

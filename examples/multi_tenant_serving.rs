@@ -31,9 +31,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let workload = tenant_keyword_workload(0xE15, tenants, 3)?;
         let corpus = tenant_corpus(0xE15, &workload, docs, 60);
         let bytes = corpus_bytes(&corpus);
-        // The union DFA needs more documents than any single tenant's to
-        // converge; warm both sides on the same leading slice so neither
-        // path pays determinization inside the timed region.
+        // The per-tenant servers determinize lazily (and so would a shard
+        // too large for the eager tables); warm both sides on the same
+        // leading slice so neither path pays determinization inside the
+        // timed region.
         let warm = &corpus[..corpus.len().min(32)];
 
         // Shared passes: the tenants compiled into per-shard unions.

@@ -63,6 +63,55 @@ fn corpus() -> Vec<Document> {
     docs
 }
 
+/// A tenant population and the corpus it is checked on.
+type Population = (Vec<(&'static str, Eva)>, Vec<Document>);
+
+/// The window of the `blowup` tenant ([`w::exp_blowup_eva`]): its subset
+/// construction needs about `2^16` states, more than any shard's eager
+/// budget (`CompiledSpanner::AUTO_EAGER_MAX_CELLS` cells) allows.
+const BLOWUP_WINDOW: usize = 16;
+
+/// A population whose layout holds both shard engines. Sixteen keyword
+/// tenants (1 variable + 1 route variable each) fill shard 0 to the
+/// 32-variable limit and determinize eagerly; `blowup` shares shard 1 with
+/// one more keyword tenant, and that shard stays lazy. Its corpus adds
+/// documents that mention the tenants' keywords to [`corpus`].
+fn mixed_engine_population() -> Population {
+    const KEYWORD_IDS: [&str; 17] = [
+        "k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8", "k9", "k10", "k11", "k12", "k13",
+        "k14", "k15", "k16",
+    ];
+    let workload = w::tenant_keyword_workload(0x5EED, KEYWORD_IDS.len(), 3).unwrap();
+    let mut docs = corpus();
+    docs.extend(w::tenant_corpus(0x5EED, &workload, 8, 40));
+    let mut tenants: Vec<(&'static str, Eva)> =
+        KEYWORD_IDS.into_iter().zip(workload.into_iter().map(|t| t.eva)).collect();
+    tenants.insert(16, ("blowup", w::exp_blowup_eva(BLOWUP_WINDOW)));
+    (tenants, docs)
+}
+
+/// Every population the differentials run: the mixed keyword/run-length
+/// population (one eager shard) and the mixed-engine one (eager and lazy
+/// shards).
+fn populations() -> Vec<Population> {
+    vec![(tenant_population(), corpus()), mixed_engine_population()]
+}
+
+/// Every shard compiles eagerly except the one serving `blowup`, whose
+/// subset construction does not fit the eager budget.
+fn assert_shard_engines(multi: &MultiSpanner) {
+    let blowup_shard = multi.tenant_index("blowup").map(|t| multi.shard_of(t));
+    assert!(blowup_shard.is_none() || multi.num_shards() > 1, "the layout mixes both engines");
+    for s in 0..multi.num_shards() {
+        assert_eq!(
+            multi.shard_spanner(s).is_lazy(),
+            blowup_shard == Some(s),
+            "shard {s} of {}",
+            multi.num_shards()
+        );
+    }
+}
+
 fn sorted(mut ms: Vec<Mapping>) -> Vec<Mapping> {
     ms.sort_unstable();
     ms
@@ -91,33 +140,34 @@ fn compile_multi(tenants: &[(&str, Eva)]) -> MultiSpanner {
 #[test]
 fn shared_pass_is_byte_identical_to_sequential_runs_at_every_thread_count() {
     let _serial = serialize_faults();
-    let tenants = tenant_population();
-    let docs = corpus();
-    let expected = sequential_baseline(&tenants, &docs);
-    for &threads in THREAD_COUNTS {
-        let multi = compile_multi(&tenants);
-        let server = MultiSpannerServer::with_options(multi, BatchOptions::threads(threads));
-        let report = server.evaluate_batch_report(&docs).unwrap();
-        assert!(report.is_fully_ok(), "no faults, no failures at {threads} threads");
-        assert_eq!(report.results.len(), docs.len());
-        for (d, row) in report.results.iter().enumerate() {
-            for (t, cell) in row.iter().enumerate() {
-                assert_eq!(
-                    cell.as_ref().unwrap(),
-                    &expected[t][d],
-                    "tenant {} doc {d} diverged at {threads} threads",
-                    tenants[t].0
-                );
+    for (tenants, docs) in populations() {
+        let expected = sequential_baseline(&tenants, &docs);
+        for &threads in THREAD_COUNTS {
+            let multi = compile_multi(&tenants);
+            assert_shard_engines(&multi);
+            let server = MultiSpannerServer::with_options(multi, BatchOptions::threads(threads));
+            let report = server.evaluate_batch_report(&docs).unwrap();
+            assert!(report.is_fully_ok(), "no faults, no failures at {threads} threads");
+            assert_eq!(report.results.len(), docs.len());
+            for (d, row) in report.results.iter().enumerate() {
+                for (t, cell) in row.iter().enumerate() {
+                    assert_eq!(
+                        cell.as_ref().unwrap(),
+                        &expected[t][d],
+                        "tenant {} doc {d} diverged at {threads} threads",
+                        tenants[t].0
+                    );
+                }
             }
-        }
-        // Per-tenant slots account for every document and mapping.
-        assert_eq!(report.tenants.len(), tenants.len());
-        for (t, slot) in report.tenants.iter().enumerate() {
-            assert_eq!(slot.id, tenants[t].0);
-            assert_eq!(slot.ok, docs.len());
-            assert_eq!(slot.failed, 0);
-            let total: usize = expected[t].iter().map(Vec::len).sum();
-            assert_eq!(slot.mappings, total, "tenant {} mapping tally", tenants[t].0);
+            // Per-tenant slots account for every document and mapping.
+            assert_eq!(report.tenants.len(), tenants.len());
+            for (t, slot) in report.tenants.iter().enumerate() {
+                assert_eq!(slot.id, tenants[t].0);
+                assert_eq!(slot.ok, docs.len());
+                assert_eq!(slot.failed, 0);
+                let total: usize = expected[t].iter().map(Vec::len).sum();
+                assert_eq!(slot.mappings, total, "tenant {} mapping tally", tenants[t].0);
+            }
         }
     }
 }
@@ -174,26 +224,27 @@ fn sharded_layouts_stay_byte_identical() {
 #[test]
 fn streaming_shared_pass_matches_sequential_runs() {
     let _serial = serialize_faults();
-    let tenants = tenant_population();
-    let docs = corpus();
-    let expected = sequential_baseline(&tenants, &docs);
-    for &workers in THREAD_COUNTS {
-        let multi = compile_multi(&tenants);
-        let server =
-            MultiStreamingServer::start(multi, StreamingOptions::workers(workers)).unwrap();
-        let tickets: Vec<_> = docs.iter().map(|d| server.submit(d, None).unwrap()).collect();
-        for (d, ticket) in tickets.into_iter().enumerate() {
-            let row = ticket.wait();
-            for (t, cell) in row.iter().enumerate() {
-                assert_eq!(
-                    cell.as_ref().unwrap(),
-                    &expected[t][d],
-                    "tenant {} doc {d} diverged at {workers} workers",
-                    tenants[t].0
-                );
+    for (tenants, docs) in populations() {
+        let expected = sequential_baseline(&tenants, &docs);
+        for &workers in THREAD_COUNTS {
+            let multi = compile_multi(&tenants);
+            assert_shard_engines(&multi);
+            let server =
+                MultiStreamingServer::start(multi, StreamingOptions::workers(workers)).unwrap();
+            let tickets: Vec<_> = docs.iter().map(|d| server.submit(d, None).unwrap()).collect();
+            for (d, ticket) in tickets.into_iter().enumerate() {
+                let row = ticket.wait();
+                for (t, cell) in row.iter().enumerate() {
+                    assert_eq!(
+                        cell.as_ref().unwrap(),
+                        &expected[t][d],
+                        "tenant {} doc {d} diverged at {workers} workers",
+                        tenants[t].0
+                    );
+                }
             }
+            server.drain();
         }
-        server.drain();
     }
 }
 
