@@ -17,11 +17,14 @@
 //! * its capture variables are re-interned as `"{tenant}.{var}"` via
 //!   [`VarRegistry::merge_prefixed`], so two tenants both capturing `x`
 //!   occupy distinct slots of the shared registry;
-//! * a fresh **route variable** named after the tenant id is folded into the
-//!   first variable transition of every accepting run (capturing the empty
-//!   span `[0, 0⟩`). Every output mapping of the shared automaton therefore
-//!   carries exactly one route variable, identifying the tenant whose
-//!   spanner produced it.
+//! * a fresh **route variable** named after the tenant id opens and closes
+//!   on the tenant's first variable transition: an empty span at the
+//!   mapping's first marker position, or at |d| for the empty mapping. Every
+//!   output mapping of the shared automaton therefore carries exactly one
+//!   route variable, identifying the tenant whose spanner produced it, while
+//!   runs that have not captured yet carry none: the tenants' variable-free
+//!   prefixes determinize into shared subset states, so a shard steps one
+//!   run for all its idle tenants instead of one run per tenant.
 //!
 //! The branded automata are folded with the Proposition 4.4 union and
 //! compiled into one engine per **shard**: the eager dense tables when the
@@ -68,7 +71,7 @@ use crate::streaming::{StreamingOptions, StreamingServer, StreamingStats, Ticket
 use spanners_automata::{compile_eva, remap_markers, union, CompileOptions};
 use spanners_core::{
     AlphabetPartition, CompiledSpanner, Document, Eva, EvaBuilder, EvictionPolicy, LazyConfig,
-    LazyDetSeva, Mapping, Marker, MarkerSet, SpannerError, VarId, VarRegistry, MAX_VARIABLES,
+    LazyDetSeva, Mapping, MarkerSet, SpannerError, VarId, VarRegistry, MAX_VARIABLES,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -183,51 +186,41 @@ fn validate_tenant_id(id: &str, seen: &[TenantInfo]) -> Result<(), SpannerError>
     Ok(())
 }
 
-/// Brands one tenant's eVA for a shared multi-tenant shard: prefixes its
-/// capture variables with the tenant id and folds the route variable (named
-/// by the tenant id, capturing `[0, 0⟩`) into the start of every run.
-///
-/// The eVA model forbids consecutive variable transitions, so the route
-/// markers cannot be a standalone first transition followed by the tenant's
-/// own first variable transition. Instead the new initial state mirrors the
-/// original initial state's variable transitions with the route markers
-/// folded in (runs whose first step opens variables), plus a single
-/// `{open, close}` route transition to a pass-through state that mirrors the
-/// original initial state's letter transitions and finality (runs whose
-/// first step reads a letter, and runs accepting the empty mapping).
+/// Brands one tenant's eVA for a shared shard: prefixes its capture
+/// variables with the tenant id and opens and closes the route variable on
+/// the first variable transition of every run. The states come in two
+/// copies, `before` and `after` the first variable transition; letter
+/// transitions stay inside a copy, variable transitions out of `before` add
+/// the route and land in `after`. Only `after` copies are final; the
+/// `before` copy of a final state takes a route-only transition to a final
+/// sink (the runs outputting the empty mapping). Marker sets are never
+/// empty, so the route span is a function of the mapping and no mapping is
+/// produced twice. The union trims copies no run reaches.
 fn brand(id: &str, eva: &Eva) -> Result<Eva, SpannerError> {
     let mut reg = VarRegistry::new();
     let route = reg.intern(id)?;
     let map = reg.merge_prefixed(id, eva.registry())?;
+    let routed = MarkerSet::new().with_open(route).with_close(route);
     let mut b = EvaBuilder::new(reg);
-    let states = b.add_states(eva.num_states());
-    let entry = b.add_state();
-    let pass = b.add_state();
-    b.set_initial(entry);
+    let before = b.add_states(eva.num_states());
+    let after = b.add_states(eva.num_states());
+    let sink = b.add_state();
+    b.set_initial(before[eva.initial()]);
+    b.set_final(sink);
     for q in 0..eva.num_states() {
         if eva.is_final(q) {
-            b.set_final(states[q]);
+            b.set_final(after[q]);
+            b.add_var(before[q], routed, sink)?;
         }
         for t in eva.letter_transitions(q) {
-            b.add_letter(states[q], t.class, states[t.target]);
+            b.add_letter(before[q], t.class, before[t.target]);
+            b.add_letter(after[q], t.class, after[t.target]);
         }
         for t in eva.var_transitions(q) {
-            b.add_var(states[q], remap_markers(t.markers, &map), states[t.target])?;
+            let markers = remap_markers(t.markers, &map);
+            b.add_var(before[q], markers.union(&routed), after[t.target])?;
+            b.add_var(after[q], markers, after[t.target])?;
         }
-    }
-    let init = eva.initial();
-    for t in eva.var_transitions(init) {
-        let mut markers = remap_markers(t.markers, &map);
-        markers.insert(Marker::Open(route));
-        markers.insert(Marker::Close(route));
-        b.add_var(entry, markers, states[t.target])?;
-    }
-    b.add_var(entry, MarkerSet::new().with_open(route).with_close(route), pass)?;
-    if eva.is_final(init) {
-        b.set_final(pass);
-    }
-    for t in eva.letter_transitions(init) {
-        b.add_letter(pass, t.class, states[t.target]);
     }
     b.build()
 }
@@ -258,12 +251,14 @@ impl MultiSpanner {
     ///
     /// A shard whose subset construction fits
     /// [`CompiledSpanner::AUTO_EAGER_MAX_CELLS`] letter-table cells compiles
-    /// to the eager dense tables: it holds no frozen snapshot and no lazy
-    /// cache. A shard that does not fit is determinized lazily with the
-    /// default lazy configuration and the [`EvictionPolicy::Segmented`]
-    /// cache policy — under memory pressure its shared determinization cache
-    /// spares the hottest subset states *across tenants* instead of
-    /// clearing wholesale.
+    /// to the eager dense tables. Its subset states are the *product* of the
+    /// tenants' variable-free prefixes (their shared runs), not the sum, so
+    /// a few tenants that each remember a window of past bytes can exceed
+    /// the budget. Such a shard is determinized lazily, where one subset
+    /// holds at most the sum of the tenants' states, with the default lazy
+    /// configuration and the [`EvictionPolicy::Segmented`] cache policy,
+    /// which under memory pressure spares the hottest subset states *across
+    /// tenants* instead of clearing wholesale.
     ///
     /// Tenants are identified by id (non-empty, unique, no `.`); results are
     /// indexed by position in `tenants`. Fails on an invalid id, an eVA that
@@ -406,7 +401,9 @@ impl MultiSpanner {
     }
 
     /// The shared compiled spanner of a shard (diagnostics; its registry is
-    /// the shared namespace, not a tenant namespace).
+    /// the shared namespace, not a tenant namespace). Its mappings carry the
+    /// route variable as an empty span at the first marker position, or at
+    /// |d| for a tenant's empty mapping.
     pub fn shard_spanner(&self, shard: usize) -> &CompiledSpanner {
         &self.shards[shard].spanner
     }
@@ -860,7 +857,7 @@ impl MultiStreamingServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spanners_core::ByteClass;
+    use spanners_core::{ByteClass, Span};
 
     /// An eVA capturing every maximal-free span of `byte`-runs: `x` matches
     /// any run of the given byte (`.*!x{b+}.*` in regex-formula terms, minus
@@ -925,6 +922,55 @@ mod tests {
                 assert_eq!(expected.len(), outputs);
                 assert_eq!(multi.evaluate(&doc)[0], expected);
                 assert_eq!(multi.count(&doc).unwrap()[0], expected.len() as u64);
+            }
+        }
+    }
+
+    /// A regex formula compiled to a sequential eVA.
+    fn pattern_eva(pattern: &str) -> Eva {
+        let va = spanners_regex::regex_to_va(&spanners_regex::parse(pattern).unwrap()).unwrap();
+        spanners_automata::va_to_eva(&va).unwrap()
+    }
+
+    #[test]
+    fn route_span_sits_at_the_first_variable_transition() {
+        let (capture, flag) = (pattern_eva(".*!x{a}.*"), pattern_eva(".*b.*"));
+        let multi = MultiSpanner::compile(&[("cap", &capture), ("flag", &flag)]).unwrap();
+        let shard = multi.shard_spanner(0);
+        let var = |name: &str| shard.registry().get(name).unwrap();
+        let span = |start, end| Span::new(start, end).unwrap();
+        let mut got = shard.mappings(&Document::from("bba"));
+        got.sort_unstable();
+        // `cap` routes where `x` opens; the variable-free `flag` routes at |d|.
+        let mut expected = vec![
+            Mapping::from_pairs([(var("cap"), span(2, 2)), (var("cap.x"), span(2, 3))]),
+            Mapping::singleton(var("flag"), span(3, 3)),
+        ];
+        expected.sort_unstable();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn shard_whose_prefixes_multiply_past_the_eager_budget_goes_lazy() {
+        // Each tenant remembers where its letter occurred among the last
+        // eight bytes: 2^8 subset states alone, while the three variable-free
+        // prefixes determinize into one product of 4^8 subsets over five
+        // classes, past `AUTO_EAGER_MAX_CELLS / 5`.
+        let evas: Vec<Eva> = ["p", "q", "r"]
+            .iter()
+            .map(|c| pattern_eva(&format!(".*{c}.{{7}}!x{{[a-z]}}.*")))
+            .collect();
+        let multi =
+            MultiSpanner::compile(&[("p", &evas[0]), ("q", &evas[1]), ("r", &evas[2])]).unwrap();
+        assert_eq!(multi.num_shards(), 1);
+        assert!(multi.shard_spanner(0).is_lazy());
+        for text in ["", "p1234567a", "pqr0000xyzq", "rqprqprqpabcdefghij", "zzz"] {
+            let doc = Document::from(text);
+            let (got, counts) = (multi.evaluate(&doc), multi.count(&doc).unwrap());
+            for (i, eva) in evas.iter().enumerate() {
+                let expected = sorted_single(eva, &doc);
+                assert_eq!(got[i], expected, "tenant {i} on {text:?}");
+                assert_eq!(counts[i], expected.len() as u64, "tenant {i} count on {text:?}");
             }
         }
     }

@@ -90,11 +90,29 @@ fn mixed_engine_population() -> Population {
     (tenants, docs)
 }
 
+/// The corner cases of route branding, which attaches a tenant's route
+/// variable at its first variable transition: a variable-free tenant (it
+/// outputs the empty mapping, routed at the end of the document), a tenant
+/// capturing the empty span at the end of the document, one anchored at
+/// position 0, and one whose eVA accepts the empty document both with the
+/// empty mapping and with a capture. [`corpus`] includes the empty document.
+fn branding_edge_population() -> Population {
+    let tenants = vec![
+        ("flag", pattern_eva(".*error.*")),
+        ("tail", pattern_eva(".*!x{}")),
+        ("head", pattern_eva("!x{[a-z]+}.*")),
+        ("maybe", pattern_eva("(!y{[0-9]*})?.*")),
+    ];
+    let mut docs = corpus();
+    docs.extend(["7", "42 error", "login"].map(Document::from));
+    (tenants, docs)
+}
+
 /// Every population the differentials run: the mixed keyword/run-length
-/// population (one eager shard) and the mixed-engine one (eager and lazy
-/// shards).
+/// population (one eager shard), the mixed-engine one (eager and lazy
+/// shards) and the branding corner cases.
 fn populations() -> Vec<Population> {
-    vec![(tenant_population(), corpus()), mixed_engine_population()]
+    vec![(tenant_population(), corpus()), mixed_engine_population(), branding_edge_population()]
 }
 
 /// Every shard compiles eagerly except the one serving `blowup`, whose
@@ -174,14 +192,14 @@ fn shared_pass_is_byte_identical_to_sequential_runs_at_every_thread_count() {
 
 #[test]
 fn demuxed_counts_match_standalone_counters() {
-    let tenants = tenant_population();
-    let docs = corpus();
-    let multi = compile_multi(&tenants);
-    for doc in &docs {
-        let counts = multi.count(doc).unwrap();
-        for (t, (id, eva)) in tenants.iter().enumerate() {
-            let single = CompiledSpanner::from_eva_lazy(eva, LazyConfig::default()).unwrap();
-            assert_eq!(counts[t], single.count_u64(doc).unwrap(), "tenant {id}");
+    for (tenants, docs) in populations() {
+        let multi = compile_multi(&tenants);
+        for doc in &docs {
+            let counts = multi.count(doc).unwrap();
+            for (t, (id, eva)) in tenants.iter().enumerate() {
+                let single = CompiledSpanner::from_eva_lazy(eva, LazyConfig::default()).unwrap();
+                assert_eq!(counts[t], single.count_u64(doc).unwrap(), "tenant {id}");
+            }
         }
     }
 }
