@@ -23,8 +23,9 @@
 //!   engine on long sparse-match documents as the density of marker-active
 //!   bytes sweeps 0% → 100%, for both the eager tables and a warm lazy
 //!   cache: at low density the scanner touches only the interesting bytes
-//!   (one chunked LUT scan per skippable stretch), at 100% it degrades to
-//!   per-byte speed.
+//!   (one vectorised scan per skippable stretch; the digit spanner's
+//!   interest set is one byte range, so the range compare kernel runs), at
+//!   100% it degrades to per-byte speed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use spanners_automata::determinize;
@@ -311,8 +312,8 @@ fn bench_lazy_warm_density(c: &mut Criterion) {
 /// Both automaton flavours are measured: the eager dense tables (exact
 /// compile-time masks) and a warm lazy cache (masks memoized on first use).
 /// The interesting regime is ≤ 1% density, where the scanner jumps between
-/// interesting bytes with a chunked LUT loop; at 100% density both engines
-/// execute every position.
+/// interesting bytes with the byte-range compare kernel (the digits are one
+/// range); at 100% density both engines execute every position.
 fn bench_skip_scan_density(c: &mut Criterion) {
     let mut group = c.benchmark_group("e12_skip_scan_vs_density");
     group.sample_size(10);

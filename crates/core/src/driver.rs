@@ -109,11 +109,13 @@ pub enum EngineMode {
     /// bitsets are intersected into one [`crate::ClassMask`] (recomputed only
     /// when the active set changes), expanded into a byte-level
     /// [`crate::InterestMask`], and the loop jumps straight to the next
-    /// *interesting* byte with the chunked [`crate::find_next_interesting`]
-    /// scanner — skippable stretches cost a vectorisable LUT scan no matter
-    /// how many positions they span. A position is skipped only when every
-    /// live state is [`DetSeva::run_skippable`] on its class, so outputs
-    /// are identical to the per-byte loop's.
+    /// *interesting* byte with the [`crate::find_next_interesting`] scanner —
+    /// skippable stretches cost a vectorised scan of 64-byte strides (a
+    /// byte-range compare kernel when the interesting bytes form at most
+    /// four ranges, table lookups otherwise) no matter how many positions
+    /// they span. A position is skipped only when every live state is
+    /// [`DetSeva::run_skippable`] on its class, so outputs are identical to
+    /// the per-byte loop's.
     #[default]
     SkipScan,
     /// The classic byte-at-a-time sparse loop. Used automatically for traced
@@ -542,10 +544,11 @@ impl<A: Accumulator> Run<A> {
     /// straight to the next *interesting* byte.
     ///
     /// Per executed position this costs what the per-byte loop costs; per
-    /// *skippable* stretch it costs a chunked LUT scan regardless of the
-    /// stretch's length. The mask is rebuilt only when the active set
-    /// changes, and the byte-level interest table only when a skip actually
-    /// happens, so dense regions never pay for either.
+    /// *skippable* stretch it costs one [`crate::find_next_interesting`]
+    /// call, whose vectorised 64-byte strides stop at the stretch's end.
+    /// The mask is rebuilt only when the active set changes, and the
+    /// byte-level interest set only when a skip actually happens, so dense
+    /// regions never pay for either.
     ///
     /// A byte is skipped either because its class is in the mask — which,
     /// by the [`Stepper::skip_mask`] contract, means every live state has a

@@ -22,7 +22,8 @@
 
 use spanners::automata::va_to_eva;
 use spanners::core::{
-    dedup_mappings, CountCache, Document, EngineMode, Evaluator, LazyConfig, LazyDetSeva, Mapping,
+    dedup_mappings, ByteClass, CountCache, Document, EngineMode, Eva, EvaBuilder, Evaluator,
+    InterestMask, LazyConfig, LazyDetSeva, Mapping, MarkerSet, Target, VarRegistry,
 };
 use spanners::regex::{compile, parse, regex_to_va};
 use spanners::runtime::{BatchOptions, BatchSpanner, SpannerServer};
@@ -374,4 +375,149 @@ fn batch_skip_scan_is_deterministic_across_threads_and_modes() {
     let per_byte_counts: Vec<u64> =
         docs.iter().map(|d| per_byte.count((lazy, &*frozen), d).unwrap()).collect();
     assert_eq!(per_byte_counts, expected_counts, "PerByte over the server snapshot");
+}
+
+/// `Σ* x{C+} Σ*` where `C` is the union of the inclusive byte `ranges`,
+/// built with `EvaBuilder` so that a range can end at `0xFF` (the pattern
+/// syntax has no byte escapes). The start state's interest set is exactly
+/// `C`: a capture can open only where a `C` byte follows.
+fn range_runs_eva(ranges: &[(u8, u8)]) -> Eva {
+    let class =
+        ranges.iter().fold(ByteClass::empty(), |c, &(lo, hi)| c.union(&ByteClass::range(lo, hi)));
+    let mut reg = VarRegistry::new();
+    let x = reg.intern("x").unwrap();
+    let mut b = EvaBuilder::new(reg);
+    let q = b.add_states(4);
+    b.set_initial(q[0]);
+    b.set_final(q[3]);
+    b.add_letter(q[0], ByteClass::any(), q[0]);
+    b.add_var(q[0], MarkerSet::new().with_open(x), q[1]).unwrap();
+    b.add_letter(q[1], class, q[2]);
+    b.add_letter(q[2], class, q[2]);
+    b.add_var(q[2], MarkerSet::new().with_close(x), q[3]).unwrap();
+    b.add_letter(q[3], ByteClass::any(), q[3]);
+    b.build().unwrap()
+}
+
+/// Documents over the whole byte alphabet for a range-class spanner: a
+/// background of non-`C` bytes, biased to the bytes just outside each
+/// range, with `C` bytes (range ends first) planted at 64-byte stride edges
+/// and at densities from 0% to 100%.
+fn range_runs_docs(ranges: &[(u8, u8)], seed: u64) -> Vec<Document> {
+    let class =
+        ranges.iter().fold(ByteClass::empty(), |c, &(lo, hi)| c.union(&ByteClass::range(lo, hi)));
+    let mut edges: Vec<u8> = Vec::new();
+    let mut hits: Vec<u8> = Vec::new();
+    for &(lo, hi) in ranges {
+        edges.extend(
+            [lo.wrapping_sub(1), hi.wrapping_add(1)].into_iter().filter(|&b| !class.contains(b)),
+        );
+        hits.extend([lo, hi]);
+    }
+    let misses: Vec<u8> = class.complement().iter().collect();
+    let mut rng = w::rng::StdRng::seed_from_u64(seed);
+    let background = |rng: &mut w::rng::StdRng, len: usize| -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                if !edges.is_empty() && rng.gen_bool(0.5) {
+                    edges[rng.gen_range(0..edges.len())]
+                } else {
+                    misses[rng.gen_range(0..misses.len())]
+                }
+            })
+            .collect()
+    };
+    let mut docs = vec![Document::empty()];
+    for len in [1usize, 63, 64, 65, 129] {
+        docs.push(Document::new(background(&mut rng, len)));
+        for pos in [0usize, 15, 16, 63, 64, 65, 128] {
+            if pos < len {
+                let mut bytes = background(&mut rng, len);
+                bytes[pos] = hits[pos % hits.len()];
+                docs.push(Document::new(bytes));
+            }
+        }
+    }
+    let all: Vec<u8> = class.iter().collect();
+    for per_10k in [0usize, 10, 100, 1_000, 10_000] {
+        let mut bytes = background(&mut rng, 3_000);
+        for (i, b) in bytes.iter_mut().enumerate() {
+            if rng.gen_range(0..10_000) < per_10k {
+                *b = if i % 2 == 0 {
+                    hits[i % hits.len()]
+                } else {
+                    all[rng.gen_range(0..all.len())]
+                };
+            }
+        }
+        docs.push(Document::new(bytes));
+    }
+    docs
+}
+
+/// The scan kernel's dispatch on the number of ranges, end to end: spanners
+/// whose start-state interest set is 1 (ending at `0xFF`), 2, 3, 4 and 5
+/// ranges (the compare kernel up to four, the table loop beyond). SkipScan
+/// equals PerByte byte for byte, enumeration order included, on the eager
+/// tables, a warm lazy cache and a frozen snapshot, and through `CountCache`.
+#[test]
+fn range_kernel_arms_are_identical_across_modes() {
+    let shapes: [&[(u8, u8)]; 5] = [
+        &[(0xE0, 0xFF)],
+        &[(b'0', b'9'), (b'a', b'f')],
+        &[(0x00, 0x03), (b'A', b'F'), (b'x', b'z')],
+        &[(b'0', b'9'), (b'A', b'Z'), (b'a', b'z'), (0xFF, 0xFF)],
+        &[(b'!', b'!'), (b'0', b'9'), (b'A', b'Z'), (b'_', b'_'), (b'a', b'z')],
+    ];
+    for (i, ranges) in shapes.iter().enumerate() {
+        let eva = range_runs_eva(ranges);
+        let docs = range_runs_docs(ranges, 0x5CA1 + i as u64);
+        let ctx = format!("{} ranges {ranges:?}", ranges.len());
+
+        // The premise: the start state's interest set has exactly these ranges.
+        let eager = CompiledSpanner::from_eva(&eva).unwrap();
+        let aut = eager.try_automaton().expect("eager engine");
+        let mut interest = InterestMask::default();
+        aut.partition().interest_mask_into(&aut.skip_mask(aut.initial()), &mut interest);
+        let starts = (0..=255u8)
+            .filter(|&b| interest.is_interesting(b) && (b == 0 || !interest.is_interesting(b - 1)))
+            .count();
+        assert_eq!(starts, ranges.len(), "start-state interest ranges, {ctx}");
+
+        for (j, doc) in docs.iter().enumerate() {
+            assert_eager_modes_identical(&eager, doc, &format!("eager, {ctx}, doc {j}"));
+        }
+
+        // Warm lazy and frozen: warm each target in both modes first, so both
+        // modes step one fixed id space and order must match exactly.
+        let lazy = LazyDetSeva::new(&eva, LazyConfig::default()).unwrap();
+        let frozen = CompiledSpanner::from_lazy(lazy.clone()).freeze_warm(&docs).expect("freezes");
+        let mut scan = Evaluator::with_mode(EngineMode::SkipScan);
+        let mut bytes = Evaluator::with_mode(EngineMode::PerByte);
+        let mut scan_counts = CountCache::<u128>::with_mode(EngineMode::SkipScan);
+        let mut byte_counts = CountCache::<u128>::with_mode(EngineMode::PerByte);
+        for doc in &docs {
+            let _ = scan.eval(&lazy, doc).unwrap().num_nodes();
+            let _ = bytes.eval(&lazy, doc).unwrap().num_nodes();
+        }
+        for (j, doc) in docs.iter().enumerate() {
+            let live = scan.eval(&lazy, doc).unwrap().count_paths().unwrap();
+            let targets = [("warm lazy", None), ("frozen", Some(&frozen))];
+            for (name, target) in targets.map(|(n, f)| (n, Target::Lazy(&lazy, f))) {
+                let at = format!("{name}, {ctx}, doc {j}");
+                let paths = scan.eval(target, doc).unwrap().count_paths().unwrap();
+                assert_eq!(paths, live, "paths vs the live cache, {at}");
+                assert_eq!(bytes.eval(target, doc).unwrap().count_paths().unwrap(), paths, "{at}");
+                if paths < ENUM_CAP {
+                    assert_eq!(
+                        scan.eval(target, doc).unwrap().collect_mappings(),
+                        bytes.eval(target, doc).unwrap().collect_mappings(),
+                        "mappings/order vs per-byte, {at}"
+                    );
+                }
+                assert_eq!(scan_counts.count(target, doc).unwrap(), paths, "count, {at}");
+                assert_eq!(byte_counts.count(target, doc).unwrap(), paths, "per-byte count, {at}");
+            }
+        }
+    }
 }
