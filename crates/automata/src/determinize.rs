@@ -33,6 +33,8 @@ pub fn determinize(eva: &Eva, max_states: usize) -> Result<Eva, SpannerError> {
     index.insert(start.clone(), s0);
     worklist.push(start);
 
+    // Class indices of one letter transition, reused across transitions.
+    let mut classes: Vec<usize> = Vec::new();
     while let Some(subset) = worklist.pop() {
         let from = index[&subset];
         if subset.iter().any(|&q| eva.is_final(q)) {
@@ -62,7 +64,8 @@ pub fn determinize(eva: &Eva, max_states: usize) -> Result<Eva, SpannerError> {
         let mut per_class: Vec<Vec<StateId>> = vec![Vec::new(); ncls];
         for &q in &subset {
             for t in eva.letter_transitions(q) {
-                for cls in partition.classes_intersecting(&t.class) {
+                partition.classes_intersecting_into(&t.class, &mut classes);
+                for &cls in &classes {
                     per_class[cls].push(t.target);
                 }
             }
@@ -74,13 +77,9 @@ pub fn determinize(eva: &Eva, max_states: usize) -> Result<Eva, SpannerError> {
             }
             targets.sort_unstable();
             targets.dedup();
+            // The merged label is the union of the classes leading to `targets`.
             let entry = by_target.entry(targets).or_insert_with(ByteClass::empty);
-            // Collect all bytes of this alphabet class into the merged label.
-            for b in 0..=255u8 {
-                if partition.class_of(b) == cls {
-                    entry.insert(b);
-                }
-            }
+            *entry = entry.union(partition.class_members(cls));
         }
         let mut target_keys: Vec<Vec<StateId>> = by_target.keys().cloned().collect();
         target_keys.sort();

@@ -6,8 +6,15 @@
 
 use crate::span::Span;
 use std::fmt;
+use std::sync::Arc;
 
 /// An input document: an immutable byte string with span-aware accessors.
+///
+/// The bytes live in one shared, immutable buffer. Building a document from
+/// an owned `Vec<u8>` or `String` moves that allocation in without copying a
+/// byte, and `clone()` bumps a reference count, so a caller can keep a handle
+/// to read spans while a server evaluates the same buffer. Equality, hashing
+/// and formatting go by content, never by buffer identity.
 ///
 /// ```
 /// use spanners_core::{Document, Span};
@@ -18,18 +25,19 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Document {
-    bytes: Vec<u8>,
+    bytes: Arc<Vec<u8>>,
 }
 
 impl Document {
-    /// Creates a document from raw bytes.
+    /// Creates a document from raw bytes. An owned `Vec<u8>` or `String` is
+    /// moved in as is; borrowed bytes are copied once.
     pub fn new(bytes: impl Into<Vec<u8>>) -> Self {
-        Document { bytes: bytes.into() }
+        Document { bytes: Arc::new(bytes.into()) }
     }
 
     /// The empty document ε.
     pub fn empty() -> Self {
-        Document { bytes: Vec::new() }
+        Document::new(Vec::new())
     }
 
     /// Length of the document in bytes (`|d|`).
@@ -95,7 +103,7 @@ impl Document {
     /// The distinct bytes occurring in the document (its effective alphabet).
     pub fn alphabet(&self) -> Vec<u8> {
         let mut seen = [false; 256];
-        for &b in &self.bytes {
+        for &b in self.bytes() {
             seen[b as usize] = true;
         }
         (0u16..256).filter(|&b| seen[b as usize]).map(|b| b as u8).collect()
@@ -128,13 +136,13 @@ impl From<Vec<u8>> for Document {
 
 impl AsRef<[u8]> for Document {
     fn as_ref(&self) -> &[u8] {
-        &self.bytes
+        self.bytes()
     }
 }
 
 impl fmt::Display for Document {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", String::from_utf8_lossy(&self.bytes))
+        write!(f, "{}", String::from_utf8_lossy(self.bytes()))
     }
 }
 
@@ -215,5 +223,49 @@ mod tests {
         assert_eq!(c, d);
         assert_eq!(a.as_ref(), b"xy");
         assert_eq!(a.to_string(), "xy");
+    }
+
+    #[test]
+    fn clone_shares_the_buffer() {
+        let d = figure1();
+        let c = d.clone();
+        assert_eq!(c.bytes().as_ptr(), d.bytes().as_ptr());
+        assert_eq!(c, d);
+        drop(d);
+        assert_eq!(c.paper_content(1, 5).unwrap(), b"John");
+    }
+
+    #[test]
+    fn owned_bytes_move_in_without_a_copy() {
+        let v = b"abc".to_vec();
+        let ptr = v.as_ptr();
+        assert_eq!(Document::from(v).bytes().as_ptr(), ptr);
+        let s = String::from("abc");
+        let ptr = s.as_ptr();
+        assert_eq!(Document::from(s).bytes().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn equality_hash_and_formatting_go_by_content() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        fn hash(d: &Document) -> u64 {
+            let mut h = DefaultHasher::new();
+            d.hash(&mut h);
+            h.finish()
+        }
+        let d = Document::from("ab");
+        let clone = d.clone();
+        let separate = Document::from(vec![b'a', b'b']);
+        assert_ne!(separate.bytes().as_ptr(), d.bytes().as_ptr());
+        assert_eq!(clone, d);
+        assert_eq!(separate, d);
+        assert_eq!(hash(&clone), hash(&d));
+        assert_eq!(hash(&separate), hash(&d));
+        assert_ne!(Document::from("ba"), d);
+        assert_eq!(format!("{d:?}"), "Document { bytes: [97, 98] }");
+        assert_eq!(format!("{:?}", Document::empty()), "Document { bytes: [] }");
+        assert_eq!(d.to_string(), "ab");
+        assert_eq!(separate.to_string(), clone.to_string());
     }
 }

@@ -62,17 +62,16 @@ pub fn regex_to_va(ast: &RegexAst) -> Result<Va, SpannerError> {
     // ε-elimination: keep the original states, add, for every state q and every
     // state p in its ε-closure, the non-ε transitions of p; a state is final if
     // its ε-closure contains the fragment's exit state.
-    let closures: Vec<Vec<usize>> =
-        (0..nfa.transitions.len()).map(|q| eps_closure(&nfa, q)).collect();
-
+    let mut eps = EpsClosure::new(nfa.transitions.len());
     let mut builder = VaBuilder::new(registry);
     let states: Vec<usize> = (0..nfa.transitions.len()).map(|_| builder.add_state()).collect();
     builder.set_initial(states[frag.start]);
     for q in 0..nfa.transitions.len() {
-        if closures[q].contains(&frag.end) {
+        let closure = eps.of(&nfa, q);
+        if closure.contains(&frag.end) {
             builder.set_final(states[q]);
         }
-        for &p in &closures[q] {
+        for &p in closure {
             for (label, to) in &nfa.transitions[p] {
                 match label {
                     EpsLabel::Eps => {}
@@ -205,22 +204,41 @@ fn build(ast: &RegexAst, nfa: &mut EpsNfa, registry: &VarRegistry) -> Result<Fra
     })
 }
 
-/// The ε-closure of a state (including the state itself).
-fn eps_closure(nfa: &EpsNfa, q: usize) -> Vec<usize> {
-    let mut seen = vec![false; nfa.transitions.len()];
-    let mut stack = vec![q];
-    seen[q] = true;
-    let mut out = vec![q];
-    while let Some(p) = stack.pop() {
-        for (label, to) in &nfa.transitions[p] {
-            if *label == EpsLabel::Eps && !seen[*to] {
-                seen[*to] = true;
-                out.push(*to);
-                stack.push(*to);
+/// ε-closures (each including its state itself), computed one state at a
+/// time over one visited buffer, so the whole ε-elimination costs the sum of
+/// the closure sizes, not a fresh `n`-entry buffer per state.
+struct EpsClosure {
+    seen: Vec<bool>,
+    stack: Vec<usize>,
+    out: Vec<usize>,
+}
+
+impl EpsClosure {
+    fn new(num_states: usize) -> Self {
+        EpsClosure { seen: vec![false; num_states], stack: Vec::new(), out: Vec::new() }
+    }
+
+    /// The ε-closure of `q`, `q` first, then the states in DFS discovery
+    /// order. Valid until the next call, which unmarks it through `out`.
+    fn of(&mut self, nfa: &EpsNfa, q: usize) -> &[usize] {
+        for &p in &self.out {
+            self.seen[p] = false;
+        }
+        self.out.clear();
+        self.stack.push(q);
+        self.seen[q] = true;
+        self.out.push(q);
+        while let Some(p) = self.stack.pop() {
+            for (label, to) in &nfa.transitions[p] {
+                if *label == EpsLabel::Eps && !self.seen[*to] {
+                    self.seen[*to] = true;
+                    self.out.push(*to);
+                    self.stack.push(*to);
+                }
             }
         }
+        &self.out
     }
-    out
 }
 
 #[cfg(test)]

@@ -793,8 +793,10 @@ impl MultiStreamingServer {
         &self.multi
     }
 
-    /// Submits one document to every shard (cloning it per shard), blocking
-    /// while any shard's queue is full. On error, shards that already
+    /// Submits one document to every shard, blocking while any shard's queue
+    /// is full. Every shard shares the document's one buffer (a
+    /// [`Document`] clone is a reference-count bump), so fan-out copies no
+    /// bytes. On error, shards that already
     /// accepted the document still evaluate it; their results are discarded
     /// with the returned tickets. Equivalent to
     /// [`MultiStreamingServer::submit_for`] with the anonymous (empty)
@@ -811,7 +813,8 @@ impl MultiStreamingServer {
     /// tenant's circuit breaker and quotas (see [`crate::admission`]) gate
     /// the whole multi-shard submission once, at shard 0 — an admission
     /// rejection surfaces before any shard accepts the document, leaving
-    /// nothing in flight anywhere.
+    /// nothing in flight anywhere. The shards share the document's buffer
+    /// rather than copying it.
     pub fn submit_for(
         &self,
         tenant: &str,

@@ -604,6 +604,8 @@ impl<R: Send + 'static> StreamingServer<R> {
     /// Submits one document, **blocking while the queue is full**, with an
     /// optional wall-clock deadline covering queue wait *and* evaluation.
     /// Fails with [`SpannerError::ShuttingDown`] once a drain/abort began.
+    /// To read the result's spans, submit a clone and keep the original:
+    /// both share one buffer, so the clone copies no bytes.
     /// Equivalent to [`StreamingServer::submit_for`] with the anonymous
     /// (empty) tenant id.
     pub fn submit(

@@ -47,6 +47,8 @@ fn run_stream(
         dag.collect_mappings().len()
     })?;
     let t = Instant::now();
+    // `doc.clone()` shares the corpus document's buffer with the server; the
+    // submission copies no bytes.
     let tickets: Vec<_> =
         corpus.iter().map(|doc| server.submit(doc.clone(), None)).collect::<Result<_, _>>()?;
     // Splice the ticket outcomes into a BatchReport for the one-line log
